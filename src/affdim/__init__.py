@@ -24,7 +24,6 @@ from .ifs import (
     attractor_bound,
     check_irreducibility,
     compose_word,
-    enumerate_words,
     fixed_point,
     identity_map,
     natural_projection,
@@ -46,15 +45,12 @@ from .dimension import (
     DimensionBracket,
     SolverOptions,
     affinity_dimension,
-    anchor_exponent_lower,
     anchor_exponent_profile,
-    anchor_exponent_upper,
     anchored_norm_sum,
     partition_sum,
     pressure_upper_root,
     quasi_multiplicativity_probe,
     regular_dimension_bracket,
-    similarity_dimension_1d,
 )
 from .separation import (
     ArcSet,

@@ -46,10 +46,19 @@ def _scalar_coeffs(m: AffineMap2):
     return ("d", a.a11, a.a12, a.a21, a.a22, t[0], t[1])
 
 
-def _chaos_chunk(coeffs, count: int, seed, burn_in: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(coeffs), size=burn_in + count).tolist()
-    out = np.empty((count, 2))
+def _pick_stream(n_choices: int, n_points: int, seed, burn_in: int):
+    """Seeded map choices per chunk of at most _CHAOS_CHUNK points, each
+    chunk's burn-in included; chunk sub-seeds derive from the master
+    seed, so the stream does not depend on how chunks are scheduled."""
+    sizes = [min(_CHAOS_CHUNK, n_points - i) for i in range(0, n_points, _CHAOS_CHUNK)]
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.default_rng(child)
+        yield rng.integers(0, n_choices, size=burn_in + size).tolist()
+
+
+def _orbit(coeffs, picks, burn_in: int) -> np.ndarray:
+    """Orbit of the origin under the picked maps, burn-in discarded."""
+    out = np.empty((len(picks) - burn_in, 2))
     x = y = 0.0
     k = 0
     for step, pick in enumerate(picks):
@@ -82,18 +91,10 @@ def chaos_game(
     """
     if n_points < 1:
         raise ConfigError("need at least one point")
-    maps = fam.instantiate(alpha)
-    coeffs = [_scalar_coeffs(m) for m in maps]
-    sizes = []
-    left = n_points
-    while left > 0:
-        take = min(_CHAOS_CHUNK, left)
-        sizes.append(take)
-        left -= take
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    coeffs = [_scalar_coeffs(m) for m in fam.instantiate(alpha)]
     parts = [
-        _chaos_chunk(coeffs, size, child, burn_in)
-        for size, child in zip(sizes, children)
+        _orbit(coeffs, picks, burn_in)
+        for picks in _pick_stream(len(coeffs), n_points, seed, burn_in)
     ]
     return PointCloud(np.concatenate(parts, axis=0), seed, "chaos", n_points)
 
@@ -143,12 +144,17 @@ class BoxCountSeries:
 
 def _occupied_cells(points: np.ndarray, k: int) -> int:
     # grid anchored at the origin with cell edges on multiples of 2^-k;
-    # a point exactly on an edge belongs to the lower-index cell
+    # a point exactly on an edge belongs to the lower-index cell. Cell
+    # indices are packed relative to the cloud's per-axis minimum.
     scaled = np.ldexp(points, k)
-    ix = (np.ceil(scaled[:, 0]) - 1.0).astype(np.int64)
-    iy = (np.ceil(scaled[:, 1]) - 1.0).astype(np.int64)
-    off = np.int64(1) << 31
-    keys = ((ix + off) << np.int64(32)) | (iy + off)
+    ix, iy = np.ceil(scaled[:, 0]), np.ceil(scaled[:, 1])
+    ix -= ix.min()
+    iy -= iy.min()
+    if not max(ix.max(), iy.max()) < 2.0 ** 31:
+        raise ConfigError(
+            "point cloud spans more than 2^31 cells per axis at level %d" % k
+        )
+    keys = (ix.astype(np.int64) << np.int64(32)) | iy.astype(np.int64)
     return int(np.unique(keys).size)
 
 

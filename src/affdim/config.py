@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .dimension import SolverOptions
@@ -148,16 +148,8 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
     solver_spec = data.get("solver", {})
     if not isinstance(solver_spec, dict):
         raise ConfigError("solver must be an object")
-    defaults = SolverOptions()
-    solver = SolverOptions(
-        depth=int(solver_spec.get("depth", defaults.depth)),
-        tol=float(solver_spec.get("tol", defaults.tol)),
-        prune=float(solver_spec.get("prune", defaults.prune)),
-        budget=int(solver_spec.get("budget", defaults.budget)),
-        threads=int(solver_spec.get("threads", defaults.threads)),
-    )
-    if solver.depth < 0 or solver.tol <= 0.0 or solver.budget < 1:
-        raise ConfigError("solver settings out of range")
+    names = {f.name for f in fields(SolverOptions)}
+    solver = SolverOptions(**{k: v for k, v in solver_spec.items() if k in names})
 
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +57,22 @@ class SolverOptions:
     prune: float = 1e-18
     budget: int = 1 << 22
     threads: int = 1
+
+    def __post_init__(self):
+        counts = (self.depth, self.budget, self.threads)
+        reals = (self.tol, self.prune)
+        if (
+            any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in counts)
+            or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in reals)
+            or self.depth < 0
+            or self.budget < 1
+            or self.threads < 1
+            or not 0.0 < self.tol < math.inf
+            or not 0.0 <= self.prune < math.inf
+        ):
+            raise ConfigError("solver settings out of range")
+        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "prune", float(self.prune))
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -154,13 +171,15 @@ def _geometric_total(theta: float, n: int) -> float:
     return (theta ** (n + 1) - 1.0) / (theta - 1.0)
 
 
-def _bisect_decreasing(g, lo: float, hi: float, steps: int) -> Tuple[float, float]:
+def _bisect_decreasing(g, lo: float, hi: float, tol: float) -> Tuple[float, float]:
     """Shrink [lo, hi] with g(lo) >= 0 >= g(hi), g nonincreasing.
 
-    A fixed step count keeps bisection paths comparable across nested
-    truncations: deeper sums dominate shallower ones pointwise, so the
-    returned left endpoints inherit their monotonicity exactly.
+    The step count depends only on the interval and tol, which keeps
+    bisection paths comparable across nested truncations: deeper sums
+    dominate shallower ones pointwise, so the returned left endpoints
+    inherit their monotonicity exactly.
     """
+    steps = 1 if hi <= lo else max(1, math.ceil(math.log2((hi - lo) / tol)))
     a, b = lo, hi
     for _ in range(steps):
         mid = 0.5 * (a + b)
@@ -169,12 +188,6 @@ def _bisect_decreasing(g, lo: float, hi: float, steps: int) -> Tuple[float, floa
         else:
             b = mid
     return a, b
-
-
-def _steps_for(lo: float, hi: float, tol: float) -> int:
-    if hi <= lo:
-        return 1
-    return max(1, math.ceil(math.log2((hi - lo) / tol)))
 
 
 def _expand_until_nonpositive(g, start: float, cap: float = 1e6) -> Optional[float]:
@@ -252,8 +265,9 @@ def _anchored_levels(
     sum_spec: AnchoredSumSpec,
     opts: SolverOptions,
     s_floor: float = 0.0,
-) -> List[np.ndarray]:
-    """Per-level base factors rho'|<w', A_word v''>| for word lengths 0..max_len.
+) -> Tuple[List[np.ndarray], list]:
+    """Per-level base factors rho'|<w', A_word v''>| for word lengths
+    0..max_len, plus the letter norms of the alphabet.
 
     A row is dropped when its whole subtree is bounded below opts.prune
     at exponent s_floor; with s_floor=0 only exactly collapsed rows go,
@@ -298,7 +312,7 @@ def _anchored_levels(
         else:
             bases = np.empty(0)
         levels.append(bases)
-    return levels
+    return levels, letter_norms
 
 
 def anchored_norm_sum(
@@ -317,7 +331,7 @@ def anchored_norm_sum(
     if s < 0.0:
         raise ValueError("exponent must be nonnegative")
     opts = opts or DEFAULT_OPTIONS
-    levels = _anchored_levels(fam, alpha, sum_spec, opts, s_floor=s)
+    levels, _ = _anchored_levels(fam, alpha, sum_spec, opts, s_floor=s)
     return _kahan_total(_masked_pow_sum(b, s) for b in levels)
 
 
@@ -346,13 +360,12 @@ def _profile_from_levels(
     if hi is None:
         # terms are products of norms < 1, so this cannot trigger; guard anyway
         raise ConfigError("anchored sum does not decay; family is not contracting")
-    steps = _steps_for(0.0, hi, tol)
     out = []
     for n in range(max_len + 1):
         if sum(counts[: n + 1]) <= 1:
             out.append(0.0)
             continue
-        a, _ = _bisect_decreasing(lambda s: g(n, s), 0.0, hi, steps)
+        a, _ = _bisect_decreasing(lambda s: g(n, s), 0.0, hi, tol)
         out.append(a)
     return out
 
@@ -383,23 +396,20 @@ def _upper_from_levels(
         return _kahan_total(_masked_pow_sum(b, s) for b in levels)
 
     lower = fallback_profile[-1]
-    if theta(s_cap) >= 1.0:
+
+    def extrapolated() -> Tuple[float, bool]:
         tail = fallback_profile[-3:]
         guess = _aitken(*tail) if len(tail) == 3 else lower
         return max(guess, lower), False
+
+    if theta(s_cap) >= 1.0:
+        return extrapolated()
 
     # first find where the tail bound becomes valid
     if theta(0.0) < 1.0:
         s_theta = 0.0
     else:
-        a, b = 0.0, s_cap
-        for _ in range(_steps_for(0.0, s_cap, tol)):
-            mid = 0.5 * (a + b)
-            if theta(mid) >= 1.0:
-                a = mid
-            else:
-                b = mid
-        s_theta = b
+        _, s_theta = _bisect_decreasing(lambda s: theta(s) - 1.0, 0.0, s_cap, tol)
 
     def g(s):
         th = theta(s)
@@ -410,10 +420,8 @@ def _upper_from_levels(
         return max(s_theta, lower), True
     hi = _expand_until_nonpositive(g, max(2.0 * s_theta, 1.0))
     if hi is None:
-        tail = fallback_profile[-3:]
-        guess = _aitken(*tail) if len(tail) == 3 else lower
-        return max(guess, lower), False
-    _, b = _bisect_decreasing(g, s_theta, hi, _steps_for(s_theta, hi, tol))
+        return extrapolated()
+    _, b = _bisect_decreasing(g, s_theta, hi, tol)
     return max(b, lower), True
 
 
@@ -437,39 +445,8 @@ def anchor_exponent_profile(
     critical exponent of the anchored series from below.
     """
     opts = opts or DEFAULT_OPTIONS
-    levels = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
+    levels, _ = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
     return _profile_from_levels(levels, tol)
-
-
-def anchor_exponent_lower(
-    fam: IfsFamily,
-    alpha,
-    j: int,
-    max_len: int = 12,
-    tol: float = 1e-9,
-    opts: Optional[SolverOptions] = None,
-) -> float:
-    """Certified lower bound for the anchored critical exponent at site j."""
-    return anchor_exponent_profile(fam, alpha, j, max_len, tol, opts)[-1]
-
-
-def anchor_exponent_upper(
-    fam: IfsFamily,
-    alpha,
-    j: int,
-    max_len: int = 12,
-    tol: float = 1e-9,
-    opts: Optional[SolverOptions] = None,
-) -> Tuple[float, bool]:
-    """Upper bound for the anchored exponent, with a certification flag."""
-    opts = opts or DEFAULT_OPTIONS
-    spec = _anchor_spec(fam, j, max_len)
-    levels = _anchored_levels(fam, alpha, spec, opts)
-    _, letter_norms = _letter_ops(fam, fam.angles(alpha), spec.allowed)
-    profile = _profile_from_levels(levels, tol)
-    return _upper_from_levels(
-        levels, letter_norms, fam.singular[j].rho, tol, profile
-    )
 
 
 def affinity_dimension(
@@ -495,13 +472,12 @@ def affinity_dimension(
                 "(upper bound %.6f)" % reg.upper
             )
 
-    alphas = fam.angles(alpha)
     per: Dict[int, AnchorBracket] = {}
     for j in range(fam.n_singular):
-        spec = _anchor_spec(fam, j, opts.depth)
-        levels = _anchored_levels(fam, alpha, spec, opts)
+        levels, letter_norms = _anchored_levels(
+            fam, alpha, _anchor_spec(fam, j, opts.depth), opts
+        )
         profile = _profile_from_levels(levels, opts.tol)
-        _, letter_norms = _letter_ops(fam, alphas, spec.allowed)
         up, cert = _upper_from_levels(
             levels, letter_norms, fam.singular[j].rho, opts.tol, profile
         )
@@ -580,95 +556,96 @@ class _RankStates:
         )
 
 
-def _mixed_final_level(
-    maps: Sequence[AffineMap2], n: int, opts: SolverOptions
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular data of all length-n products over a mixed alphabet.
+def _advance_rank(
+    D: np.ndarray, S: _RankStates, maps: Sequence[AffineMap2]
+) -> _RankStates:
+    """Rank-one products one letter longer, grouped per appended letter.
 
-    Returns (a1, a2) for the all-invertible words and the norms of the
-    rank-one words. Words through a rank-one letter stay factored, so
-    their smaller singular value is exactly zero rather than rounding
-    noise.
+    A rank-one word stays rank one under any letter; a dense word turns
+    rank one under a rank-one letter.
+    """
+    parts = []
+    for m in maps:
+        lin = m.linear
+        if isinstance(lin, Mat2):
+            if len(S):
+                # (L R^T) A keeps L, sends R to A^T R
+                parts.append(
+                    _RankStates(
+                        S.Lx,
+                        S.Ly,
+                        lin.a11 * S.Rx + lin.a21 * S.Ry,
+                        lin.a12 * S.Rx + lin.a22 * S.Ry,
+                    )
+                )
+            continue
+        v, w = lin.v(), lin.w()
+        if len(D):
+            # dense word times rho v w^T collapses to (rho A v) w^T
+            lx = lin.rho * (D[:, 0, 0] * v[0] + D[:, 0, 1] * v[1])
+            ly = lin.rho * (D[:, 1, 0] * v[0] + D[:, 1, 1] * v[1])
+            parts.append(
+                _RankStates(lx, ly, np.full(len(D), w[0]), np.full(len(D), w[1]))
+            )
+        if len(S):
+            c = lin.rho * (S.Rx * v[0] + S.Ry * v[1])
+            parts.append(
+                _RankStates(
+                    c * S.Lx, c * S.Ly, np.full(len(S), w[0]), np.full(len(S), w[1])
+                )
+            )
+    return _RankStates.concat(parts)
+
+
+def _product_levels(
+    maps: Sequence[AffineMap2], depth: int, opts: SolverOptions
+) -> Iterator[Tuple[int, np.ndarray, _RankStates]]:
+    """Products of all words of lengths 1..depth over a mixed alphabet.
+
+    Yields (length, dense, rank) per level: the stacked products of the
+    all-invertible words, and the words through a rank-one letter kept
+    factored, so their smaller singular value is exactly zero rather
+    than rounding noise. The walk stops before the level that would take
+    the cumulative word count past opts.budget.
     """
     dense_mats = [m.linear for m in maps if isinstance(m.linear, Mat2)]
     rank_parts = [m.linear for m in maps if isinstance(m.linear, RankOneFactor)]
-    letters = [
-        ("dense", m.linear) if isinstance(m.linear, Mat2) else ("rank", m.linear)
-        for m in maps
-    ]
-
-    # length-1 state
     D = (
         np.stack([a.as_array() for a in dense_mats], axis=0)
         if dense_mats
         else np.empty((0, 2, 2))
     )
-    if rank_parts:
-        S = _RankStates(
-            np.array([r.rho * r.v()[0] for r in rank_parts]),
-            np.array([r.rho * r.v()[1] for r in rank_parts]),
-            np.array([r.w()[0] for r in rank_parts]),
-            np.array([r.w()[1] for r in rank_parts]),
+    S = _RankStates(
+        np.array([r.rho * r.v()[0] for r in rank_parts]),
+        np.array([r.rho * r.v()[1] for r in rank_parts]),
+        np.array([r.w()[0] for r in rank_parts]),
+        np.array([r.w()[1] for r in rank_parts]),
+    )
+    total = 0
+    for k in range(1, depth + 1):
+        total += len(maps) ** k
+        if total > opts.budget:
+            return
+        if k > 1:
+            S = _advance_rank(D, S, maps)
+            D = _advance_products(D, dense_mats, opts.threads)
+        yield k, D, S
+
+
+def _deepest_level(
+    maps: Sequence[AffineMap2], depth: int, opts: SolverOptions, need: int = 1
+) -> Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Length and singular data (a1, a2, rank-one norms) of the deepest
+    level the walk reaches; BudgetError if it stops short of need."""
+    k = 0
+    for k, D, S in _product_levels(maps, depth, opts):
+        pass
+    if k < need:
+        raise BudgetError(
+            "word budget %d exceeded before word length %d" % (opts.budget, need)
         )
-    else:
-        S = _RankStates.empty()
-
-    processed = len(D) + len(S)
-    if processed > opts.budget:
-        raise BudgetError("word budget exceeded")
-    for _ in range(n - 1):
-        new_parts = []
-        for kind, lin in letters:
-            if kind == "dense":
-                a = lin
-                if len(S):
-                    # (L R^T) A keeps L, sends R to A^T R
-                    new_parts.append(
-                        _RankStates(
-                            S.Lx.copy(),
-                            S.Ly.copy(),
-                            a.a11 * S.Rx + a.a21 * S.Ry,
-                            a.a12 * S.Rx + a.a22 * S.Ry,
-                        )
-                    )
-            else:
-                r = lin
-                v, w = r.v(), r.w()
-                blocks = []
-                if len(D):
-                    # dense word times rho v w^T collapses to (rho A v) w^T
-                    lx = r.rho * (D[:, 0, 0] * v[0] + D[:, 0, 1] * v[1])
-                    ly = r.rho * (D[:, 1, 0] * v[0] + D[:, 1, 1] * v[1])
-                    blocks.append(
-                        _RankStates(
-                            lx,
-                            ly,
-                            np.full(len(D), w[0]),
-                            np.full(len(D), w[1]),
-                        )
-                    )
-                if len(S):
-                    c = r.rho * (S.Rx * v[0] + S.Ry * v[1])
-                    blocks.append(
-                        _RankStates(
-                            c * S.Lx,
-                            c * S.Ly,
-                            np.full(len(S), w[0]),
-                            np.full(len(S), w[1]),
-                        )
-                    )
-                new_parts.extend(blocks)
-        S = _RankStates.concat(new_parts)
-        D = _advance_products(D, dense_mats, opts.threads)
-        processed += len(D) + len(S)
-        if processed > opts.budget:
-            raise BudgetError("word budget exceeded")
-
-    if len(D):
-        a1, a2 = batch_singular_values(D)
-    else:
-        a1 = a2 = np.empty(0)
-    return a1, a2, S.norms()
+    a1, a2 = batch_singular_values(D)
+    return k, (a1, a2, S.norms())
 
 
 def _svf_sum(a1: np.ndarray, a2: np.ndarray, rank_norms: np.ndarray, s: float) -> float:
@@ -693,6 +670,22 @@ def _svf_sum(a1: np.ndarray, a2: np.ndarray, rank_norms: np.ndarray, s: float) -
     return _kahan_total(pieces)
 
 
+def _svf_root(
+    a1: np.ndarray, a2: np.ndarray, rank_norms: np.ndarray, tol: float
+) -> float:
+    """Root of the partition sum = 1 over cached singular data, clamped
+    to [0, 2]; the right bisection endpoint is returned."""
+
+    def g(s):
+        return _svf_sum(a1, a2, rank_norms, s) - 1.0
+
+    if g(0.0) <= 0.0:
+        return 0.0
+    if g(2.0) > 0.0:
+        return 2.0
+    return _bisect_decreasing(g, 0.0, 2.0, tol)[1]
+
+
 def partition_sum(
     maps: Sequence[AffineMap2],
     n: int,
@@ -705,8 +698,8 @@ def partition_sum(
     if s < 0.0:
         raise ValueError("exponent must be nonnegative")
     opts = opts or DEFAULT_OPTIONS
-    a1, a2, rank_norms = _mixed_final_level(maps, n, opts)
-    return _svf_sum(a1, a2, rank_norms, s)
+    _, data = _deepest_level(maps, n, opts, need=n)
+    return _svf_sum(*data, s)
 
 
 def pressure_upper_root(
@@ -724,17 +717,8 @@ def pressure_upper_root(
     if n < 1:
         raise ValueError("partition sums need word length n >= 1")
     opts = opts or DEFAULT_OPTIONS
-    a1, a2, rank_norms = _mixed_final_level(maps, n, opts)
-
-    def g(s):
-        return _svf_sum(a1, a2, rank_norms, s) - 1.0
-
-    if g(0.0) <= 0.0:
-        return 0.0
-    if g(2.0) > 0.0:
-        return 2.0
-    _, b = _bisect_decreasing(g, 0.0, 2.0, _steps_for(0.0, 2.0, tol))
-    return b
+    _, data = _deepest_level(maps, n, opts, need=n)
+    return _svf_root(*data, tol)
 
 
 def regular_dimension_bracket(
@@ -753,27 +737,12 @@ def regular_dimension_bracket(
         raise ConfigError("no invertible maps in the family")
     if opts.depth < 1:
         raise ConfigError("bracket depth must be at least 1")
-    mats = [m.linear for m in fam.regular]
-    nletters = len(mats)
 
-    levels = []
-    U = np.stack([a.as_array() for a in mats], axis=0)
-    processed = 0
-    depth = 0
-    for k in range(1, opts.depth + 1):
-        if k > 1:
-            if processed + len(U) * nletters > opts.budget:
-                break
-            U = _advance_products(U, mats, opts.threads)
-        processed += len(U)
-        if processed > opts.budget:
-            break
-        levels.append(batch_singular_values(U))
-        depth = k
+    depth, lower = 0, 0.0
+    for depth, D, _ in _product_levels(fam.regular, opts.depth, opts):
+        a1, a2 = batch_singular_values(D)
 
-    lower = 0.0
-    for a1, a2 in levels:
-        def g_low(s, a2=a2):
+        def g_low(s):
             return _chunked_sum(a2 ** s) - 1.0
 
         if g_low(0.0) <= 0.0:
@@ -781,42 +750,15 @@ def regular_dimension_bracket(
         hi = _expand_until_nonpositive(g_low, 1.0)
         if hi is None:
             raise ConfigError("smallest singular values do not decay")
-        a, _ = _bisect_decreasing(g_low, 0.0, hi, _steps_for(0.0, hi, opts.tol))
-        lower = max(lower, a)
+        lower = max(lower, _bisect_decreasing(g_low, 0.0, hi, opts.tol)[0])
+    if depth == 0:
+        raise BudgetError(
+            "word budget %d exceeded before word length 1" % opts.budget
+        )
 
-    a1n, a2n = levels[-1]
-    empty = np.empty(0)
-
-    def g_up(s):
-        return _svf_sum(a1n, a2n, empty, s) - 1.0
-
-    if g_up(0.0) <= 0.0:
-        upper = 0.0
-    elif g_up(2.0) > 0.0:
-        upper = 2.0
-    else:
-        _, upper = _bisect_decreasing(g_up, 0.0, 2.0, _steps_for(0.0, 2.0, opts.tol))
-
+    upper = _svf_root(a1, a2, np.empty(0), opts.tol)
     lower = min(lower, 2.0)
     return DimensionBracket(lower, max(upper, lower), depth, True)
-
-
-def similarity_dimension_1d(ratios: Sequence[float]) -> float:
-    """Root of sum |ratio|^s = 1 for contraction ratios on the line."""
-    rs = [abs(float(r)) for r in ratios]
-    if not rs:
-        raise ConfigError("need at least one ratio")
-    if any(r == 0.0 or r >= 1.0 for r in rs):
-        raise ConfigError("ratios must lie in (-1, 1) and be nonzero")
-    if len(rs) == 1:
-        return 0.0
-
-    def g(s):
-        return _kahan_total(r ** s for r in rs) - 1.0
-
-    hi = _expand_until_nonpositive(g, 1.0)
-    a, b = _bisect_decreasing(g, 0.0, hi, _steps_for(0.0, hi, 1e-12))
-    return 0.5 * (a + b)
 
 
 def quasi_multiplicativity_probe(

@@ -20,12 +20,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attractor import PointCloud, _scalar_coeffs
+from .attractor import PointCloud, _orbit, _pick_stream, _scalar_coeffs
 from .dimension import (
     DimensionBracket,
     SolverOptions,
+    _deepest_level,
+    _svf_root,
     affinity_dimension,
-    pressure_upper_root,
 )
 from .errors import (
     ConfigError,
@@ -265,19 +266,6 @@ class ExceptionalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _reduced_depth(n_maps: int, opts: SolverOptions) -> int:
-    # deepest level whose cumulative word count fits the budget
-    depth, total = 0, 0
-    while depth < opts.depth:
-        total += n_maps ** (depth + 1)
-        if total > opts.budget:
-            break
-        depth += 1
-    if depth < 1:
-        raise ConfigError("budget too small for even one reduced level")
-    return depth
-
-
 def dimension_drop(
     fam: IfsFamily,
     j: int,
@@ -301,8 +289,8 @@ def dimension_drop(
             "(upper end %.6g)" % original.upper
         )
     reduced_maps = exceptional_family(fam, alpha_star, j, i).maps
-    depth = _reduced_depth(len(reduced_maps), opts)
-    upper = pressure_upper_root(reduced_maps, depth, opts.tol, opts)
+    depth, data = _deepest_level(reduced_maps, opts.depth, opts)
+    upper = _svf_root(*data, opts.tol)
     reduced = DimensionBracket(0.0, upper, depth, True)
     margin = original.lower - upper
     return ExceptionalReport(
@@ -383,44 +371,11 @@ def invariance_clouds(
         for w in full_words
     ]
 
-    chunk = 1 << 15
-    sizes = []
-    left = n_points
-    while left > 0:
-        take = min(chunk, left)
-        sizes.append(take)
-        left -= take
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    parts_f, parts_g = [], []
-    n_words = len(full_words)
-    for size, child in zip(sizes, children):
-        rng = np.random.default_rng(child)
-        picks = rng.integers(0, n_words, size=burn_in + size).tolist()
-        out_f = np.empty((size, 2))
-        out_g = np.empty((size, 2))
-        xf = yf = xg = yg = 0.0
-        k = 0
-        for step, pick in enumerate(picks):
-            for c, x, y, which in (
-                (coeffs_full[pick], xf, yf, 0),
-                (coeffs_red[pick], xg, yg, 1),
-            ):
-                if c[0] == "d":
-                    nx = c[1] * x + c[2] * y + c[5]
-                    ny = c[3] * x + c[4] * y + c[6]
-                else:
-                    s = c[1] * (c[4] * x + c[5] * y)
-                    nx, ny = c[2] * s + c[6], c[3] * s + c[7]
-                if which == 0:
-                    xf, yf = nx, ny
-                else:
-                    xg, yg = nx, ny
-            if step >= burn_in:
-                out_f[k] = xf, yf
-                out_g[k] = xg, yg
-                k += 1
-        parts_f.append(out_f)
-        parts_g.append(out_g)
+    orbits = [
+        (_orbit(coeffs_full, picks, burn_in), _orbit(coeffs_red, picks, burn_in))
+        for picks in _pick_stream(len(full_words), n_points, seed, burn_in)
+    ]
+    parts_f, parts_g = zip(*orbits)
     cloud_f = PointCloud(np.concatenate(parts_f), seed, "chaos", n_points)
     cloud_g = PointCloud(np.concatenate(parts_g), seed, "chaos", n_points)
     return cloud_f, cloud_g

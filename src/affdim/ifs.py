@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,28 +122,6 @@ def attractor_bound(maps: Sequence[AffineMap2]) -> float:
     return tmax / (1.0 - norm)
 
 
-def enumerate_words(
-    alphabet_size: int,
-    max_len: int,
-    prune: Optional[Callable[[Word], bool]] = None,
-) -> Iterator[Word]:
-    """Depth-first words of length 1..max_len; prune(word) skips a subtree."""
-    word: list = []
-
-    def rec():
-        if len(word) == max_len:
-            return
-        for letter in range(alphabet_size):
-            word.append(letter)
-            w = tuple(word)
-            if prune is None or not prune(w):
-                yield w
-                yield from rec()
-            word.pop()
-
-    yield from rec()
-
-
 @dataclass(frozen=True, eq=False)
 class RankOneSite:
     """Parametrized rank-one map rho * v w(c + beta * alpha)^T + t.
@@ -162,6 +140,8 @@ class RankOneSite:
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=float).reshape(2).copy()
         object.__setattr__(self, "translation", t)
+        if not np.all(np.isfinite([self.rho, self.v_angle, self.c, self.beta, *t])):
+            raise ConfigError("rank-one site parameters must be finite")
         if not 0.0 < self.rho < 1.0:
             raise ContractionError("rank-one site needs 0 < rho < 1")
         if self.beta == 0.0:
@@ -196,11 +176,14 @@ class IfsFamily:
         if self.n_maps < 1:
             raise ConfigError("family needs at least one map")
         for m in self.regular:
-            if not isinstance(m.linear, Mat2):
+            a = m.linear
+            if not isinstance(a, Mat2):
                 raise ConfigError("regular maps must have dense linear parts")
-            if m.linear.operator_norm() >= 1.0:
+            if not np.all(np.isfinite([a.a11, a.a12, a.a21, a.a22, *m.translation])):
+                raise ConfigError("regular map entries must be finite")
+            if a.operator_norm() >= 1.0:
                 raise ContractionError("regular map is not a contraction")
-            if abs(m.linear.det()) <= _DET_FLOOR:
+            if abs(a.det()) <= _DET_FLOOR:
                 raise ConfigError("regular map is numerically singular")
 
     @property
@@ -221,12 +204,15 @@ class IfsFamily:
     def angles(self, alpha: Union[float, Sequence[float]]) -> Tuple[float, ...]:
         """Per-site angle parameters; a scalar broadcasts to every site."""
         if np.isscalar(alpha):
-            return (float(alpha),) * self.n_singular
-        alphas = tuple(float(a) for a in alpha)
+            alphas = (float(alpha),) * self.n_singular
+        else:
+            alphas = tuple(float(a) for a in alpha)
         if len(alphas) != self.n_singular:
             raise ConfigError(
                 "expected %d angle parameters, got %d" % (self.n_singular, len(alphas))
             )
+        if not all(map(math.isfinite, alphas)):
+            raise ConfigError("angle parameters must be finite")
         return alphas
 
     def instantiate(self, alpha: Union[float, Sequence[float]] = 0.0) -> list:

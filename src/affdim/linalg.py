@@ -2,8 +2,8 @@
 closed-form singular values, factored rank-one maps, and the singular
 value function that drives every dimension estimate in this package.
 
-Everything here is exact-formula numerics on scalars; batch variants for
-large word enumerations live at the bottom and operate on stacked arrays.
+Everything here is exact-formula numerics on scalars; the batch variant for
+large word enumerations lives at the bottom and operates on stacked arrays.
 """
 
 from __future__ import annotations
@@ -261,21 +261,3 @@ def batch_singular_values(prods: np.ndarray) -> tuple:
     q = np.hypot(e, h)
     r = np.hypot(f, g)
     return q + r, np.abs(q - r)
-
-
-def batch_svf(prods: np.ndarray, t: float) -> np.ndarray:
-    """Singular value function over a stack of 2x2 matrices."""
-    if t < 0.0:
-        raise ValueError("svf needs t >= 0")
-    a1, a2 = batch_singular_values(prods)
-    if t == 0.0:
-        return np.ones_like(a1)
-    if t <= 1.0:
-        return a1 ** t
-    out = np.zeros_like(a1)
-    pos = a2 > 0.0
-    if t <= 2.0:
-        out[pos] = a1[pos] * a2[pos] ** (t - 1.0)
-    else:
-        out[pos] = (a1[pos] * a2[pos]) ** (t / 2.0)
-    return out

@@ -135,6 +135,16 @@ class TestBoxCounting:
     def test_negative_coordinates(self):
         assert _occupied_cells(np.array([[-0.3, -0.7], [0.3, 0.7]]), 4) == 2
 
+    def test_count_does_not_depend_on_distance_from_origin(self):
+        pts = np.random.default_rng(0).uniform(0.0, 0.01, size=(200_000, 2))
+        assert _occupied_cells(pts, 12) == 1681
+        assert _occupied_cells(pts + 1e6, 12) == 1681
+
+    def test_extent_past_31_bits_rejected(self):
+        # 1e6 * 2^12 cells is more than 2^31
+        with pytest.raises(ConfigError, match="2\\^31"):
+            _occupied_cells(np.array([[0.0, 0.0], [1e6, 0.0]]), 12)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             box_dim_estimate(np.empty((0, 2)))

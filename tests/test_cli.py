@@ -165,6 +165,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver settings out of range"):
             parse_config(variant(SCALAR_CONFIG, solver={"tol": 0.0}))
 
+    def test_non_integer_depth_not_truncated(self):
+        with pytest.raises(ConfigError, match="solver settings out of range"):
+            parse_config(variant(SCALAR_CONFIG, solver={"depth": 2.5}))
+
+    def test_nan_matrix_entry_rejected(self):
+        # certified [0, 1.9e-9] when it was let through
+        bad = variant(
+            DROP_CONFIG,
+            regular=[{"matrix": [[math.nan, 0.0], [0.0, 0.15]], "t": [-0.5, -0.3]}],
+        )
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(bad)
+
+    def test_nan_v_angle_rejected(self):
+        bad = variant(
+            DROP_CONFIG,
+            singular=[{"rho": 0.2, "v_angle": math.nan, "c": 0.1, "t": [0.45, 0.35]}],
+        )
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(json.dumps(bad))
+
     def test_seed_validated(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(variant(SCALAR_CONFIG, seed=-1))
@@ -347,6 +368,21 @@ class TestInputHandling:
         )
         cfg = write_config(tmp_path, bad)
         assert main(["dim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_nan_tol_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SCALAR_CONFIG)
+        code = main(["dim", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--tol", "nan"])
+        assert code == 1
+        assert "error: solver settings out of range" in capsys.readouterr().err
+
+    def test_budget_below_first_level(self, tmp_path, capsys):
+        # two regular maps do not fit a budget of one word
+        data = variant(DROP_CONFIG, solver={"budget": 1})
+        data["regular"].append({"matrix": [[0.15, 0.0], [0.0, 0.15]], "t": [0.5, -0.3]})
+        cfg = write_config(tmp_path, data)
+        assert main(["dim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "error: word budget 1 exceeded" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,18 +12,15 @@ from affdim import (
     RankOneSite,
     SolverOptions,
     affinity_dimension,
-    anchor_exponent_lower,
     anchor_exponent_profile,
-    anchor_exponent_upper,
     anchored_norm_sum,
     partition_sum,
     pressure_upper_root,
     quasi_multiplicativity_probe,
     regular_dimension_bracket,
-    similarity_dimension_1d,
 )
 from affdim.errors import BudgetError, ConfigError
-from affdim.ifs import compose_word, enumerate_words
+from affdim.ifs import compose_word
 
 from families import (
     brute_svf,
@@ -104,13 +102,15 @@ class TestProfile:
     def test_lower_is_last_profile_entry(self):
         fam = scalar_family()
         prof = anchor_exponent_profile(fam, 0.0, 0, max_len=8)
-        assert anchor_exponent_lower(fam, 0.0, 0, max_len=8) == prof[-1]
+        bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=8))
+        assert bracket.per_anchor[0].lower == prof[-1]
 
 
 class TestUpper:
     def test_scalar_upper_certified_and_tight(self):
         fam = scalar_family()
-        upper, certified = anchor_exponent_upper(fam, 0.0, 0, max_len=12)
+        anchor = affinity_dimension(fam, 0.0, SolverOptions(depth=12)).per_anchor[0]
+        upper, certified = anchor.upper, anchor.certified
         assert certified
         assert SCALAR_LIMIT <= upper + 1e-12
         assert upper == pytest.approx(SCALAR_LIMIT, abs=5e-3)
@@ -161,9 +161,68 @@ class TestAffinityDimension:
         many = affinity_dimension(fam, 0.3, SolverOptions(depth=10, threads=4))
         assert one.lower == many.lower and one.upper == many.upper
 
+    def test_nan_angle_rejected(self):
+        # certified [0, 0.1332] when it was let through
+        with pytest.raises(ConfigError, match="finite"):
+            affinity_dimension(scalar_family(), math.nan)
+
     def test_budget_is_enforced(self):
         with pytest.raises(BudgetError):
             affinity_dimension(scalar_family(), 0.0, SolverOptions(depth=12, budget=10))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(depth=-1),
+        dict(depth=2.5),
+        dict(budget=0),
+        dict(threads=0),
+        dict(tol=0.0),
+        dict(tol=math.nan),
+        dict(tol=math.inf),
+        dict(prune=-1.0),
+        dict(prune=math.nan),
+    ],
+)
+def test_solver_options_validated(bad):
+    with pytest.raises(ConfigError, match="solver settings out of range"):
+        SolverOptions(**bad)
+
+
+def test_budget_rule_shared_by_the_product_walk():
+    # 2 invertible maps and 1 rank-one map; a walk to length n costs
+    # m + m^2 + ... + m^n words
+    fam = IfsFamily(
+        regular=(
+            AffineMap2(Mat2(0.3, 0.1, -0.05, 0.25), (0.1, 0.0)),
+            AffineMap2(Mat2.scaled_rotation(0.35, 0.8), (0.0, 0.1)),
+        ),
+        singular=(
+            RankOneSite(rho=0.45, v_angle=0.4, c=0.3, beta=1.0, translation=(0.0, 0.0)),
+        ),
+    )
+    maps = fam.instantiate(0.6)
+    m = len(maps)
+    for n in (1, 2, 3):
+        words = sum(m ** k for k in range(1, n + 1))
+        for budget in (words - 1, words, words + 1):
+            opts = SolverOptions(budget=budget)
+            if words > budget:
+                with pytest.raises(BudgetError):
+                    partition_sum(maps, n, 0.5, opts)
+            else:
+                assert partition_sum(maps, n, 0.5, opts) == partition_sum(maps, n, 0.5)
+
+    r = fam.n_regular
+    for budget in range(1, 2 * r ** 4):
+        opts = SolverOptions(depth=4, budget=budget)
+        fits = [d for d in range(1, 5) if sum(r ** k for k in range(1, d + 1)) <= budget]
+        if not fits:
+            with pytest.raises(BudgetError):
+                regular_dimension_bracket(fam, opts)
+        else:
+            assert regular_dimension_bracket(fam, opts).depth == max(fits)
 
 
 class TestPartitionSum:
@@ -172,9 +231,7 @@ class TestPartitionSum:
         # numpy's SVD of the composed matrix cannot see that, so the
         # small singular value is forced to zero for those words
         total = 0.0
-        for word in enumerate_words(len(maps), n):
-            if len(word) != n:
-                continue
+        for word in itertools.product(range(len(maps)), repeat=n):
             linear = compose_word(maps, word).linear
             arr = (
                 linear.as_array()
@@ -269,27 +326,6 @@ class TestRegularBracket:
     def test_depth_guard(self):
         with pytest.raises(ConfigError):
             regular_dimension_bracket(cantor_similarities(), SolverOptions(depth=0))
-
-
-class TestSimilarityDimension1d:
-    def test_half_third(self):
-        assert similarity_dimension_1d((0.5, 1 / 3)) == pytest.approx(
-            SCALAR_LIMIT, abs=1e-10
-        )
-
-    def test_single_ratio(self):
-        assert similarity_dimension_1d([0.4]) == 0.0
-
-    def test_negative_ratios_use_magnitude(self):
-        assert similarity_dimension_1d((-0.5, 1 / 3)) == pytest.approx(
-            SCALAR_LIMIT, abs=1e-10
-        )
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            similarity_dimension_1d(())
-        with pytest.raises(ConfigError):
-            similarity_dimension_1d((0.5, 1.0))
 
 
 class TestQuasiMultiplicativity:

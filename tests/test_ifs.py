@@ -13,7 +13,6 @@ from affdim import (
     attractor_bound,
     check_irreducibility,
     compose_word,
-    enumerate_words,
     fixed_point,
     identity_map,
     natural_projection,
@@ -107,16 +106,6 @@ class TestWords:
         maps = cantor_similarities().instantiate()
         assert np.allclose(compose_word(maps, ()).apply((1.0, 2.0)), [1.0, 2.0])
 
-    def test_enumerate_words_counts(self):
-        words = list(enumerate_words(2, 3))
-        assert len(words) == 2 + 4 + 8
-
-    def test_enumerate_words_prunes_subtrees(self):
-        total = list(enumerate_words(2, 4))
-        kept = list(enumerate_words(2, 4, prune=lambda word: len(word) >= 2))
-        assert len(kept) < len(total)
-        assert all(len(w) <= 1 for w in kept)
-
 
 def test_attractor_bound_cantor():
     maps = cantor_similarities().instantiate()
@@ -141,6 +130,13 @@ class TestRankOneSite:
         assert isinstance(m.linear, RankOneFactor)
         assert np.allclose(m.apply((1.0, 0.0)), [1.5, 0.0])
 
+    @pytest.mark.parametrize("field", ["rho", "v_angle", "c", "beta", "translation"])
+    def test_rejects_non_finite_parameters(self, field):
+        params = dict(rho=0.5, v_angle=0.0, c=0.0, beta=1.0, translation=(1.0, 0.0))
+        params[field] = (0.0, math.nan) if field == "translation" else math.nan
+        with pytest.raises(ConfigError, match="finite"):
+            RankOneSite(**params)
+
 
 class TestIfsFamily:
     def test_rejects_non_contracting_regular(self):
@@ -157,6 +153,18 @@ class TestIfsFamily:
                 singular=(),
             )
 
+    @pytest.mark.parametrize(
+        "linear, t",
+        [
+            (Mat2(math.nan, 0.0, 0.0, 0.15), (0.0, 0.0)),
+            (Mat2(0.15, 0.0, 0.0, math.inf), (0.0, 0.0)),
+            (Mat2.diagonal(0.15, 0.15), (math.nan, 0.0)),
+        ],
+    )
+    def test_rejects_non_finite_regular_map(self, linear, t):
+        with pytest.raises(ConfigError, match="finite"):
+            IfsFamily(regular=(AffineMap2(linear, t),), singular=())
+
     def test_letter_layout(self):
         fam = scalar_family()
         assert fam.n_regular == 1 and fam.n_singular == 1 and fam.n_maps == 2
@@ -167,6 +175,11 @@ class TestIfsFamily:
         assert fam.angles(0.7) == (0.7,)
         with pytest.raises(ConfigError):
             fam.angles((0.1, 0.2))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, (math.nan,)])
+    def test_angles_must_be_finite(self, alpha):
+        with pytest.raises(ConfigError, match="finite"):
+            scalar_family().angles(alpha)
 
     def test_instantiate_order_and_parameter(self):
         fam = scalar_family()

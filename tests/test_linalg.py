@@ -14,7 +14,7 @@ from affdim import (
     svf,
     unit_vector,
 )
-from affdim.linalg import batch_singular_values, batch_svf
+from affdim.linalg import batch_singular_values
 
 from families import brute_svf
 
@@ -198,16 +198,6 @@ class TestBatchKernels:
             want = Mat2.from_array(mats[k]).singular_values()
             assert a1[k] == pytest.approx(want[0], rel=1e-14, abs=1e-14)
             assert a2[k] == pytest.approx(want[1], rel=1e-13, abs=1e-13)
-
-    def test_batch_svf_matches_scalar(self):
-        rng = np.random.default_rng(12)
-        mats = rng.normal(size=(20, 2, 2)) * 0.5
-        for t in (0.0, 0.4, 1.0, 1.6, 2.0, 2.7):
-            vals = batch_svf(mats, t)
-            for k in range(20):
-                assert vals[k] == pytest.approx(
-                    svf(Mat2.from_array(mats[k]), t), rel=1e-12, abs=1e-15
-                )
 
 
 def test_singular_values_dispatch():
