@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BudgetError, ConfigError
 from .ifs import AffineMap2, IfsFamily
@@ -126,6 +125,9 @@ def _as_points(cloud) -> np.ndarray:
 
 def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two point sets."""
+    # imported here: scipy.spatial would take most of every CLI start-up
+    from scipy.spatial import cKDTree
+
     pa, pb = _as_points(a), _as_points(b)
     d_ab = float(np.max(cKDTree(pb).query(pa)[0]))
     d_ba = float(np.max(cKDTree(pa).query(pb)[0]))

@@ -3,13 +3,19 @@
 Three families of quantities live here:
 
 * partition sums of the singular value function over all words of a fixed
-  length, and the bisection root that upper-bounds the critical exponent
+  length, and the root that upper-bounds the critical exponent
   (submultiplicativity of the singular value function);
 * truncated conditional-norm sums anchored at a rank-one map, whose roots
   squeeze the critical exponent of the mixed system from both sides;
 * the bracket for the invertible sub-system alone, lower-bounded through
   smallest singular values (supermultiplicative, so fixed-depth roots are
   certified) and upper-bounded through the pressure root.
+
+Every root is that of a convex, nonincreasing sum of powers b**s. One
+solver finds them all: Newton steps from the left on sums rebuilt from
+logs taken once per level, then both ends of a bracket of width at most
+tol confirmed by the b**s sums themselves, with a bisection on those
+sums as the fallback.
 
 All enumeration is level-synchronous and vectorized with a fixed chunk
 size and a canonical word order, and every reduction is compensated and
@@ -45,10 +51,10 @@ _CHUNK = 1 << 18
 class SolverOptions:
     """Knobs shared by the dimension solvers.
 
-    depth is the truncation word length; tol the bisection tolerance in
-    the exponent; prune drops word prefixes whose entire subtree can
-    contribute less than the threshold; budget caps the total number of
-    enumerated words per computation. threads parallelizes level
+    depth is the truncation word length; tol the largest width of a
+    certified root bracket in the exponent; prune drops word prefixes
+    whose entire subtree can contribute less than the threshold; budget
+    caps the total number of enumerated words per computation. threads parallelizes level
     construction only and never changes any result.
     """
 
@@ -152,16 +158,17 @@ def _chunked_sum(arr: np.ndarray) -> float:
     )
 
 
-def _masked_pow_sum(bases: np.ndarray, s: float) -> float:
-    """Sum of bases**s counting zero bases as zero even at s=0."""
-    if bases.size == 0:
-        return 0.0
-    nz = bases[bases > 0.0]
-    if nz.size == 0:
-        return 0.0
+def _pow_sum(bases: np.ndarray, s: float) -> float:
+    """Sum of bases**s over bases masked by _positive, so that zero bases
+    count as zero even at s=0."""
     if s == 0.0:
-        return float(nz.size)
-    return _chunked_sum(nz ** s)
+        return float(bases.size)
+    return _chunked_sum(bases ** s)
+
+
+def _positive(bases: np.ndarray) -> np.ndarray:
+    keep = bases > 0.0
+    return bases if keep.all() else bases[keep]
 
 
 def _geometric_total(theta: float, n: int) -> float:
@@ -171,32 +178,100 @@ def _geometric_total(theta: float, n: int) -> float:
     return (theta ** (n + 1) - 1.0) / (theta - 1.0)
 
 
-def _bisect_decreasing(g, lo: float, hi: float, tol: float) -> Tuple[float, float]:
-    """Shrink [lo, hi] with g(lo) >= 0 >= g(hi), g nonincreasing.
+# --- certified convex roots -------------------------------------------------
 
-    The step count depends only on the interval and tol, which keeps
-    bisection paths comparable across nested truncations: deeper sums
-    dominate shallower ones pointwise, so the returned left endpoints
-    inherit their monotonicity exactly.
+_S_MAX = 1e6
+_NEWTON_STEPS = 64
+
+
+class _LogSum:
+    """F(s) = sum of exp(C + s*L) and its derivative F'(s), for logs L of
+    positive bases and optional offsets C taken once.
+
+    An evaluation runs over the fixed _CHUNK blocks of a prefix of L
+    through one reused buffer and combines the block sums in order with
+    compensation, so, like the b**s sums, its bits never depend on the
+    thread count.
     """
-    steps = 1 if hi <= lo else max(1, math.ceil(math.log2((hi - lo) / tol)))
-    a, b = lo, hi
-    for _ in range(steps):
-        mid = 0.5 * (a + b)
-        if g(mid) >= 0.0:
-            a = mid
+
+    def __init__(self, logs: np.ndarray, offsets: Optional[np.ndarray] = None):
+        self.logs = logs
+        self.offsets = offsets
+        self._buf = np.empty(min(logs.size, _CHUNK))
+
+    def __call__(self, s: float, end: Optional[int] = None) -> Tuple[float, float]:
+        end = self.logs.size if end is None else end
+        values, slopes = [], []
+        for i in range(0, end, _CHUNK):
+            logs = self.logs[i : min(i + _CHUNK, end)]
+            buf = self._buf[: logs.size]
+            np.multiply(logs, s, out=buf)
+            if self.offsets is not None:
+                buf += self.offsets[i : i + logs.size]
+            np.exp(buf, out=buf)
+            values.append(np.sum(buf))
+            buf *= logs
+            slopes.append(np.sum(buf))
+        return _kahan_total(values), _kahan_total(slopes)
+
+
+def _log_sum(*bases: np.ndarray) -> _LogSum:
+    """_LogSum over the positive entries of the given base arrays."""
+    logs = np.concatenate([_positive(np.asarray(b, dtype=float)) for b in bases])
+    return _LogSum(np.log(logs, out=logs))
+
+
+def _convex_root(
+    fast, ref, lo: float, tol: float, hi: float = math.inf
+) -> Optional[Tuple[float, float]]:
+    """Bracket [a, b] of the root of g = F - 1, convex and nonincreasing.
+
+    ref(s) is g from the b**s sums every certificate rests on, fast(s)
+    returns (F, F') from precomputed logs. The caller knows ref(lo) >= 0
+    and, when hi is finite, ref(hi) < 0. Newton steps on log F, which is
+    convex too since every F here is log-convex, start at lo and never
+    pass the root; one step solves a single exponential exactly. The
+    iterate r yields a = r - tol/4 and b = a + tol/2, both confirmed by
+    ref. If either check fails, the bracket is widened to the right by
+    doubling and bisected on ref, so the result always satisfies
+    ref(a) >= 0 > ref(b) (lo and a finite hi are taken as given) and
+    b - a <= tol unless a and b are adjacent floats. None when no right
+    end exists below _S_MAX.
+    """
+    cap = min(hi, _S_MAX)
+    r = lo
+    for _ in range(_NEWTON_STEPS):
+        F, dF = fast(r)
+        if not (F > 1.0 and dF < 0.0):
+            break
+        step = -math.log(F) * F / dF
+        r = min(r + step, cap)
+        if step <= 0.125 * tol or r >= cap:
+            break
+
+    def probe(s):
+        nonlocal lo, hi
+        if ref(s) >= 0.0:
+            lo = s
         else:
-            b = mid
-    return a, b
+            hi = s
 
-
-def _expand_until_nonpositive(g, start: float, cap: float = 1e6) -> Optional[float]:
-    hi = start
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > cap:
+    a = max(lo, r - 0.25 * tol)
+    for s in (a, a + 0.5 * tol):
+        if lo < s < hi:
+            probe(s)
+    width = tol
+    while hi == math.inf:
+        if lo + width > _S_MAX:
             return None
-    return hi
+        probe(lo + width)
+        width *= 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        probe(mid)
+    return lo, hi
 
 
 def _aitken(x0: float, x1: float, x2: float) -> float:
@@ -265,13 +340,16 @@ def _anchored_levels(
     sum_spec: AnchoredSumSpec,
     opts: SolverOptions,
     s_floor: float = 0.0,
-) -> Tuple[List[np.ndarray], list]:
+) -> Tuple[List[np.ndarray], list, np.ndarray]:
     """Per-level base factors rho'|<w', A_word v''>| for word lengths
-    0..max_len, plus the letter norms of the alphabet.
+    0..max_len, the letter norms of the alphabet, and the pruned mass.
 
     A row is dropped when its whole subtree is bounded below opts.prune
-    at exponent s_floor; with s_floor=0 only exactly collapsed rows go,
-    so the cached levels remain valid for every exponent.
+    at exponent s_floor; with s_floor=0 and prune <= 1 only exactly
+    collapsed rows go, so the cached levels remain valid for every
+    exponent. A dropped nonzero row U leaves rho'|U| in the pruned mass:
+    its subtree contributes at most (rho'|U|)^s / (1 - theta(s)) at any
+    s with theta(s) < 1.
     """
     if not 0 <= sum_spec.start < fam.n_singular:
         raise ConfigError("start anchor out of range")
@@ -290,6 +368,7 @@ def _anchored_levels(
 
     U = unit_vector(end.v_angle)[None, :]
     levels: List[np.ndarray] = []
+    pruned: List[np.ndarray] = []
     processed = 0
     for k in range(sum_spec.max_len + 1):
         if k > 0:
@@ -306,13 +385,16 @@ def _anchored_levels(
             bound = np.where(
                 lengths > 0.0, (rho_s * lengths) ** s_floor * geom, 0.0
             )
-            U = U[bound >= opts.prune]
+            keep = bound >= opts.prune
+            if not keep.all():
+                U = U[keep]
+                pruned.append(rho_s * _positive(lengths[~keep]))
         if len(U):
             bases = rho_s * np.abs(U[:, 0] * w_s[0] + U[:, 1] * w_s[1])
         else:
             bases = np.empty(0)
         levels.append(bases)
-    return levels, letter_norms
+    return levels, letter_norms, np.concatenate(pruned or [np.empty(0)])
 
 
 def anchored_norm_sum(
@@ -331,47 +413,66 @@ def anchored_norm_sum(
     if s < 0.0:
         raise ValueError("exponent must be nonnegative")
     opts = opts or DEFAULT_OPTIONS
-    levels, _ = _anchored_levels(fam, alpha, sum_spec, opts, s_floor=s)
-    return _kahan_total(_masked_pow_sum(b, s) for b in levels)
+    levels, _, _ = _anchored_levels(fam, alpha, sum_spec, opts, s_floor=s)
+    return _kahan_total(_pow_sum(_positive(b), s) for b in levels)
 
 
 # --- anchored exponent solvers ----------------------------------------------
 
 
-def _profile_from_levels(
-    levels: List[np.ndarray], tol: float
-) -> List[float]:
-    """Left-endpoint roots of the cumulative sums = 1 for each truncation.
+class _LevelSums:
+    """Cumulative sums over word lengths 0..n of the anchored bases.
 
-    Shares one bisection grid across truncations, which makes the
-    returned sequence nondecreasing without any numerical slack.
+    Each level is masked to its positive bases once, and their logs are
+    taken once, level after level in one array, so the sum over lengths
+    0..n is a prefix of it. ref is the compensated per-level b**s sum,
+    fast returns the sum and its derivative from the logs.
     """
-    max_len = len(levels) - 1
-    counts = [int(np.count_nonzero(b > 0.0)) for b in levels]
 
-    def g(n, s):
-        return _kahan_total(_masked_pow_sum(levels[k], s) for k in range(n + 1)) - 1.0
+    def __init__(self, levels: List[np.ndarray]):
+        self.bases = [_positive(b) for b in levels]
+        self.ends = np.cumsum([b.size for b in self.bases])
+        self.logs = _log_sum(*self.bases)
 
-    if sum(counts) == 0:
+    def ref(self, s: float, n: int) -> float:
+        return _kahan_total(_pow_sum(b, s) for b in self.bases[: n + 1])
+
+    def fast(self, s: float, n: int) -> Tuple[float, float]:
+        return self.logs(s, int(self.ends[n]))
+
+
+def _profile_from_levels(sums: _LevelSums, tol: float) -> List[float]:
+    """Certified left ends of the roots of the cumulative sums = 1, one
+    for each truncation 0..max_len.
+
+    The root at length n starts from the entry for n-1, and the profile
+    keeps the running maximum: a lower bound at n-1 stays one at n,
+    since the deeper sum dominates pointwise. So the sequence is
+    nondecreasing without any numerical slack.
+    """
+    max_len = len(sums.bases) - 1
+    if sums.ends[-1] == 0:
         logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
         return [0.0] * (max_len + 1)
 
-    hi = _expand_until_nonpositive(lambda s: g(max_len, s), 1.0)
-    if hi is None:
-        # terms are products of norms < 1, so this cannot trigger; guard anyway
-        raise ConfigError("anchored sum does not decay; family is not contracting")
     out = []
+    lo = 0.0
     for n in range(max_len + 1):
-        if sum(counts[: n + 1]) <= 1:
-            out.append(0.0)
-            continue
-        a, _ = _bisect_decreasing(lambda s: g(n, s), 0.0, hi, tol)
-        out.append(a)
+        if sums.ends[n] > 1:
+            root = _convex_root(
+                lambda s: sums.fast(s, n), lambda s: sums.ref(s, n) - 1.0, lo, tol
+            )
+            if root is None:
+                # terms are products of norms < 1, so this cannot trigger; guard anyway
+                raise ConfigError("anchored sum does not decay; family is not contracting")
+            lo = max(lo, root[0])
+        out.append(lo)
     return out
 
 
 def _upper_from_levels(
-    levels: List[np.ndarray],
+    sums: _LevelSums,
+    pruned: np.ndarray,
     letter_norms: Sequence[float],
     rho_anchor: float,
     tol: float,
@@ -381,19 +482,22 @@ def _upper_from_levels(
 
     The tail of the full series past length n is at most
     rho^s * theta(s)^(n+1) / (1 - theta(s)) with theta the sum of letter
-    norms to the s; any s making truncation + tail <= 1 upper-bounds the
-    true exponent. When theta stays >= 1 over the whole candidate range
-    the bound never applies and an extrapolated value is returned,
-    flagged uncertified.
+    norms to the s, and the pruned subtrees add at most P(s) / (1 -
+    theta(s)) with P the pruned mass; any s making truncation + tails
+    <= 1 upper-bounds the true exponent. Past the theta root this sum is
+    log-convex, so its root is solved like the others, with the
+    derivative in closed form. When theta stays >= 1 over the whole
+    candidate range the bound never applies and an extrapolated value is
+    returned, flagged uncertified.
     """
-    max_len = len(levels) - 1
+    max_len = len(sums.bases) - 1
     s_cap = 8.0
+    theta_logs = _log_sum(letter_norms)
+    pruned_logs = _log_sum(pruned)
+    log_rho = math.log(rho_anchor)
 
     def theta(s):
         return _kahan_total(n ** s for n in letter_norms)
-
-    def trunc(s):
-        return _kahan_total(_masked_pow_sum(b, s) for b in levels)
 
     lower = fallback_profile[-1]
 
@@ -409,20 +513,40 @@ def _upper_from_levels(
     if theta(0.0) < 1.0:
         s_theta = 0.0
     else:
-        _, s_theta = _bisect_decreasing(lambda s: theta(s) - 1.0, 0.0, s_cap, tol)
+        s_theta = _convex_root(theta_logs, lambda s: theta(s) - 1.0, 0.0, tol, s_cap)[1]
 
-    def g(s):
+    def tail_ref(s):
         th = theta(s)
-        tail = rho_anchor ** s * th ** (max_len + 1) / (1.0 - th)
-        return trunc(s) + tail - 1.0
+        return (rho_anchor ** s * th ** (max_len + 1) + _pow_sum(pruned, s)) / (1.0 - th)
 
-    if g(s_theta) <= 0.0:
-        return max(s_theta, lower), True
-    hi = _expand_until_nonpositive(g, max(2.0 * s_theta, 1.0))
-    if hi is None:
+    def tail_fast(s):
+        th, d_th = theta_logs(s)
+        mass, d_mass = pruned_logs(s)
+        # head = rho^s theta^(n+1), differentiated without dividing by theta
+        part = rho_anchor ** s * th ** max_len
+        head = part * th
+        d_head = part * (th * log_rho + (max_len + 1) * d_th)
+        q = 1.0 - th
+        return (head + mass) / q, (d_head + d_mass) / q + (head + mass) * d_th / (q * q)
+
+    def fast(s):
+        trunc, d_trunc = sums.fast(s, max_len)
+        tail, d_tail = tail_fast(s)
+        return trunc + tail, d_trunc + d_tail
+
+    # the sum is at least its tails and at least 1 at lower, so a point
+    # where the tails alone still reach 1 is a left point too; it is cheap
+    # to find and lies past the steep rise of 1/(1 - theta) near s_theta
+    start = max(s_theta, lower)
+    tail_root = _convex_root(tail_fast, lambda s: tail_ref(s) - 1.0, start, tol)
+    if tail_root is not None:
+        start = tail_root[0]
+    root = _convex_root(
+        fast, lambda s: sums.ref(s, max_len) + tail_ref(s) - 1.0, start, tol
+    )
+    if root is None:
         return extrapolated()
-    _, b = _bisect_decreasing(g, s_theta, hi, tol)
-    return max(b, lower), True
+    return max(root[1], lower), True
 
 
 def _anchor_spec(fam: IfsFamily, j: int, max_len: int) -> AnchoredSumSpec:
@@ -445,8 +569,23 @@ def anchor_exponent_profile(
     critical exponent of the anchored series from below.
     """
     opts = opts or DEFAULT_OPTIONS
-    levels, _ = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
-    return _profile_from_levels(levels, tol)
+    levels, _, _ = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
+    return _profile_from_levels(_LevelSums(levels), tol)
+
+
+def _anchor_bracket(fam: IfsFamily, alpha, j: int, opts: SolverOptions) -> AnchorBracket:
+    # the levels and their logs live only for this call, so one anchor's
+    # arrays are freed before the next anchor's walk
+    levels, letter_norms, pruned = _anchored_levels(
+        fam, alpha, _anchor_spec(fam, j, opts.depth), opts
+    )
+    sums = _LevelSums(levels)
+    del levels
+    profile = _profile_from_levels(sums, opts.tol)
+    up, cert = _upper_from_levels(
+        sums, pruned, letter_norms, fam.singular[j].rho, opts.tol, profile
+    )
+    return AnchorBracket(profile[-1], up, cert)
 
 
 def affinity_dimension(
@@ -472,17 +611,7 @@ def affinity_dimension(
                 "(upper bound %.6f)" % reg.upper
             )
 
-    per: Dict[int, AnchorBracket] = {}
-    for j in range(fam.n_singular):
-        levels, letter_norms = _anchored_levels(
-            fam, alpha, _anchor_spec(fam, j, opts.depth), opts
-        )
-        profile = _profile_from_levels(levels, opts.tol)
-        up, cert = _upper_from_levels(
-            levels, letter_norms, fam.singular[j].rho, opts.tol, profile
-        )
-        per[j] = AnchorBracket(profile[-1], up, cert)
-
+    per = {j: _anchor_bracket(fam, alpha, j, opts) for j in range(fam.n_singular)}
     lower = max(min(1.0, p.lower) for p in per.values())
     certified_ups = [min(1.0, p.upper) for p in per.values() if p.certified]
     if certified_ups:
@@ -665,7 +794,7 @@ def _svf_sum(a1: np.ndarray, a2: np.ndarray, rank_norms: np.ndarray, s: float) -
         if s == 0.0:
             pieces.append(float(rank_norms.size))
         elif s <= 1.0:
-            pieces.append(_masked_pow_sum(rank_norms, s))
+            pieces.append(_pow_sum(_positive(rank_norms), s))
         # the smaller singular value is exactly zero: no contribution past s=1
     return _kahan_total(pieces)
 
@@ -674,16 +803,28 @@ def _svf_root(
     a1: np.ndarray, a2: np.ndarray, rank_norms: np.ndarray, tol: float
 ) -> float:
     """Root of the partition sum = 1 over cached singular data, clamped
-    to [0, 2]; the right bisection endpoint is returned."""
+    to [0, 2]; the certified right end of its bracket is returned.
+
+    The sum is convex on [0, 1] and on [1, 2], but at s = 1 it has a
+    concave kink, where the exponent moves from a1 to a2, and a drop,
+    where the rank-one block stops counting; so the breakpoints are
+    checked first and the root is solved inside one piece.
+    """
 
     def g(s):
         return _svf_sum(a1, a2, rank_norms, s) - 1.0
 
     if g(0.0) <= 0.0:
         return 0.0
-    if g(2.0) > 0.0:
+    if g(2.0) >= 0.0:
         return 2.0
-    return _bisect_decreasing(g, 0.0, 2.0, tol)[1]
+    if g(1.0) < 0.0:
+        return _convex_root(_log_sum(a1, rank_norms), g, 0.0, tol, 1.0)[1]
+    # a1 a2^(s-1) = exp(log a1 - log a2 + s log a2); a zero a2 adds nothing past 1
+    keep = (a1 > 0.0) & (a2 > 0.0)
+    log_a2 = np.log(a2[keep])
+    piece = _LogSum(log_a2, np.log(a1[keep]) - log_a2)
+    return _convex_root(piece, g, 1.0, tol, 2.0)[1]
 
 
 def partition_sum(
@@ -712,7 +853,7 @@ def pressure_upper_root(
 
     Submultiplicativity of the singular value function makes any s with
     partition sum <= 1 an upper bound for the critical exponent, so the
-    right bisection endpoint is returned.
+    right end of the certified bracket is returned.
     """
     if n < 1:
         raise ValueError("partition sums need word length n >= 1")
@@ -741,16 +882,15 @@ def regular_dimension_bracket(
     depth, lower = 0, 0.0
     for depth, D, _ in _product_levels(fam.regular, opts.depth, opts):
         a1, a2 = batch_singular_values(D)
-
-        def g_low(s):
-            return _chunked_sum(a2 ** s) - 1.0
-
-        if g_low(0.0) <= 0.0:
+        if a2.size <= 1:
+            # the sum is a2.size at s = 0, so its root is 0
             continue
-        hi = _expand_until_nonpositive(g_low, 1.0)
-        if hi is None:
+        root = _convex_root(
+            _log_sum(a2), lambda s: _chunked_sum(a2 ** s) - 1.0, 0.0, opts.tol
+        )
+        if root is None:
             raise ConfigError("smallest singular values do not decay")
-        lower = max(lower, _bisect_decreasing(g_low, 0.0, hi, opts.tol)[0])
+        lower = max(lower, root[0])
     if depth == 0:
         raise BudgetError(
             "word budget %d exceeded before word length 1" % opts.budget

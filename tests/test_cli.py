@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import affdim
 from affdim import (
     SCHEMA_VERSION,
     config_dict,
@@ -389,3 +394,17 @@ class TestInputHandling:
         path.write_text("{oops")
         assert main(["dim", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 1
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_spatial_out(self):
+        # scipy.spatial is the slowest import under affdim; only the
+        # Hausdorff distance needs it, and it imports it on first use
+        src = str(Path(affdim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, affdim.cli; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"

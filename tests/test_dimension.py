@@ -115,6 +115,17 @@ class TestUpper:
         assert SCALAR_LIMIT <= upper + 1e-12
         assert upper == pytest.approx(SCALAR_LIMIT, abs=5e-3)
 
+    @pytest.mark.parametrize("prune", [3.0, 100.0])
+    def test_pruned_mass_keeps_the_upper_certified(self, prune):
+        # pruning drops real subtrees at these thresholds; without their
+        # bound in the tail the "certified" upper was 0.787844 at 3.0 and
+        # 0.1332 at 100, both below the exponent
+        bracket = affinity_dimension(
+            scalar_family(), 0.0, SolverOptions(depth=12, prune=prune)
+        )
+        assert bracket.certified_upper
+        assert bracket.lower <= SCALAR_LIMIT <= bracket.upper
+
 
 class TestAffinityDimension:
     def test_scalar_bracket(self):
