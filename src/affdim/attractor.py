@@ -19,6 +19,7 @@ from .linalg import RankOneFactor
 from .separation import ConvexBody, image_body, swept_segment
 
 _CHAOS_CHUNK = 1 << 15
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,43 +36,75 @@ class PointCloud:
     depth_or_count: int
 
 
-def _scalar_coeffs(m: AffineMap2):
-    t = m.translation
-    if isinstance(m.linear, RankOneFactor):
-        r = m.linear
-        v, w = r.v(), r.w()
-        return ("r", r.rho, v[0], v[1], w[0], w[1], t[0], t[1])
-    a = m.linear
-    return ("d", a.a11, a.a12, a.a21, a.a22, t[0], t[1])
+def _map_table(maps) -> np.ndarray:
+    """(n_maps, 6) rows [a11 a12 a21 a22 t1 t2]; a rank-one map enters
+    as its dense matrix rho v w^T."""
+    rows = []
+    for m in maps:
+        a = m.linear.as_mat2() if isinstance(m.linear, RankOneFactor) else m.linear
+        rows.append((a.a11, a.a12, a.a21, a.a22, m.translation[0], m.translation[1]))
+    return np.array(rows, dtype=float).reshape(-1, 6)
 
 
-def _pick_stream(n_choices: int, n_points: int, seed, burn_in: int):
-    """Seeded map choices per chunk of at most _CHAOS_CHUNK points, each
-    chunk's burn-in included; chunk sub-seeds derive from the master
-    seed, so the stream does not depend on how chunks are scheduled."""
-    sizes = [min(_CHAOS_CHUNK, n_points - i) for i in range(0, n_points, _CHAOS_CHUNK)]
-    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        rng = np.random.default_rng(child)
-        yield rng.integers(0, n_choices, size=burn_in + size).tolist()
+def _orbit(table: np.ndarray, picks: np.ndarray, burn_in: int) -> np.ndarray:
+    """Orbit of the origin under the picked rows of a _map_table, burn-in
+    discarded.
 
+    A blocked scan: the picks are cut into blocks of _SCAN_BLOCK, step j
+    composes the j-th map of every block onto that block's prefix map
+    (M, y) at once, a short sequential pass carries the block start
+    points s, and every orbit point is M s + y.
+    """
+    n = len(picks)
+    n_blocks = -(-n // _SCAN_BLOCK)
+    padded = np.zeros(n_blocks * _SCAN_BLOCK, dtype=np.intp)
+    padded[:n] = picks
+    # coef[c, j, b]: column c of the map picked at step j of block b
+    coef = table.T[:, padded.reshape(n_blocks, _SCAN_BLOCK).T]
+    # prefix[r, :, j, b]: row r of the 2x3 affine matrix [M | y] of steps 0..j
+    prefix = np.empty((2, 3, _SCAN_BLOCK, n_blocks))
+    prefix[:, :2, 0] = coef[:4, 0].reshape(2, 2, n_blocks)
+    prefix[:, 2, 0] = coef[4:, 0]
+    for j in range(1, _SCAN_BLOCK):
+        a11, a12, a21, a22, t1, t2 = coef[:, j]
+        top, bottom = prefix[0, :, j - 1], prefix[1, :, j - 1]
+        prefix[0, :, j] = a11 * top + a12 * bottom
+        prefix[1, :, j] = a21 * top + a22 * bottom
+        prefix[0, 2, j] += t1
+        prefix[1, 2, j] += t2
 
-def _orbit(coeffs, picks, burn_in: int) -> np.ndarray:
-    """Orbit of the origin under the picked maps, burn-in discarded."""
-    out = np.empty((len(picks) - burn_in, 2))
     x = y = 0.0
-    k = 0
-    for step, pick in enumerate(picks):
-        c = coeffs[pick]
-        if c[0] == "d":
-            x, y = c[1] * x + c[2] * y + c[5], c[3] * x + c[4] * y + c[6]
-        else:
-            s = c[1] * (c[4] * x + c[5] * y)
-            x, y = c[2] * s + c[6], c[3] * s + c[7]
-        if step >= burn_in:
-            out[k, 0] = x
-            out[k, 1] = y
-            k += 1
-    return out
+    xs, ys = [x], [y]
+    ends = prefix[:, :, -1, :-1].reshape(6, n_blocks - 1)
+    for m11, m12, y1, m21, m22, y2 in zip(*ends.tolist()):
+        x, y = m11 * x + m12 * y + y1, m21 * x + m22 * y + y2
+        xs.append(x)
+        ys.append(y)
+    starts = np.array([xs, ys])
+
+    out = np.empty((n_blocks, _SCAN_BLOCK, 2))
+    for r in range(2):
+        m1, m2, t = prefix[r]
+        out[:, :, r] = (m1 * starts[0] + m2 * starts[1] + t).T
+    return out.reshape(-1, 2)[burn_in:n]
+
+
+def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
+    """One n_points orbit per _map_table, all driven by the same picks.
+
+    Each chunk of at most _CHAOS_CHUNK points draws its map choices,
+    burn-in included, from its own sub-seed of the master seed and
+    starts a fresh orbit at the origin, so the clouds do not depend on
+    how chunks are scheduled.
+    """
+    clouds = [np.empty((n_points, 2)) for _ in tables]
+    starts = range(0, n_points, _CHAOS_CHUNK)
+    for start, child in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
+        size = min(_CHAOS_CHUNK, n_points - start)
+        picks = np.random.default_rng(child).integers(0, len(tables[0]), size=burn_in + size)
+        for cloud, table in zip(clouds, tables):
+            cloud[start : start + size] = _orbit(table, picks, burn_in)
+    return clouds
 
 
 def chaos_game(
@@ -90,12 +123,8 @@ def chaos_game(
     """
     if n_points < 1:
         raise ConfigError("need at least one point")
-    coeffs = [_scalar_coeffs(m) for m in fam.instantiate(alpha)]
-    parts = [
-        _orbit(coeffs, picks, burn_in)
-        for picks in _pick_stream(len(coeffs), n_points, seed, burn_in)
-    ]
-    return PointCloud(np.concatenate(parts, axis=0), seed, "chaos", n_points)
+    (points,) = _orbits([_map_table(fam.instantiate(alpha))], n_points, seed, burn_in)
+    return PointCloud(points, seed, "chaos", n_points)
 
 
 def cylinder_points(
@@ -144,20 +173,66 @@ class BoxCountSeries:
     r_squared: float
 
 
+# shifts and masks that move the bits of a 31-bit cell index to the even
+# bit positions of a 62-bit Morton key
+_SPREAD = (
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
+)
+
+
+def _spread_bits(cells: np.ndarray) -> np.ndarray:
+    v = cells.astype(np.uint64)
+    for shift, mask in _SPREAD:
+        v |= v << np.uint64(shift)
+        v &= np.uint64(mask)
+    return v
+
+
+def _cell_counts(points: np.ndarray, k_min: int, k_max: int) -> List[int]:
+    """Occupied cells of the dyadic grids of levels k_min..k_max.
+
+    Grids are anchored at the origin with cell edges on multiples of
+    2^-k; a point exactly on an edge belongs to the lower-index cell, so
+    its index at k_max is ceil(p 2^k_max) - 1 and at a coarser level k
+    that index shifted right by k_max - k. Indices are taken from a
+    per-axis offset that is a multiple of 2^min(k_max - k_min, 31), which
+    keeps the coarse edges in place (a level 31 or more above k_max holds
+    the whole span of fewer than 2^31 cells from such an offset in one
+    cell), and the two axes are interleaved into one Morton key: one sort
+    gives every level, since a coarser cell is the key shifted right by
+    two bits per level. The 31-bit span per axis is counted from that
+    offset, which can lie up to 2^min(k_max - k_min, 31) cells below the
+    cloud.
+    """
+    coarsest = 2.0 ** min(k_max - k_min, 31)
+    spread = []
+    for axis in range(2):
+        cells = np.ceil(np.ldexp(points[:, axis], k_max))
+        cells -= 1.0
+        cells -= np.floor(cells.min() / coarsest) * coarsest
+        if not cells.max() < 2.0 ** 31:
+            raise ConfigError(
+                "point cloud spans more than 2^31 cells per axis at level %d" % k_max
+            )
+        spread.append(_spread_bits(cells))
+    keys = spread[0]
+    keys <<= np.uint64(1)
+    keys |= spread[1]
+    keys.sort()
+    counts = []
+    for _ in range(k_min, k_max + 1):
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        counts.append(keys.size)
+        keys >>= np.uint64(2)
+    return counts[::-1]
+
+
 def _occupied_cells(points: np.ndarray, k: int) -> int:
-    # grid anchored at the origin with cell edges on multiples of 2^-k;
-    # a point exactly on an edge belongs to the lower-index cell. Cell
-    # indices are packed relative to the cloud's per-axis minimum.
-    scaled = np.ldexp(points, k)
-    ix, iy = np.ceil(scaled[:, 0]), np.ceil(scaled[:, 1])
-    ix -= ix.min()
-    iy -= iy.min()
-    if not max(ix.max(), iy.max()) < 2.0 ** 31:
-        raise ConfigError(
-            "point cloud spans more than 2^31 cells per axis at level %d" % k
-        )
-    keys = (ix.astype(np.int64) << np.int64(32)) | iy.astype(np.int64)
-    return int(np.unique(keys).size)
+    return _cell_counts(points, k, k)[0]
 
 
 def box_dim_estimate(
@@ -177,7 +252,7 @@ def box_dim_estimate(
     ks = list(range(k_min, k_max + 1))
     if len(ks) < 3:
         raise ConfigError("need at least three scales for a fit")
-    counts = [_occupied_cells(points, k) for k in ks]
+    counts = _cell_counts(points, k_min, k_max)
     while len(counts) > 3 and counts[-1] == counts[-2]:
         counts.pop()
         ks.pop()

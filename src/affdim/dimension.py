@@ -25,6 +25,7 @@ count.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -132,11 +133,16 @@ class AnchoredSumSpec:
 # --- deterministic reduction helpers ----------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _thread_pool(threads: int) -> ThreadPoolExecutor:
+    # one pool per thread count, reused by every level of every walk
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="affdim")
+
+
 def _ordered_map(fn, items, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return list(_thread_pool(threads).map(fn, items))
 
 
 def _kahan_total(values) -> float:
@@ -365,6 +371,9 @@ def _anchored_levels(
     w_s = unit_vector(start.w_angle(alphas[sum_spec.start]))
     ops, letter_norms = _letter_ops(fam, alphas, sum_spec.allowed)
     theta = _kahan_total(n ** s_floor for n in letter_norms)
+    # every nonzero row's bound is then at least 1 (its geometric factor
+    # starts at 1), so the test reduces to dropping the zero rows
+    nonzero_only = s_floor == 0.0 and opts.prune <= 1.0
 
     U = unit_vector(end.v_angle)[None, :]
     levels: List[np.ndarray] = []
@@ -379,7 +388,11 @@ def _anchored_levels(
                 "anchored enumeration exceeded %d words at length %d"
                 % (opts.budget, k)
             )
-        if len(U) and opts.prune > 0.0:
+        if len(U) and opts.prune > 0.0 and nonzero_only:
+            keep = (U[:, 0] != 0.0) | (U[:, 1] != 0.0)
+            if not keep.all():
+                U = U[keep]
+        elif len(U) and opts.prune > 0.0:
             lengths = np.hypot(U[:, 0], U[:, 1])
             geom = _geometric_total(theta, sum_spec.max_len - k)
             bound = np.where(
@@ -441,7 +454,9 @@ class _LevelSums:
         return self.logs(s, int(self.ends[n]))
 
 
-def _profile_from_levels(sums: _LevelSums, tol: float) -> List[float]:
+def _profile_from_levels(
+    sums: _LevelSums, tol: float, pruned: np.ndarray, prune: float
+) -> List[float]:
     """Certified left ends of the roots of the cumulative sums = 1, one
     for each truncation 0..max_len.
 
@@ -452,7 +467,13 @@ def _profile_from_levels(sums: _LevelSums, tol: float) -> List[float]:
     """
     max_len = len(sums.bases) - 1
     if sums.ends[-1] == 0:
-        logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
+        if pruned.size:
+            logger.warning(
+                "every nonzero anchored term was pruned (prune=%g); "
+                "exponent degenerates to 0", prune
+            )
+        else:
+            logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
         return [0.0] * (max_len + 1)
 
     out = []
@@ -569,8 +590,8 @@ def anchor_exponent_profile(
     critical exponent of the anchored series from below.
     """
     opts = opts or DEFAULT_OPTIONS
-    levels, _, _ = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
-    return _profile_from_levels(_LevelSums(levels), tol)
+    levels, _, pruned = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
+    return _profile_from_levels(_LevelSums(levels), tol, pruned, opts.prune)
 
 
 def _anchor_bracket(fam: IfsFamily, alpha, j: int, opts: SolverOptions) -> AnchorBracket:
@@ -581,7 +602,7 @@ def _anchor_bracket(fam: IfsFamily, alpha, j: int, opts: SolverOptions) -> Ancho
     )
     sums = _LevelSums(levels)
     del levels
-    profile = _profile_from_levels(sums, opts.tol)
+    profile = _profile_from_levels(sums, opts.tol, pruned, opts.prune)
     up, cert = _upper_from_levels(
         sums, pruned, letter_norms, fam.singular[j].rho, opts.tol, profile
     )

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attractor import PointCloud, _orbit, _pick_stream, _scalar_coeffs
+from .attractor import PointCloud, _map_table, _orbits
 from .dimension import (
     DimensionBracket,
     SolverOptions,
@@ -35,7 +35,7 @@ from .errors import (
     NoSignChangeError,
 )
 from .ifs import AffineMap2, IfsFamily, Word, compose_word
-from .linalg import Mat2, unit_vector
+from .linalg import unit_vector
 
 Letters = Tuple[int, ...]
 
@@ -90,14 +90,6 @@ def fixed_point_gap(fam: IfsFamily, j: int, i: int, alpha: float) -> float:
     return g_empty.fixed_point() - g_i.fixed_point()
 
 
-def _affine_coeffs(m: AffineMap2) -> np.ndarray:
-    linear = m.linear if isinstance(m.linear, Mat2) else m.linear.as_mat2()
-    return np.array(
-        [linear.a11, linear.a12, linear.a21, linear.a22,
-         m.translation[0], m.translation[1]]
-    )
-
-
 def commutation_residual(fam: IfsFamily, alpha: float, j: int, i: int) -> float:
     """Largest coefficient difference between f_j o f_j o f_i and
     f_j o f_i o f_j at the given angle."""
@@ -105,7 +97,8 @@ def commutation_residual(fam: IfsFamily, alpha: float, j: int, i: int) -> float:
     anchor = fam.singular_letter(j)
     a = compose_word(maps, (anchor, anchor, i))
     b = compose_word(maps, (anchor, i, anchor))
-    return float(np.max(np.abs(_affine_coeffs(a) - _affine_coeffs(b))))
+    table = _map_table((a, b))
+    return float(np.max(np.abs(table[0] - table[1])))
 
 
 _MAX_BISECT = 200
@@ -360,22 +353,13 @@ def invariance_clouds(
     reduced = exceptional_family(fam, alpha_star, j, i)
     maps = fam.instantiate(alpha_star)
     full_words = list(itertools.product(range(fam.n_maps), repeat=3))
-    coeffs_full = [_scalar_coeffs(compose_word(maps, w)) for w in full_words]
-    coeffs_red = [
-        _scalar_coeffs(
-            compose_word(
-                maps,
-                reduced.duplicate_word if w == reduced.removed_word else w,
-            )
-        )
+    table_full = _map_table(compose_word(maps, w) for w in full_words)
+    table_red = _map_table(
+        compose_word(maps, reduced.duplicate_word if w == reduced.removed_word else w)
         for w in full_words
-    ]
+    )
 
-    orbits = [
-        (_orbit(coeffs_full, picks, burn_in), _orbit(coeffs_red, picks, burn_in))
-        for picks in _pick_stream(len(full_words), n_points, seed, burn_in)
-    ]
-    parts_f, parts_g = zip(*orbits)
-    cloud_f = PointCloud(np.concatenate(parts_f), seed, "chaos", n_points)
-    cloud_g = PointCloud(np.concatenate(parts_g), seed, "chaos", n_points)
+    points_f, points_g = _orbits([table_full, table_red], n_points, seed, burn_in)
+    cloud_f = PointCloud(points_f, seed, "chaos", n_points)
+    cloud_g = PointCloud(points_g, seed, "chaos", n_points)
     return cloud_f, cloud_g

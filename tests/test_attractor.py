@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affdim import (
     AffineMap2,
@@ -12,15 +15,53 @@ from affdim import (
     chaos_game,
     containment_margin,
     cylinder_points,
+    exceptional_family,
+    find_common_fixed_point_angle,
     hausdorff_distance,
+    invariance_clouds,
     level_bodies,
     render_levels,
 )
 from affdim.attractor import _occupied_cells, apply_body
 from affdim.errors import BudgetError, ConfigError
-from affdim.ifs import attractor_bound
+from affdim.ifs import attractor_bound, compose_word
+from affdim.linalg import RankOneFactor
 
-from families import cantor_similarities, drop_family, scalar_family
+from families import (
+    cantor_similarities,
+    drop_family,
+    scalar_family,
+    wide_family,
+)
+
+
+def loop_cloud(maps, n_points, seed, burn_in=64, chunk=1 << 15):
+    """Reference chaos game: the plain per-point loop, one orbit from the
+    origin per chunk of map choices drawn from the chunk's sub-seed."""
+    coeffs = []
+    for m in maps:
+        t = m.translation
+        if isinstance(m.linear, RankOneFactor):
+            r = m.linear
+            coeffs.append(("r", r.rho, *r.v(), *r.w(), t[0], t[1]))
+        else:
+            a = m.linear
+            coeffs.append(("d", a.a11, a.a12, a.a21, a.a22, t[0], t[1]))
+    sizes = [min(chunk, n_points - i) for i in range(0, n_points, chunk)]
+    out = []
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        picks = np.random.default_rng(child).integers(0, len(maps), size=burn_in + size)
+        x = y = 0.0
+        for step, pick in enumerate(picks.tolist()):
+            c = coeffs[pick]
+            if c[0] == "d":
+                x, y = c[1] * x + c[2] * y + c[5], c[3] * x + c[4] * y + c[6]
+            else:
+                s = c[1] * (c[4] * x + c[5] * y)
+                x, y = c[2] * s + c[6], c[3] * s + c[7]
+            if step >= burn_in:
+                out.append((x, y))
+    return np.array(out)
 
 
 class TestChaosGame:
@@ -61,6 +102,41 @@ class TestChaosGame:
     def test_needs_points(self):
         with pytest.raises(ConfigError):
             chaos_game(drop_family(), 0.0, 0, seed=1)
+
+
+class TestOrbitKernel:
+    # the blocked scan reassociates the orbit's sums, so it matches the
+    # plain loop to rounding, scaled by the attractor's size; 40000 points
+    # span two chunks and a partial last block
+
+    @pytest.mark.parametrize(
+        "fam, alpha",
+        [(drop_family(), 0.7), (wide_family(), 0.4), (cantor_similarities(), 0.0)],
+    )
+    def test_chaos_game_matches_the_plain_loop(self, fam, alpha):
+        maps = fam.instantiate(alpha)
+        cloud = chaos_game(fam, alpha, 40000, seed=6)
+        want = loop_cloud(maps, 40000, seed=6)
+        assert cloud.points.shape == want.shape
+        assert np.max(np.abs(cloud.points - want)) <= 1e-12 * attractor_bound(maps)
+
+    @pytest.mark.parametrize("fam", [drop_family(), wide_family()])
+    def test_coupled_clouds_match_the_plain_loop(self, fam):
+        alpha = find_common_fixed_point_angle(fam, 0, 0)
+        maps = fam.instantiate(alpha)
+        reduced = exceptional_family(fam, alpha, 0, 0)
+        words = list(itertools.product(range(fam.n_maps), repeat=3))
+        full_maps = [compose_word(maps, w) for w in words]
+        red_maps = [
+            compose_word(maps, reduced.duplicate_word if w == reduced.removed_word else w)
+            for w in words
+        ]
+        full, red = invariance_clouds(fam, 0, 0, alpha, 40000, seed=8)
+        scale = 1e-12 * attractor_bound(maps)
+        for cloud, word_maps in ((full, full_maps), (red, red_maps)):
+            want = loop_cloud(word_maps, 40000, seed=8)
+            assert cloud.points.shape == want.shape
+            assert np.max(np.abs(cloud.points - want)) <= scale
 
 
 class TestCylinderPoints:
@@ -144,6 +220,44 @@ class TestBoxCounting:
         # 1e6 * 2^12 cells is more than 2^31
         with pytest.raises(ConfigError, match="2\\^31"):
             _occupied_cells(np.array([[0.0, 0.0], [1e6, 0.0]]), 12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        coords=st.lists(
+            st.one_of(
+                st.floats(min_value=-1.0, max_value=1.0),
+                # exactly on dyadic edges of every level up to 16
+                st.builds(
+                    lambda m, e: m / 2.0 ** e,
+                    st.integers(-(2 ** 10), 2 ** 10),
+                    st.integers(0, 16),
+                ),
+            ),
+            min_size=2,
+            max_size=160,
+        ),
+        offset=st.sampled_from([0.0, 1e6, -1e6]),
+        k_min=st.integers(0, 6),
+        n_levels=st.integers(3, 9),
+    )
+    def test_counts_match_per_level_unique(self, coords, offset, k_min, n_levels):
+        pts = np.array(coords[: len(coords) // 2 * 2]).reshape(-1, 2) + offset
+        k_max = k_min + n_levels - 1
+        want = [
+            len(np.unique((np.ceil(np.ldexp(pts, k)) - 1).astype(np.int64), axis=0))
+            for k in range(k_min, k_max + 1)
+        ]
+        got = box_dim_estimate(pts, k_min, k_max).counts
+        # saturated trailing levels are trimmed, never changed
+        assert list(got) == want[: len(got)]
+        assert all(c == got[-1] for c in want[len(got):])
+
+    def test_wide_level_range(self):
+        # 2000 levels: a point at the origin stays in one cell at every
+        # level, any other point overflows the grid with a typed error
+        assert box_dim_estimate([(0.0, 0.0)], 0, 2000).counts == (1, 1, 1)
+        with pytest.raises(ConfigError, match="2\\^31"):
+            box_dim_estimate([(0.3, 0.7)], 0, 2000)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -125,6 +126,13 @@ class TestUpper:
         )
         assert bracket.certified_upper
         assert bracket.lower <= SCALAR_LIMIT <= bracket.upper
+
+    def test_all_terms_pruned_is_logged_as_pruning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="affdim.dimension"):
+            affinity_dimension(scalar_family(), 0, SolverOptions(depth=12, prune=100))
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("pruned" in m and "prune=100" in m for m in messages), messages
+        assert not any("no nonzero terms" in m for m in messages), messages
 
 
 class TestAffinityDimension:

@@ -227,6 +227,16 @@ class TestInvarianceClouds:
         assert float(np.max(np.abs(full.points - red.points))) <= 1e-9
         assert hausdorff_distance(full, red) <= 1e-9
 
+    def test_chunking_is_invisible(self):
+        # clouds longer than one chunk extend shorter ones exactly
+        fam = drop_family()
+        alpha = find_common_fixed_point_angle(fam, 0, 0)
+        long = invariance_clouds(fam, 0, 0, alpha, 40000, seed=5)
+        short = invariance_clouds(fam, 0, 0, alpha, 32768, seed=5)
+        for a, b in zip(long, short):
+            assert a.points.shape == (40000, 2)
+            assert np.array_equal(a.points[:32768], b.points)
+
     def test_deterministic(self):
         fam = drop_family()
         alpha = find_common_fixed_point_angle(fam, 0, 0)
