@@ -152,12 +152,38 @@ def _as_points(cloud) -> np.ndarray:
     return cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud)
 
 
+def _distinct_points(cloud) -> np.ndarray:
+    """The distinct points of a nonempty, finite (n, 2) cloud as float64."""
+    try:
+        pts = np.ascontiguousarray(_as_points(cloud), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError("a point cloud must be an (n, 2) array of numbers") from None
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ConfigError(
+            "a point cloud must be a nonempty (n, 2) array, got shape %s" % (pts.shape,)
+        )
+    # checked before the dedupe, which would merge every NaN-bearing row into one
+    if not np.isfinite(pts).all():
+        raise ConfigError("point cloud has a NaN or infinite coordinate")
+    # each row viewed as one complex number: a 1-d sort, not a structured one
+    return np.unique(pts.view(np.complex128)).view(np.float64).reshape(-1, 2)
+
+
 def hausdorff_distance(a, b) -> float:
-    """Symmetric Hausdorff distance between two point sets."""
+    """Exact symmetric Hausdorff distance between two point sets.
+
+    Each cloud is deduplicated before its KD-tree is built and queried: a
+    repeated point has the same nearest neighbour, and each pair distance
+    is computed the same way whatever the tree shape, so the result is
+    the one the full clouds give, bit for bit (chaos-game clouds of the
+    coupled orbits repeat most of their points, which KD-trees build and
+    query slowly). Raises ConfigError for an empty cloud, a shape other
+    than (n, 2), or a NaN or infinite coordinate.
+    """
     # imported here: scipy.spatial would take most of every CLI start-up
     from scipy.spatial import cKDTree
 
-    pa, pb = _as_points(a), _as_points(b)
+    pa, pb = _distinct_points(a), _distinct_points(b)
     d_ab = float(np.max(cKDTree(pb).query(pa)[0]))
     d_ba = float(np.max(cKDTree(pa).query(pb)[0]))
     return max(d_ab, d_ba)

@@ -161,10 +161,9 @@ def cmd_boxdim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
     seed = args.seed if args.seed is not None else cfg.seed
     cloud = chaos_game(cfg.family, args.alpha, args.points, seed)
     series = box_dim_estimate(cloud, args.kmin, args.kmax)
-    _write_csv(
-        out / "points.csv", "x,y",
-        ["%s,%s" % (_fmt(p[0]), _fmt(p[1])) for p in cloud.points],
-    )
+    with open(out / "points.csv", "w", newline="") as fh:
+        fh.write("x,y\n")
+        fh.writelines(["%.12g,%.12g\n" % (x, y) for x, y in cloud.points.tolist()])
     _write_csv(
         out / "boxcounts.csv", "k,count",
         ["%d,%d" % (round(-math.log2(eps)), c)

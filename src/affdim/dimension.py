@@ -749,14 +749,16 @@ def _advance_rank(
 
 def _product_levels(
     maps: Sequence[AffineMap2], depth: int, opts: SolverOptions
-) -> Iterator[Tuple[int, np.ndarray, _RankStates]]:
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray, _RankStates]]:
     """Products of all words of lengths 1..depth over a mixed alphabet.
 
-    Yields (length, dense, rank) per level: the stacked products of the
-    all-invertible words, and the words through a rank-one letter kept
-    factored, so their smaller singular value is exactly zero rather
-    than rounding noise. The walk stops before the level that would take
-    the cumulative word count past opts.budget.
+    Yields (length, dense, dets, rank) per level: the stacked products of
+    the all-invertible words with their determinants (each the product of
+    its letters' determinants, which keeps the smaller singular value
+    |det| / a1 accurate where a1 - a2 would cancel), and the words through
+    a rank-one letter kept factored, so their smaller singular value is
+    exactly zero rather than rounding noise. The walk stops before the
+    level that would take the cumulative word count past opts.budget.
     """
     dense_mats = [m.linear for m in maps if isinstance(m.linear, Mat2)]
     rank_parts = [m.linear for m in maps if isinstance(m.linear, RankOneFactor)]
@@ -765,6 +767,7 @@ def _product_levels(
         if dense_mats
         else np.empty((0, 2, 2))
     )
+    letter_dets = dets = np.array([a.det() for a in dense_mats], dtype=float)
     S = _RankStates(
         np.array([r.rho * r.v()[0] for r in rank_parts]),
         np.array([r.rho * r.v()[1] for r in rank_parts]),
@@ -779,7 +782,9 @@ def _product_levels(
         if k > 1:
             S = _advance_rank(D, S, maps)
             D = _advance_products(D, dense_mats, opts.threads)
-        yield k, D, S
+            # in the children's order: grouped per parent, letters within
+            dets = np.multiply.outer(dets, letter_dets).reshape(-1)
+        yield k, D, dets, S
 
 
 def _deepest_level(
@@ -788,13 +793,13 @@ def _deepest_level(
     """Length and singular data (a1, a2, rank-one norms) of the deepest
     level the walk reaches; BudgetError if it stops short of need."""
     k = 0
-    for k, D, S in _product_levels(maps, depth, opts):
+    for k, D, dets, S in _product_levels(maps, depth, opts):
         pass
     if k < need:
         raise BudgetError(
             "word budget %d exceeded before word length %d" % (opts.budget, need)
         )
-    a1, a2 = batch_singular_values(D)
+    a1, a2 = batch_singular_values(D, dets)
     return k, (a1, a2, S.norms())
 
 
@@ -901,8 +906,8 @@ def regular_dimension_bracket(
         raise ConfigError("bracket depth must be at least 1")
 
     depth, lower = 0, 0.0
-    for depth, D, _ in _product_levels(fam.regular, opts.depth, opts):
-        a1, a2 = batch_singular_values(D)
+    for depth, D, dets, _ in _product_levels(fam.regular, opts.depth, opts):
+        a1, a2 = batch_singular_values(D, dets)
         if a2.size <= 1:
             # the sum is a2.size at s = 0, so its root is 0
             continue

@@ -102,16 +102,17 @@ class Mat2:
         """(largest, smallest) singular value, closed form.
 
         Uses the rotation-split identities: with E,F the symmetric and
-        H,G the antisymmetric combinations of the entries, the two
-        singular values are hypot(E,H) +- hypot(F,G).
+        H,G the antisymmetric combinations of the entries, the larger
+        singular value is hypot(E,H) + hypot(F,G). The smaller one is
+        |det| over the larger rather than their difference, which would
+        cancel when it is much smaller.
         """
         e = (self.a11 + self.a22) / 2.0
         f = (self.a11 - self.a22) / 2.0
         g = (self.a21 + self.a12) / 2.0
         h = (self.a21 - self.a12) / 2.0
-        q = math.hypot(e, h)
-        r = math.hypot(f, g)
-        return q + r, abs(q - r)
+        a1 = math.hypot(e, h) + math.hypot(f, g)
+        return a1, abs(self.det()) / a1 if a1 > 0.0 else 0.0
 
     def operator_norm(self) -> float:
         return self.singular_values()[0]
@@ -248,16 +249,18 @@ def conditional_norm(m: Linear, line: LineDir) -> float:
 # --- batch variants ---------------------------------------------------------
 #
 # Stacked (n,2,2) products appear in the dimension solvers; the formulas
-# mirror the scalar ones entry for entry so both paths agree bit for bit
-# on the same inputs.
+# mirror the scalar ones entry for entry, with the determinants passed in
+# (a word's is the product of its letters', accurate where the entries'
+# a11 a22 - a12 a21 would cancel).
 
 
-def batch_singular_values(prods: np.ndarray) -> tuple:
-    """Largest and smallest singular values of a stack of 2x2 matrices."""
+def batch_singular_values(prods: np.ndarray, dets: np.ndarray) -> tuple:
+    """Largest and smallest singular values of a stack of 2x2 matrices
+    with the given determinants."""
     e = (prods[:, 0, 0] + prods[:, 1, 1]) / 2.0
     f = (prods[:, 0, 0] - prods[:, 1, 1]) / 2.0
     g = (prods[:, 1, 0] + prods[:, 0, 1]) / 2.0
     h = (prods[:, 1, 0] - prods[:, 0, 1]) / 2.0
-    q = np.hypot(e, h)
-    r = np.hypot(f, g)
-    return q + r, np.abs(q - r)
+    a1 = np.hypot(e, h) + np.hypot(f, g)
+    a2 = np.divide(np.abs(dets), a1, out=np.zeros_like(a1), where=a1 > 0.0)
+    return a1, a2

@@ -182,6 +182,68 @@ class TestHausdorff:
         cloud = PointCloud(np.array([[0.0, 0.0]]), None, "chaos", 1)
         assert hausdorff_distance(cloud, [(0.0, 1.0)]) == pytest.approx(1.0)
 
+    @staticmethod
+    def all_pairs(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        dx = a[:, None, 0] - b[None, :, 0]
+        dy = a[:, None, 1] - b[None, :, 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.one_of(
+            st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=6),
+            st.lists(
+                st.tuples(
+                    *[st.one_of(
+                        st.sampled_from([0.0, -0.0, 0.5, -1.0]),
+                        st.floats(-1e3, 1e3, allow_nan=False),
+                    )] * 2
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+        ),
+        picks=st.lists(
+            st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1, max_size=30),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_exact_against_all_pairs(self, base, picks):
+        # clouds of unequal lengths drawn from a few points, so most points
+        # repeat; a flag turns a repeat's zero coordinates into -0.0
+        def draw(row, flip):
+            p = base[row % len(base)]
+            if flip and isinstance(p[0], float):
+                return tuple(-0.0 if x == 0.0 else x for x in p)
+            return p
+
+        a, b = ([draw(row, flip) for row, flip in side] for side in picks)
+        assert hausdorff_distance(a, b) == self.all_pairs(a, b)
+        assert hausdorff_distance(b, a) == self.all_pairs(a, b)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [],
+            np.empty((0, 2)),
+            [(0.0, 0.0, 0.0)],
+            np.zeros((3, 3)),
+            [1.0, 2.0],
+            [(0.0, 0.0), (1.0,)],
+            [(0.0, 0.0), (math.nan, 0.0), (math.nan, 1.0)],
+            [(0.0, math.inf)],
+            [(-math.inf, 0.0), (0.0, 0.0)],
+        ],
+    )
+    def test_bad_clouds_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            hausdorff_distance(bad, [(0.0, 0.0)])
+        with pytest.raises(ConfigError):
+            hausdorff_distance([(0.0, 0.0)], bad)
+
 
 class TestBoxCounting:
     def test_single_point(self):

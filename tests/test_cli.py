@@ -289,6 +289,17 @@ class TestBoxdimCommand:
         assert 0.0 < report["outputs"]["slope"] < 2.0
         assert report["outputs"]["seed"] == 7
 
+    def test_points_csv_bytes(self, tmp_path):
+        # the file holds "%.12g" of every coordinate, one "x,y" row per point
+        cfg = write_config(tmp_path, DROP_CONFIG)
+        out = tmp_path / "out"
+        code = main(["boxdim", "--config", cfg, "--out", str(out),
+                     "--points", "4096", "--seed", "5"])
+        assert code == 0
+        cloud = affdim.chaos_game(parse_config(DROP_CONFIG).family, 0.0, 4096, 5)
+        rows = ["x,y"] + ["%s,%s" % ("%.12g" % p[0], "%.12g" % p[1]) for p in cloud.points]
+        assert (out / "points.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
 
 class TestExceptionalCommand:
     def test_certified_drop(self, tmp_path):

@@ -284,6 +284,21 @@ class TestPartitionSum:
                 want = self.brute(maps, n, s, fam.n_regular)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
+    def test_smallest_singular_value_does_not_cancel(self):
+        # diagonal words: a2 is the product of the second entries, about
+        # 1e-7 of a1 at length 12, where a1 - a2 kept no digit of it
+        maps = [
+            AffineMap2(Mat2.diagonal(0.5, 0.02), (0.0, 0.0)),
+            AffineMap2(Mat2.diagonal(0.45, 0.03), (0.5, 0.0)),
+        ]
+        for n in (10, 12):
+            a1 = a2 = np.ones(1)
+            for _ in range(n):
+                a1 = np.multiply.outer(a1, [0.5, 0.45]).ravel()
+                a2 = np.multiply.outer(a2, [0.02, 0.03]).ravel()
+            want = float(np.sum(a1 * a2 ** 0.5))
+            assert partition_sum(maps, n, 1.5) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_s0_counts_every_word(self):
         maps = scalar_family().instantiate()
         assert partition_sum(maps, 3, 0.0) == 8.0
@@ -341,6 +356,29 @@ class TestRegularBracket:
         )
         bracket = regular_dimension_bracket(fam, SolverOptions(depth=10))
         assert 0.0 < bracket.lower <= bracket.upper < 2.0
+
+    def test_lower_end_from_accurate_smallest_singular_values(self):
+        # upper triangular letters: a word's determinant is the product of
+        # its diagonal entries, a2 = |det| / a1 is exact up to rounding,
+        # and the lower end is the largest level root of sum a2^s = 1
+        from scipy.optimize import brentq
+
+        letters = np.array([[[0.5, 0.0], [0.0, 0.001]], [[0.3, 0.1], [0.0, 0.0015]]])
+        fam = IfsFamily(
+            regular=tuple(
+                AffineMap2(Mat2.from_array(a), (0.5 * k, 0.0)) for k, a in enumerate(letters)
+            ),
+            singular=(),
+        )
+        prods, roots = letters, []
+        for _ in range(14):
+            a1 = np.linalg.svd(prods, compute_uv=False)[:, 0]
+            a2 = np.abs(prods[:, 0, 0] * prods[:, 1, 1]) / a1
+            roots.append(brentq(lambda s: np.sum(a2 ** s) - 1.0, 0.0, 2.0, xtol=1e-15))
+            prods = np.einsum("pij,ljk->plik", prods, letters).reshape(-1, 2, 2)
+        want = max(roots)
+        got = regular_dimension_bracket(fam, SolverOptions(depth=14)).lower
+        assert want - 1e-8 <= got <= want + 1e-12
 
     def test_depth_guard(self):
         with pytest.raises(ConfigError):

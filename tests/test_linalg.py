@@ -75,6 +75,19 @@ class TestMat2:
         assert a2 == pytest.approx(0.0, abs=1e-15)
         assert a1 == pytest.approx(5.0, abs=1e-12)
 
+    def test_smallest_singular_value_of_a_long_word(self):
+        # a2 / a1 is about 5e-33 here; the difference of the two rotation
+        # parts gave 0.0
+        letter = Mat2(0.3, 0.1, 0.0, 0.0015)
+        word = Mat2.identity()
+        for _ in range(14):
+            word = word @ letter
+        a1, a2 = word.singular_values()
+        want = (0.3 * 0.0015) ** 14 / float(np.linalg.norm(word.as_array(), 2))
+        assert a2 == pytest.approx(want, rel=1e-13, abs=0.0)
+        b1, b2 = batch_singular_values(word.as_array()[None], np.array([word.det()]))
+        assert (b1[0], b2[0]) == (a1, a2)
+
     def test_inverse_and_matmul(self):
         m = Mat2(0.3, -0.1, 0.2, 0.5)
         prod = m @ m.inverse()
@@ -193,7 +206,8 @@ class TestBatchKernels:
     def test_batch_singular_values_matches_scalar(self):
         rng = np.random.default_rng(11)
         mats = rng.normal(size=(50, 2, 2))
-        a1, a2 = batch_singular_values(mats)
+        dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        a1, a2 = batch_singular_values(mats, dets)
         for k in range(50):
             want = Mat2.from_array(mats[k]).singular_values()
             assert a1[k] == pytest.approx(want[0], rel=1e-14, abs=1e-14)
