@@ -49,7 +49,6 @@ from .dimension import (
     anchored_norm_sum,
     partition_sum,
     pressure_upper_root,
-    quasi_multiplicativity_probe,
     regular_dimension_bracket,
 )
 from .separation import (

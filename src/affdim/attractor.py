@@ -152,8 +152,9 @@ def _as_points(cloud) -> np.ndarray:
     return cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud)
 
 
-def _distinct_points(cloud) -> np.ndarray:
-    """The distinct points of a nonempty, finite (n, 2) cloud as float64."""
+def _checked_points(cloud) -> np.ndarray:
+    """A nonempty, finite (n, 2) cloud as C-contiguous float64; ConfigError
+    for any other."""
     try:
         pts = np.ascontiguousarray(_as_points(cloud), dtype=np.float64)
     except (TypeError, ValueError):
@@ -162,10 +163,17 @@ def _distinct_points(cloud) -> np.ndarray:
         raise ConfigError(
             "a point cloud must be a nonempty (n, 2) array, got shape %s" % (pts.shape,)
         )
-    # checked before the dedupe, which would merge every NaN-bearing row into one
     if not np.isfinite(pts).all():
         raise ConfigError("point cloud has a NaN or infinite coordinate")
-    # each row viewed as one complex number: a 1-d sort, not a structured one
+    return pts
+
+
+def _distinct_points(cloud) -> np.ndarray:
+    """The distinct points of a _checked_points cloud."""
+    # checked before the dedupe, which would merge every NaN-bearing row
+    # into one; each row viewed as one complex number: a 1-d sort, not a
+    # structured one
+    pts = _checked_points(cloud)
     return np.unique(pts.view(np.complex128)).view(np.float64).reshape(-1, 2)
 
 
@@ -269,10 +277,10 @@ def box_dim_estimate(
 
     Trailing levels where the count has saturated (a finite sample stops
     filling new cells) are trimmed, keeping at least three levels.
+    Raises ConfigError for an empty cloud, a shape other than (n, 2), or
+    a NaN or infinite coordinate.
     """
-    points = _as_points(cloud)
-    if len(points) == 0:
-        raise ConfigError("empty point cloud")
+    points = _checked_points(cloud)
     if not 0 <= k_min < k_max:
         raise ConfigError("need 0 <= k_min < k_max")
     ks = list(range(k_min, k_max + 1))

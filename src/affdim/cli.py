@@ -163,7 +163,8 @@ def cmd_boxdim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
     series = box_dim_estimate(cloud, args.kmin, args.kmax)
     with open(out / "points.csv", "w", newline="") as fh:
         fh.write("x,y\n")
-        fh.writelines(["%.12g,%.12g\n" % (x, y) for x, y in cloud.points.tolist()])
+        coords = tuple(cloud.points.ravel().tolist())
+        fh.write(("%.12g,%.12g\n" * len(cloud.points)) % coords)
     _write_csv(
         out / "boxcounts.csv", "k,count",
         ["%d,%d" % (round(-math.log2(eps)), c)
@@ -239,7 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="accepted and validated; changes neither output nor speed",
+        )
 
     p = sub.add_parser("dim", help="affinity and invertible-part brackets")
     common(p)

@@ -17,19 +17,16 @@ logs taken once per level, then both ends of a bracket of width at most
 tol confirmed by the b**s sums themselves, with a bisection on those
 sums as the fallback.
 
-All enumeration is level-synchronous and vectorized with a fixed chunk
-size and a canonical word order, and every reduction is compensated and
-performed in that order, so results are bit-identical for any thread
-count.
+All enumeration is level-synchronous and vectorized in a canonical word
+order, and every reduction is compensated and performed in that order
+over fixed chunks, so results never depend on the threads setting.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,7 +37,7 @@ from .errors import (
     BudgetError,
     ConfigError,
 )
-from .ifs import AffineMap2, IfsFamily, Word
+from .ifs import AffineMap2, IfsFamily
 from .linalg import Mat2, RankOneFactor, batch_singular_values, unit_vector
 
 logger = logging.getLogger("affdim.dimension")
@@ -55,8 +52,9 @@ class SolverOptions:
     depth is the truncation word length; tol the largest width of a
     certified root bracket in the exponent; prune drops word prefixes
     whose entire subtree can contribute less than the threshold; budget
-    caps the total number of enumerated words per computation. threads parallelizes level
-    construction only and never changes any result.
+    caps the total number of enumerated words per computation. threads
+    is accepted and validated for compatibility; every walk runs in the
+    calling thread, so it changes neither results nor speed.
     """
 
     depth: int = 12
@@ -131,18 +129,6 @@ class AnchoredSumSpec:
 
 
 # --- deterministic reduction helpers ----------------------------------------
-
-
-@functools.lru_cache(maxsize=8)
-def _thread_pool(threads: int) -> ThreadPoolExecutor:
-    # one pool per thread count, reused by every level of every walk
-    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="affdim")
-
-
-def _ordered_map(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    return list(_thread_pool(threads).map(fn, items))
 
 
 def _kahan_total(values) -> float:
@@ -236,16 +222,18 @@ def _convex_root(
     returns (F, F') from precomputed logs. The caller knows ref(lo) >= 0
     and, when hi is finite, ref(hi) < 0. Newton steps on log F, which is
     convex too since every F here is log-convex, start at lo and never
-    pass the root; one step solves a single exponential exactly. The
-    iterate r yields a = r - tol/4 and b = a + tol/2, both confirmed by
-    ref. If either check fails, the bracket is widened to the right by
-    doubling and bisected on ref, so the result always satisfies
-    ref(a) >= 0 > ref(b) (lo and a finite hi are taken as given) and
-    b - a <= tol unless a and b are adjacent floats. None when no right
-    end exists below _S_MAX.
+    pass the root; one step solves a single exponential exactly. They
+    stop once a step, or the next step the quadratic model predicts, is
+    at most tol/8. The iterate r yields a = r - tol/4 and b = a + tol/2,
+    both confirmed by ref. If either check fails, the bracket is widened
+    to the right by doubling and bisected on ref, so the result always
+    satisfies ref(a) >= 0 > ref(b) (lo and a finite hi are taken as
+    given) and b - a <= tol unless a and b are adjacent floats. None when
+    no right end exists below _S_MAX.
     """
     cap = min(hi, _S_MAX)
     r = lo
+    prev = math.inf
     for _ in range(_NEWTON_STEPS):
         F, dF = fast(r)
         if not (F > 1.0 and dF < 0.0):
@@ -254,6 +242,10 @@ def _convex_root(
         r = min(r + step, cap)
         if step <= 0.125 * tol or r >= cap:
             break
+        # quadratic convergence predicts the next step as step^3 / prev^2
+        if step < prev < math.inf and step ** 3 <= 0.125 * tol * prev * prev:
+            break
+        prev = step
 
     def probe(s):
         nonlocal lo, hi
@@ -288,56 +280,47 @@ def _aitken(x0: float, x1: float, x2: float) -> float:
     return x2 - d2 * d2 / den
 
 
-# --- carried-vector level walk ----------------------------------------------
+# --- meet-in-the-middle level walk ------------------------------------------
 
 
-def _letter_ops(fam: IfsFamily, alphas, allowed) -> Tuple[list, list]:
-    """Per-letter closures u -> A u on (m,2) stacks, plus letter norms.
+def _letter_stack(fam: IfsFamily, alphas, allowed) -> Tuple[np.ndarray, list]:
+    """(n_letters, 2, 2) linear parts and the letter norms.
 
     Canonical letter order: regular maps first, then allowed anchors in
-    increasing index order. Components are written out so no threaded
-    BLAS path is ever taken.
+    increasing index order; an anchor enters as its dense rho v w^T.
     """
-    ops = []
-    norms = []
-    for m in fam.regular:
-        a = m.linear
-
-        def op(U, a=a):
-            out = np.empty_like(U)
-            out[:, 0] = a.a11 * U[:, 0] + a.a12 * U[:, 1]
-            out[:, 1] = a.a21 * U[:, 0] + a.a22 * U[:, 1]
-            return out
-
-        ops.append(op)
-        norms.append(a.operator_norm())
-    for j in sorted(allowed):
-        site = fam.singular[j]
-        rho = site.rho
-        v = unit_vector(site.v_angle)
-        w = unit_vector(site.w_angle(alphas[j]))
-
-        def op(U, rho=rho, v=v, w=w):
-            coeff = rho * (U[:, 0] * w[0] + U[:, 1] * w[1])
-            out = np.empty_like(U)
-            out[:, 0] = coeff * v[0]
-            out[:, 1] = coeff * v[1]
-            return out
-
-        ops.append(op)
-        norms.append(rho)
-    return ops, norms
+    linears = [m.linear for m in fam.regular]
+    linears += [fam.singular[j].map_at(alphas[j]).linear for j in sorted(allowed)]
+    mats = [
+        (a.as_mat2() if isinstance(a, RankOneFactor) else a).as_array() for a in linears
+    ]
+    return np.array(mats).reshape(-1, 2, 2), [a.operator_norm() for a in linears]
 
 
-def _advance_vectors(U: np.ndarray, ops, threads: int) -> np.ndarray:
-    if not ops or len(U) == 0:
-        return U[:0]
-    tasks = []
-    for op in ops:
-        for i in range(0, len(U), _CHUNK):
-            tasks.append((op, U[i : i + _CHUNK]))
-    blocks = _ordered_map(lambda t: t[0](t[1]), tasks, threads)
-    return np.concatenate(blocks, axis=0)
+def _outer_sum(x0, y0, x1, y1) -> np.ndarray:
+    """x0 (x) y0 + x1 (x) y1 flattened row-major: elementwise products
+    only, so no threaded BLAS path is ever taken."""
+    out = np.multiply.outer(x0, y0)
+    out += np.multiply.outer(x1, y1)
+    return out.reshape(-1)
+
+
+def _prune_side(x, y, others, geom, s, prune):
+    """Drop the vectors (x, y) of one half whose every pair with the
+    other half, of lengths others, has its subtree bounded below prune.
+
+    A pair's base and those of its descendants d letters deeper are at
+    most |x||o| times d letter norms, so the pair bounds its subtree by
+    (|x| max|o|)^s * geom at exponent s. Returns the kept vectors and the
+    pruned mass, |x||o| for every dropped nonzero pair.
+    """
+    lengths = np.hypot(x, y)
+    bound = np.where(lengths > 0.0, (lengths * others.max()) ** s * geom, 0.0)
+    keep = bound >= prune
+    if keep.all():
+        return x, y, np.empty(0)
+    mass = np.multiply.outer(lengths[~keep], others).reshape(-1)
+    return x[keep], y[keep], _positive(mass)
 
 
 def _anchored_levels(
@@ -347,15 +330,24 @@ def _anchored_levels(
     opts: SolverOptions,
     s_floor: float = 0.0,
 ) -> Tuple[List[np.ndarray], list, np.ndarray]:
-    """Per-level base factors rho'|<w', A_word v''>| for word lengths
+    """Per-level base factors rho'|w'^T A_word v''| for word lengths
     0..max_len, the letter norms of the alphabet, and the pruned mass.
 
-    A row is dropped when its whole subtree is bounded below opts.prune
-    at exponent s_floor; with s_floor=0 and prune <= 1 only exactly
-    collapsed rows go, so the cached levels remain valid for every
-    exponent. A dropped nonzero row U leaves rho'|U| in the pruned mass:
-    its subtree contributes at most (rho'|U|)^s / (1 - theta(s)) at any
-    s with theta(s) < 1.
+    The walk meets in the middle. With h = ceil(max_len / 2), it builds
+    the columns U_m = A_{l_m}...A_{l_1} v'' for m <= h and the rows
+    R_j = rho' w'^T A_{a_1}...A_{a_j} for j <= max_len - h, and level k
+    is |R_{k-m} (x) U_m| with m = min(k, h). Both halves put the
+    last-applied letter most significant, so the words of a level come
+    in the order of the letters l_k...l_1 read as digits.
+
+    Up to level h the columns are pruned against the single row R_0,
+    past it the rows against the columns U_h: a vector goes when its
+    every pair's subtree is bounded below opts.prune at exponent
+    s_floor. With s_floor=0 and prune <= 1 only exactly collapsed
+    vectors go, so the cached levels remain valid for every exponent.
+    A dropped nonzero pair (r, u) leaves |r||u| in the pruned mass: its
+    subtree contributes at most (|r||u|)^s / (1 - theta(s)) at any s
+    with theta(s) < 1. Once a half is empty, so is every deeper level.
     """
     if not 0 <= sum_spec.start < fam.n_singular:
         raise ConfigError("start anchor out of range")
@@ -366,47 +358,48 @@ def _anchored_levels(
             raise ConfigError("allowed anchor out of range")
     alphas = fam.angles(alpha)
     start = fam.singular[sum_spec.start]
-    end = fam.singular[sum_spec.end]
     rho_s = start.rho
-    w_s = unit_vector(start.w_angle(alphas[sum_spec.start]))
-    ops, letter_norms = _letter_ops(fam, alphas, sum_spec.allowed)
+    A, letter_norms = _letter_stack(fam, alphas, sum_spec.allowed)
     theta = _kahan_total(n ** s_floor for n in letter_norms)
-    # every nonzero row's bound is then at least 1 (its geometric factor
-    # starts at 1), so the test reduces to dropping the zero rows
-    nonzero_only = s_floor == 0.0 and opts.prune <= 1.0
+    max_len = sum_spec.max_len
+    half = (max_len + 1) // 2
 
-    U = unit_vector(end.v_angle)[None, :]
+    Ux, Uy = unit_vector(fam.singular[sum_spec.end].v_angle)[:, None]
+    Rx, Ry = rho_s * unit_vector(start.w_angle(alphas[sum_spec.start]))[:, None]
     levels: List[np.ndarray] = []
     pruned: List[np.ndarray] = []
     processed = 0
-    for k in range(sum_spec.max_len + 1):
-        if k > 0:
-            U = _advance_vectors(U, ops, opts.threads)
-        processed += len(U)
+    for k in range(max_len + 1):
+        if k > half:
+            Rx, Ry = (
+                _outer_sum(Rx, A[:, 0, 0], Ry, A[:, 1, 0]),
+                _outer_sum(Rx, A[:, 0, 1], Ry, A[:, 1, 1]),
+            )
+        elif k > 0:
+            Ux, Uy = (
+                _outer_sum(A[:, 0, 0], Ux, A[:, 0, 1], Uy),
+                _outer_sum(A[:, 1, 0], Ux, A[:, 1, 1], Uy),
+            )
+        processed += Rx.size * Ux.size
         if processed > opts.budget:
             raise BudgetError(
                 "anchored enumeration exceeded %d words at length %d"
                 % (opts.budget, k)
             )
-        if len(U) and opts.prune > 0.0 and nonzero_only:
-            keep = (U[:, 0] != 0.0) | (U[:, 1] != 0.0)
-            if not keep.all():
-                U = U[keep]
-        elif len(U) and opts.prune > 0.0:
-            lengths = np.hypot(U[:, 0], U[:, 1])
-            geom = _geometric_total(theta, sum_spec.max_len - k)
-            bound = np.where(
-                lengths > 0.0, (rho_s * lengths) ** s_floor * geom, 0.0
-            )
-            keep = bound >= opts.prune
-            if not keep.all():
-                U = U[keep]
-                pruned.append(rho_s * _positive(lengths[~keep]))
-        if len(U):
-            bases = rho_s * np.abs(U[:, 0] * w_s[0] + U[:, 1] * w_s[1])
-        else:
-            bases = np.empty(0)
-        levels.append(bases)
+        if Rx.size * Ux.size and opts.prune > 0.0:
+            geom = _geometric_total(theta, max_len - k)
+            if k <= half:
+                others = np.array([rho_s])
+                Ux, Uy, mass = _prune_side(Ux, Uy, others, geom, s_floor, opts.prune)
+            else:
+                others = np.hypot(Ux, Uy)
+                Rx, Ry, mass = _prune_side(Rx, Ry, others, geom, s_floor, opts.prune)
+            pruned.append(mass)
+        if not Rx.size * Ux.size:
+            levels.extend(np.empty(0) for _ in range(k, max_len + 1))
+            break
+        bases = _outer_sum(Rx, Ux, Ry, Uy)
+        levels.append(np.abs(bases, out=bases))
     return levels, letter_norms, np.concatenate(pruned or [np.empty(0)])
 
 
@@ -661,17 +654,11 @@ def _mul_right(U: np.ndarray, a: Mat2) -> np.ndarray:
     return out
 
 
-def _advance_products(U: np.ndarray, mats: Sequence[Mat2], threads: int) -> np.ndarray:
+def _advance_products(U: np.ndarray, mats: Sequence[Mat2]) -> np.ndarray:
     """Append every letter to every product; children grouped per parent."""
     if not mats or len(U) == 0:
         return U[:0]
-
-    def build(chunk):
-        blocks = [_mul_right(chunk, a) for a in mats]
-        return np.stack(blocks, axis=1).reshape(-1, 2, 2)
-
-    chunks = [U[i : i + _CHUNK] for i in range(0, len(U), _CHUNK)]
-    return np.concatenate(_ordered_map(build, chunks, threads), axis=0)
+    return np.stack([_mul_right(U, a) for a in mats], axis=1).reshape(-1, 2, 2)
 
 
 class _RankStates:
@@ -781,7 +768,7 @@ def _product_levels(
             return
         if k > 1:
             S = _advance_rank(D, S, maps)
-            D = _advance_products(D, dense_mats, opts.threads)
+            D = _advance_products(D, dense_mats)
             # in the children's order: grouped per parent, letters within
             dets = np.multiply.outer(dets, letter_dets).reshape(-1)
         yield k, D, dets, S
@@ -925,59 +912,3 @@ def regular_dimension_bracket(
     upper = _svf_root(a1, a2, np.empty(0), opts.tol)
     lower = min(lower, 2.0)
     return DimensionBracket(lower, max(upper, lower), depth, True)
-
-
-def quasi_multiplicativity_probe(
-    fam: IfsFamily,
-    alpha,
-    K: int,
-    sample_words: Sequence[Word],
-    opts: Optional[SolverOptions] = None,
-) -> float:
-    """Empirical floor for conditional norms against unrestricted norms.
-
-    For each sampled invertible word and each pair of rank-one sites,
-    takes the best connecting word of length <= K and measures the
-    conditional norm of (site i) o (word) o (connector) on the image of
-    site j, relative to the norm of the word alone. A floor bounded away
-    from zero is the quantitative irreducibility the dimension formulas
-    lean on; a reducible family aligned with a kernel drives it to 0.
-    """
-    opts = opts or DEFAULT_OPTIONS
-    if fam.n_singular == 0:
-        raise ConfigError("probe needs rank-one sites")
-    if not sample_words:
-        raise ConfigError("empty sample")
-    alphas = fam.angles(alpha)
-    ops, _ = _letter_ops(fam, alphas, frozenset(range(fam.n_singular)))
-
-    # connectors: A_word v_j for every word of length <= K, per end anchor
-    connectors = []
-    for j in range(fam.n_singular):
-        U = unit_vector(fam.singular[j].v_angle)[None, :]
-        parts = [U]
-        for _ in range(K):
-            U = _advance_vectors(U, ops, opts.threads)
-            if len(U) == 0:
-                break
-            parts.append(U)
-        connectors.append(np.concatenate(parts, axis=0))
-
-    floor = math.inf
-    for word in sample_words:
-        prod = Mat2.identity()
-        for letter in word:
-            if not 0 <= letter < fam.n_regular:
-                raise ConfigError("sample words must use invertible letters only")
-            prod = prod @ fam.regular[letter].linear
-        denom = prod.operator_norm()
-        for i in range(fam.n_singular):
-            rho_i = fam.singular[i].rho
-            w_i = unit_vector(fam.singular[i].w_angle(alphas[i]))
-            for j in range(fam.n_singular):
-                C = connectors[j]
-                x0 = prod.a11 * C[:, 0] + prod.a12 * C[:, 1]
-                x1 = prod.a21 * C[:, 0] + prod.a22 * C[:, 1]
-                best = float(np.max(rho_i * np.abs(w_i[0] * x0 + w_i[1] * x1)))
-                floor = min(floor, best / denom)
-    return floor

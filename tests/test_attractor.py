@@ -169,6 +169,20 @@ class TestCylinderPoints:
         assert hausdorff_distance(fine, chaos) < 0.01
 
 
+# empty, misshapen (ragged included) and non-finite clouds
+BAD_CLOUDS = [
+    [],
+    np.empty((0, 2)),
+    [(0.0, 0.0, 0.0)],
+    np.zeros((3, 3)),
+    [1.0, 2.0],
+    [(0.0, 0.0), (1.0,)],
+    [(0.0, 0.0), (math.nan, 0.0), (math.nan, 1.0)],
+    [(0.0, math.inf)],
+    [(-math.inf, 0.0), (0.0, 0.0)],
+]
+
+
 class TestHausdorff:
     def test_hand_values(self):
         assert hausdorff_distance([(0.0, 0.0)], [(3.0, 4.0)]) == pytest.approx(5.0)
@@ -224,20 +238,7 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == self.all_pairs(a, b)
         assert hausdorff_distance(b, a) == self.all_pairs(a, b)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [],
-            np.empty((0, 2)),
-            [(0.0, 0.0, 0.0)],
-            np.zeros((3, 3)),
-            [1.0, 2.0],
-            [(0.0, 0.0), (1.0,)],
-            [(0.0, 0.0), (math.nan, 0.0), (math.nan, 1.0)],
-            [(0.0, math.inf)],
-            [(-math.inf, 0.0), (0.0, 0.0)],
-        ],
-    )
+    @pytest.mark.parametrize("bad", BAD_CLOUDS)
     def test_bad_clouds_rejected(self, bad):
         with pytest.raises(ConfigError):
             hausdorff_distance(bad, [(0.0, 0.0)])
@@ -246,6 +247,17 @@ class TestHausdorff:
 
 
 class TestBoxCounting:
+    @pytest.mark.parametrize("bad", BAD_CLOUDS)
+    def test_bad_clouds_rejected(self, bad):
+        with pytest.raises(ConfigError, match="point cloud"):
+            box_dim_estimate(bad)
+
+    def test_non_finite_point_named_as_such(self):
+        # these used to fail with "spans more than 2^31 cells"
+        for bad in ([(math.nan, 0.0), (0.5, 0.5)], [(math.inf, 0.0)]):
+            with pytest.raises(ConfigError, match="NaN or infinite"):
+                box_dim_estimate(bad)
+
     def test_single_point(self):
         res = box_dim_estimate([(0.3, 0.7)])
         assert res.slope == 0.0

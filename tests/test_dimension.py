@@ -17,9 +17,10 @@ from affdim import (
     anchored_norm_sum,
     partition_sum,
     pressure_upper_root,
-    quasi_multiplicativity_probe,
     regular_dimension_bracket,
 )
+from affdim import dimension
+from affdim.dimension import _anchored_levels
 from affdim.errors import BudgetError, ConfigError
 from affdim.ifs import compose_word
 
@@ -42,6 +43,189 @@ def anchor_spec(fam, j, max_len):
     return AnchoredSumSpec(start=j, end=j, max_len=max_len, allowed=allowed)
 
 
+def antidiagonal_family():
+    # the antidiagonal linear part swaps the axes, so odd-length words
+    # land exactly perpendicular to the row direction at alpha = 0
+    return IfsFamily(
+        regular=(AffineMap2(Mat2(0.0, 0.3, 0.3, 0.0), (0.0, 0.0)),),
+        singular=(
+            RankOneSite(rho=0.5, v_angle=0.0, c=0.0, beta=1.0, translation=(1.0, 0.0)),
+        ),
+    )
+
+
+def three_site_family():
+    # two non-conformal invertible maps and three rank-one sites, so
+    # specs can anchor at different sites and allow any subset of the rest
+    return IfsFamily(
+        regular=(
+            AffineMap2(Mat2(0.3, 0.1, -0.05, 0.25), (0.1, 0.0)),
+            AffineMap2(Mat2(0.2, -0.12, 0.08, 0.3), (0.0, 0.1)),
+        ),
+        singular=(
+            RankOneSite(rho=0.3, v_angle=0.4, c=0.3, beta=1.0, translation=(0.0, 0.0)),
+            RankOneSite(rho=0.25, v_angle=1.9, c=2.2, beta=-0.7, translation=(0.3, 0.0)),
+            RankOneSite(rho=0.35, v_angle=2.6, c=0.9, beta=1.3, translation=(0.0, 0.3)),
+        ),
+    )
+
+
+def collapsing_rows_family():
+    # the antidiagonal map and a second anchor with v along w: the row
+    # rho w^T A (x) turns w onto the y axis, which the anchor then kills,
+    # and the column (x) A v dies the same way
+    return IfsFamily(
+        regular=(AffineMap2(Mat2(0.0, 0.3, 0.3, 0.0), (0.0, 0.0)),),
+        singular=(
+            RankOneSite(rho=0.5, v_angle=0.0, c=0.0, beta=1.0, translation=(1.0, 0.0)),
+            RankOneSite(rho=0.4, v_angle=0.0, c=0.0, beta=1.0, translation=(0.0, 1.0)),
+        ),
+    )
+
+
+def brute_levels(fam, alpha, spec):
+    """Every word's base rho |w^T A_word v| from plain 2x2 products, one
+    array per length, words in itertools.product order (the last-applied
+    letter first). With h = ceil(max_len / 2), a word l_k...l_1 is left
+    out when one of its column halves A_{l_m}...A_{l_1} v with m <= h or
+    its row halves rho w^T A_{l_k}...A_{l_j} with j > h is exactly zero:
+    the walk drops such columns and rows."""
+    alphas = fam.angles(alpha)
+    maps = fam.instantiate(alpha)
+    letters = [m.linear.as_array() for m in fam.regular] + [
+        maps[fam.singular_letter(j)].linear.as_mat2().as_array()
+        for j in sorted(spec.allowed)
+    ]
+    start, end = fam.singular[spec.start], fam.singular[spec.end]
+    w_angle = start.w_angle(alphas[spec.start])
+    row = start.rho * np.array([math.cos(w_angle), math.sin(w_angle)])
+    v = np.array([math.cos(end.v_angle), math.sin(end.v_angle)])
+    half = (spec.max_len + 1) // 2
+    levels = []
+    for k in range(spec.max_len + 1):
+        bases = []
+        for word in itertools.product(range(len(letters)), repeat=k):
+            col, kept = v, True
+            for m, letter in enumerate(reversed(word), start=1):
+                col = letters[letter] @ col
+                kept = kept and (m > half or bool(col.any()))
+            head = row
+            for letter in word[: max(k - half, 0)]:
+                head = head @ letters[letter]
+                kept = kept and bool(head.any())
+            if kept:
+                bases.append(abs(row @ col))
+        levels.append(np.array(bases))
+    return levels
+
+
+WALK_CASES = [
+    (rotation_family, 0.3, 0, 0, set()),
+    (two_anchor_family, 0.3, 0, 0, {1}),
+    (two_anchor_family, 0.3, 0, 1, set()),
+    (two_anchor_family, 0.3, 1, 0, set()),
+    (three_site_family, 0.6, 0, 0, {1, 2}),
+    (three_site_family, 0.6, 1, 1, {2}),
+    (three_site_family, 0.6, 0, 2, {1}),
+    (three_site_family, 0.6, 2, 1, {0}),
+    (antidiagonal_family, 0.0, 0, 0, set()),
+    (collapsing_rows_family, 0.0, 0, 0, {1}),
+]
+
+
+class TestLevelWalk:
+    @pytest.mark.parametrize("max_len", [0, 1, 2, 5, 6])
+    @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: "%s-%d-%d-%s" % (
+        c[0].__name__, c[2], c[3], "".join(map(str, sorted(c[4])))))
+    def test_levels_match_plain_products(self, case, max_len):
+        make, alpha, start, end, allowed = case
+        fam = make()
+        spec = AnchoredSumSpec(start=start, end=end, max_len=max_len, allowed=allowed)
+        got, norms, pruned = _anchored_levels(fam, alpha, spec, SolverOptions())
+        want = brute_levels(fam, alpha, spec)
+        assert len(norms) == fam.n_regular + len(allowed)
+        assert pruned.size == 0
+        assert len(got) == max_len + 1
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert g.shape == w.shape, k
+            # exact collapses stay exact zeros, in the same places
+            np.testing.assert_array_equal(g == 0.0, w == 0.0)
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-16)
+
+    def test_budget_trips_at_the_level_that_passes_it(self):
+        # four letters and no collapsed column: a walk to length n costs
+        # 1 + 4 + ... + 4^n words, counted level by level
+        fam = three_site_family()
+        spec = AnchoredSumSpec(start=0, end=0, max_len=5, allowed={1, 2})
+        totals = list(itertools.accumulate(4 ** k for k in range(6)))
+        for budget in sorted({t + d for t in totals for d in (-1, 0, 1) if t + d >= 1}):
+            trips = [k for k, total in enumerate(totals) if total > budget]
+            opts = SolverOptions(budget=budget)
+            if not trips:
+                assert anchored_norm_sum(fam, 0.6, spec, 0.5, opts) > 0.0
+                continue
+            message = "exceeded %d words at length %d$" % (budget, trips[0])
+            with pytest.raises(BudgetError, match=message):
+                anchored_norm_sum(fam, 0.6, spec, 0.5, opts)
+
+    @pytest.mark.parametrize("prune", [3.0, 40.0, 100.0, 1000.0])
+    def test_pruned_subtrees_keep_the_bracket_certified(self, prune):
+        # two letters at depth 8: at s = 0 a word of length k bounds its
+        # 2^(9-k) - 1 descendants, so every prune > 1 drops the deepest
+        # rows, and prune > 31 whole column levels (they end at k = 4);
+        # the mass of both enters the tail
+        fam = rotation_family()
+        full = affinity_dimension(fam, 0.0, SolverOptions(depth=8))
+        pruned = affinity_dimension(fam, 0.0, SolverOptions(depth=8, prune=prune))
+        _, _, mass = _anchored_levels(
+            fam, 0.0, anchor_spec(fam, 0, 8), SolverOptions(prune=prune)
+        )
+        assert mass.size > 0
+        assert pruned.certified_upper
+        assert pruned.lower <= full.lower <= pruned.upper
+
+    def test_pruned_rows_cost_no_words(self):
+        # prune=7 at depth 8 drops every word of length 7 (bound 3), so
+        # the walk counts 1 + 2 + ... + 128 = 255 words and stops there
+        fam = rotation_family()
+        spec = anchor_spec(fam, 0, 8)
+        levels, _, mass = _anchored_levels(
+            fam, 0.0, spec, SolverOptions(prune=7.0, budget=255)
+        )
+        assert [b.size for b in levels] == [1, 2, 4, 8, 16, 32, 64, 0, 0]
+        assert mass.size == 128
+        with pytest.raises(BudgetError, match="exceeded 254 words at length 7$"):
+            _anchored_levels(fam, 0.0, spec, SolverOptions(prune=7.0, budget=254))
+
+    @pytest.mark.parametrize("s, prune, words", [(5.0, 1e-18, 255), (0.0, 1e30, 1)])
+    def test_walk_stops_once_the_columns_are_pruned_away(
+        self, monkeypatch, s, prune, words
+    ):
+        # at s = 5 every column of the rotation family is pruned by length
+        # 8, at prune=1e30 the first one already; the rows of lengths
+        # 21..40 must then never be built, and the sum is that of the
+        # surviving words up to length 7 (pruned subtrees add < 1e-15)
+        built = []
+
+        def spy(*args):
+            out = outer_sum(*args)
+            built.append(out.size)
+            return out
+
+        outer_sum = dimension._outer_sum
+        monkeypatch.setattr(dimension, "_outer_sum", spy)
+        fam = rotation_family()
+        spec = anchor_spec(fam, 0, 40)
+        opts = SolverOptions(prune=prune, budget=words)
+        value = anchored_norm_sum(fam, 0.3, spec, s, opts)
+        assert sum(built) <= 3 * words
+        if prune < 1.0:
+            want = brute_levels(fam, 0.3, anchor_spec(fam, 0, 7))
+            assert value == pytest.approx(sum((b ** s).sum() for b in want), abs=1e-15)
+        else:
+            assert value == 0.0
+
+
 class TestAnchoredNormSum:
     def test_scalar_family_closed_form_s1(self):
         # empty word + two powers of the 1/3 similarity, each weighted by
@@ -56,18 +240,7 @@ class TestAnchoredNormSum:
         assert got == 3.0
 
     def test_zero_terms_stay_masked_at_s0(self):
-        # antidiagonal linear part swaps the axes, so odd-length words
-        # land exactly perpendicular to the row direction at alpha = 0
-        fam = IfsFamily(
-            regular=(
-                AffineMap2(Mat2(0.0, 0.3, 0.3, 0.0), (0.0, 0.0)),
-            ),
-            singular=(
-                RankOneSite(
-                    rho=0.5, v_angle=0.0, c=0.0, beta=1.0, translation=(1.0, 0.0)
-                ),
-            ),
-        )
+        fam = antidiagonal_family()
         got = anchored_norm_sum(fam, 0.0, anchor_spec(fam, 0, 2), 0.0)
         # lengths 0 and 2 survive, length 1 collapses exactly
         assert got == 2.0
@@ -383,23 +556,6 @@ class TestRegularBracket:
     def test_depth_guard(self):
         with pytest.raises(ConfigError):
             regular_dimension_bracket(cantor_similarities(), SolverOptions(depth=0))
-
-
-class TestQuasiMultiplicativity:
-    def test_positive_floor_on_rotation_family(self):
-        fam = rotation_family()
-        rng = np.random.default_rng(2)
-        words = [
-            tuple(int(x) for x in rng.integers(0, 2, size=rng.integers(1, 6)))
-            for _ in range(100)
-        ]
-        floor = quasi_multiplicativity_probe(fam, 0.0, 3, words)
-        assert floor > 0.0
-
-    def test_rejects_site_letters_in_samples(self):
-        fam = rotation_family()
-        with pytest.raises(ConfigError):
-            quasi_multiplicativity_probe(fam, 0.0, 2, [(2,)])
 
 
 class TestRandomFamilies:
