@@ -24,10 +24,7 @@ from .ifs import (
     attractor_bound,
     check_irreducibility,
     compose_word,
-    fixed_point,
     identity_map,
-    natural_projection,
-    word_kernel,
 )
 from .linalg import (
     LineDir,
@@ -35,9 +32,7 @@ from .linalg import (
     RankOneFactor,
     conditional_norm,
     image_dir,
-    kernel_dir,
     singular_values,
-    svf,
     unit_vector,
 )
 from .dimension import (
@@ -62,7 +57,6 @@ from .separation import (
     disk_polygon,
     family_bodies,
     image_body,
-    inscribed_polygon_error,
     projected_interval,
     projection_witness,
     swept_segment,

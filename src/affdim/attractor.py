@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .ifs import AffineMap2, IfsFamily
 from .linalg import RankOneFactor
-from .separation import ConvexBody, image_body, swept_segment
+from .separation import ConvexBody, family_bodies, image_body
 
 _CHAOS_CHUNK = 1 << 15
 _SCAN_BLOCK = 64
@@ -245,9 +245,12 @@ def _cell_counts(points: np.ndarray, k_min: int, k_max: int) -> List[int]:
     coarsest = 2.0 ** min(k_max - k_min, 31)
     spread = []
     for axis in range(2):
-        cells = np.ceil(np.ldexp(points[:, axis], k_max))
-        cells -= 1.0
-        cells -= np.floor(cells.min() / coarsest) * coarsest
+        # a huge level overflows to inf (and inf - inf to NaN), which the
+        # span test below rejects, so numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = np.ceil(np.ldexp(points[:, axis], k_max))
+            cells -= 1.0
+            cells -= np.floor(cells.min() / coarsest) * coarsest
         if not cells.max() < 2.0 ** 31:
             raise ConfigError(
                 "point cloud spans more than 2^31 cells per axis at level %d" % k_max
@@ -317,28 +320,17 @@ def level_bodies(
 ) -> List[List[Tuple[ConvexBody, bool]]]:
     """Image bodies per level; the flag marks level-1 swept segments.
 
-    Level 1 uses the direction-independent swept segment for each
-    rank-one site; deeper levels compose the instantiated maps, so every
-    level-k body is contained in its level-(k-1) parent.
+    Level 1 is family_bodies, with the direction-independent swept
+    segment for each rank-one site; deeper levels compose the
+    instantiated maps, so every level-k body is contained in its
+    level-(k-1) parent.
     """
     maps = fam.instantiate(alpha)
-    first: List[Tuple[ConvexBody, bool]] = [
-        (image_body(m, U), False) for m in fam.regular
-    ]
-    first.extend(
-        (swept_segment(fam, j, U), True) for j in range(fam.n_singular)
-    )
-    out = [first]
-    prev = [(U, False)]
-    for level in range(1, levels + 1):
-        if level == 1:
-            prev = [(b, False) for b, _ in first]
-            continue
-        cur = []
-        for m in maps:
-            cur.extend((apply_body(m, b), False) for b, _ in prev)
-        out.append(cur)
-        prev = cur
+    prev = family_bodies(fam, U)
+    out = [[(b, k >= fam.n_regular) for k, b in enumerate(prev)]]
+    for _ in range(1, levels):
+        prev = [apply_body(m, b) for m in maps for b in prev]
+        out.append([(b, False) for b in prev])
     return out
 
 

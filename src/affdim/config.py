@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 from .dimension import SolverOptions
-from .errors import ConfigError
+from .errors import ConfigError, ContractionError
 from .ifs import AffineMap2, IfsFamily, RankOneSite
 from .linalg import Mat2
 from .separation import ConvexBody, disk_polygon
@@ -64,33 +64,26 @@ def _parse_regular(entry, idx: int) -> AffineMap2:
         _number(raw[1][0], "matrix entry"),
         _number(raw[1][1], "matrix entry"),
     )
-    if a.operator_norm() >= 1.0:
-        raise ConfigError(
-            "regular[%d]: contraction violated, matrix norm %.6g >= 1"
-            % (idx, a.operator_norm())
-        )
     return AffineMap2(a, _pair(entry.get("t"), "regular[%d].t" % idx))
 
 
 def _parse_site(entry, idx: int) -> RankOneSite:
+    """Site from its JSON object; RankOneSite checks the values and its
+    message is prefixed with the site's index."""
     if not isinstance(entry, dict):
         raise ConfigError("singular[%d] must be an object" % idx)
-    rho = _number(entry.get("rho"), "singular[%d].rho" % idx)
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(
-            "singular[%d]: contraction violated, rho %.6g outside (0, 1)"
-            % (idx, rho)
-        )
-    beta = _number(entry.get("beta", 1.0), "singular[%d].beta" % idx)
-    if beta == 0.0:
-        raise ConfigError("singular[%d]: beta must be nonzero" % idx)
-    return RankOneSite(
-        rho=rho,
-        v_angle=_number(entry.get("v_angle", 0.0), "singular[%d].v_angle" % idx),
-        c=_number(entry.get("c", 0.0), "singular[%d].c" % idx),
-        beta=beta,
-        translation=_pair(entry.get("t"), "singular[%d].t" % idx),
+    where = "singular[%d]." % idx
+    params = dict(
+        rho=_number(entry.get("rho"), where + "rho"),
+        v_angle=_number(entry.get("v_angle", 0.0), where + "v_angle"),
+        c=_number(entry.get("c", 0.0), where + "c"),
+        beta=_number(entry.get("beta", 1.0), where + "beta"),
+        translation=_pair(entry.get("t"), where + "t"),
     )
+    try:
+        return RankOneSite(**params)
+    except (ConfigError, ContractionError) as exc:
+        raise ConfigError("singular[%d]: %s" % (idx, exc)) from exc
 
 
 def _parse_region(spec) -> ConvexBody:
@@ -141,6 +134,10 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
     if not raw_singular:
         raise ConfigError("config needs at least one rank-one site")
     singular = tuple(_parse_site(e, k) for k, e in enumerate(raw_singular))
+    try:
+        family = IfsFamily(regular=regular, singular=singular)
+    except ContractionError as exc:
+        raise ConfigError(str(exc)) from exc
 
     region_spec = data.get("region_U", {"kind": "disk64", "center": [0.0, 0.0], "radius": 1.0})
     region = _parse_region(region_spec)
@@ -155,7 +152,6 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
-    family = IfsFamily(regular=regular, singular=singular)
     return FamilyConfig(
         family=family,
         region=region,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, ContractionError
-from .linalg import Linear, LineDir, Mat2, RankOneFactor, unit_vector
+from .linalg import Linear, LineDir, Mat2, RankOneFactor
 
 Word = Tuple[int, ...]
 
@@ -106,13 +106,6 @@ def compose_word(maps: Sequence[AffineMap2], word: Word) -> AffineMap2:
     return out
 
 
-def fixed_point(m: AffineMap2) -> np.ndarray:
-    """Unique fixed point of an affine contraction."""
-    a = m.linear.as_mat2() if isinstance(m.linear, RankOneFactor) else m.linear
-    inv = Mat2(1.0 - a.a11, -a.a12, -a.a21, 1.0 - a.a22).inverse()
-    return inv.apply(m.translation)
-
-
 def attractor_bound(maps: Sequence[AffineMap2]) -> float:
     """Radius of an origin-centered ball mapped into itself by every map."""
     norm = max(m.linear.operator_norm() for m in maps)
@@ -143,9 +136,11 @@ class RankOneSite:
         if not np.all(np.isfinite([self.rho, self.v_angle, self.c, self.beta, *t])):
             raise ConfigError("rank-one site parameters must be finite")
         if not 0.0 < self.rho < 1.0:
-            raise ContractionError("rank-one site needs 0 < rho < 1")
+            raise ContractionError(
+                "contraction violated, rho %.6g outside (0, 1)" % self.rho
+            )
         if self.beta == 0.0:
-            raise ConfigError("rank-one site needs a nonzero rotation speed")
+            raise ConfigError("beta must be nonzero")
 
     def w_angle(self, alpha: float) -> float:
         return self.c + self.beta * alpha
@@ -175,16 +170,19 @@ class IfsFamily:
         object.__setattr__(self, "singular", tuple(self.singular))
         if self.n_maps < 1:
             raise ConfigError("family needs at least one map")
-        for m in self.regular:
+        for k, m in enumerate(self.regular):
             a = m.linear
             if not isinstance(a, Mat2):
-                raise ConfigError("regular maps must have dense linear parts")
+                raise ConfigError("regular[%d]: linear part must be dense" % k)
             if not np.all(np.isfinite([a.a11, a.a12, a.a21, a.a22, *m.translation])):
-                raise ConfigError("regular map entries must be finite")
+                raise ConfigError("regular[%d]: entries must be finite" % k)
             if a.operator_norm() >= 1.0:
-                raise ContractionError("regular map is not a contraction")
+                raise ContractionError(
+                    "regular[%d]: contraction violated, matrix norm %.6g >= 1"
+                    % (k, a.operator_norm())
+                )
             if abs(a.det()) <= _DET_FLOOR:
-                raise ConfigError("regular map is numerically singular")
+                raise ConfigError("regular[%d]: matrix is numerically singular" % k)
 
     @property
     def n_regular(self) -> int:
@@ -221,69 +219,6 @@ class IfsFamily:
         maps = list(self.regular)
         maps.extend(site.map_at(a) for site, a in zip(self.singular, alphas))
         return maps
-
-    def regular_subfamily(self) -> "IfsFamily":
-        return IfsFamily(regular=self.regular, singular=())
-
-
-def natural_projection(
-    fam: IfsFamily, alpha, word: Word
-) -> Tuple[np.ndarray, float]:
-    """Center and radius of the cylinder a finite word pins down.
-
-    Returns (f_word(0), prod of letter norms * attractor radius); the
-    attractor piece coded by the word lies in that disk.
-    """
-    maps = fam.instantiate(alpha)
-    bound = attractor_bound(maps)
-    m = compose_word(maps, word)
-    r = bound
-    for letter in word:
-        r *= maps[letter].linear.operator_norm()
-    return m.apply(np.zeros(2)), r
-
-
-@dataclass(frozen=True)
-class KernelInfo:
-    """Kernel of the linear part of a word: 'trivial', 'line', or 'full_plane'."""
-
-    kind: str
-    direction: Optional[LineDir] = None
-
-
-def word_kernel(fam: IfsFamily, alpha, word: Word, tol: float = 1e-10) -> KernelInfo:
-    """Classify the kernel of the linear part of a composed word.
-
-    Walks the word right to left carrying the image vector of the last
-    rank-one letter; the product collapses to the zero map exactly when
-    some earlier rank-one row annihilates the carried vector.
-    """
-    maps = fam.instantiate(alpha)
-    singular_pos = [k for k, letter in enumerate(word) if letter >= fam.n_regular]
-    if not singular_pos:
-        return KernelInfo("trivial")
-
-    last = singular_pos[-1]
-    factor = maps[word[last]].linear
-    u = factor.v()
-    for k in range(last - 1, -1, -1):
-        lin = maps[word[k]].linear
-        if isinstance(lin, RankOneFactor):
-            w = lin.w()
-            dot = w[0] * u[0] + w[1] * u[1]
-            if abs(dot) <= tol * math.hypot(u[0], u[1]):
-                return KernelInfo("full_plane")
-            u = (lin.rho * dot) * lin.v()
-        else:
-            u = lin.apply(u)
-
-    # kernel is the preimage of the last row's orthogonal line under the
-    # invertible suffix
-    suffix = Mat2.identity()
-    for k in range(last + 1, len(word)):
-        suffix = suffix @ maps[word[k]].linear
-    wperp = unit_vector(factor.w_angle + math.pi / 2)
-    return KernelInfo("line", LineDir.from_vector(suffix.inverse().apply(wperp)))
 
 
 def _is_scalar(m: Mat2, tol: float) -> bool:

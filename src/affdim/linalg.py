@@ -1,9 +1,9 @@
 """Planar linear algebra kit: directions mod pi, 2x2 matrices with
-closed-form singular values, factored rank-one maps, and the singular
-value function that drives every dimension estimate in this package.
+closed-form singular values, and factored rank-one maps.
 
-Everything here is exact-formula numerics on scalars; the batch variant for
-large word enumerations lives at the bottom and operates on stacked arrays.
+Everything here is exact-formula numerics on scalars; the batch singular
+values for large word enumerations live at the bottom and operate on
+stacked arrays, from which dimension.py builds the singular value function.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class LineDir:
 
     def unit(self) -> np.ndarray:
         return unit_vector(self.angle)
-
-    def perpendicular(self) -> "LineDir":
-        return LineDir(self.angle + math.pi / 2)
 
     def distance_to(self, other: "LineDir") -> float:
         """Metric on directions: angular gap mod pi, in [0, pi/2]."""
@@ -201,35 +198,8 @@ def image_dir(r: RankOneFactor) -> LineDir:
     return LineDir(r.v_angle)
 
 
-def kernel_dir(r: RankOneFactor) -> LineDir:
-    """Direction of the kernel line (perpendicular to the row vector w)."""
-    return LineDir(r.w_angle + math.pi / 2)
-
-
 def singular_values(m: Linear) -> tuple:
     return m.singular_values()
-
-
-def svf(m: Linear, t: float) -> float:
-    """Singular value function phi^t(m).
-
-    phi^t interpolates the singular values: alpha1^t up to t=1, then
-    alpha1 * alpha2^(t-1) up to t=2, then |det|^(t/2). For rank-one
-    maps this is rho^t for t <= 1 and exactly 0 beyond, which is the
-    behaviour the anchored sums rely on.
-    """
-    if t < 0.0:
-        raise ValueError("svf needs t >= 0")
-    a1, a2 = m.singular_values()
-    if t == 0.0:
-        return 1.0
-    if t <= 1.0:
-        return a1 ** t
-    if a2 == 0.0:
-        return 0.0
-    if t <= 2.0:
-        return a1 * a2 ** (t - 1.0)
-    return (a1 * a2) ** (t / 2.0)
 
 
 def conditional_norm(m: Linear, line: LineDir) -> float:

@@ -92,13 +92,6 @@ class ConvexBody:
     def segment(cls, p0, p1) -> "ConvexBody":
         return cls("segment", np.array([p0, p1], dtype=float))
 
-    @property
-    def is_degenerate(self) -> bool:
-        """Segment whose endpoints coincide."""
-        return self.kind == "segment" and bool(
-            np.all(self.vertices[0] == self.vertices[1])
-        )
-
     def edges(self) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
         v = self.vertices
         if self.kind == "segment":
@@ -121,10 +114,6 @@ def disk_polygon(center, radius: float, n: int = 64) -> ConvexBody:
     c = np.asarray(center, dtype=float)
     ang = 2.0 * _PI * np.arange(n) / n
     return ConvexBody.polygon(c + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-
-
-def inscribed_polygon_error(radius: float, n: int = 64) -> float:
-    return radius * (1.0 - math.cos(_PI / n))
 
 
 def _separating_axes(body: ConvexBody) -> List[np.ndarray]:
@@ -411,16 +400,6 @@ class SeparationCertificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeparationCertificate":
-        d = json.loads(text)
-        return cls(
-            tuple(bool(c) for c in d["contained"]),
-            float(d["min_pairwise_distance"]),
-            float(d["margin"]),
-            bool(d["passed"]),
-        )
 
 
 def family_bodies(fam: IfsFamily, U: ConvexBody) -> List[ConvexBody]:

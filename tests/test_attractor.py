@@ -326,9 +326,11 @@ class TestBoxCounting:
         assert list(got) == want[: len(got)]
         assert all(c == got[-1] for c in want[len(got):])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wide_level_range(self):
         # 2000 levels: a point at the origin stays in one cell at every
-        # level, any other point overflows the grid with a typed error
+        # level, any other point overflows the grid with a typed error and
+        # no numpy warning
         assert box_dim_estimate([(0.0, 0.0)], 0, 2000).counts == (1, 1, 1)
         with pytest.raises(ConfigError, match="2\\^31"):
             box_dim_estimate([(0.3, 0.7)], 0, 2000)

@@ -346,6 +346,23 @@ class TestDeltaCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"regular": [{"matrix": [[1.1, 0.0], [0.0, 0.2]], "t": [0.0, 0.0]}]},
+         "regular[0]: contraction violated, matrix norm 1.1 >= 1"),
+        ({"singular": [{"rho": 1.5, "t": [1.0, 0.0]}]},
+         "singular[0]: contraction violated, rho 1.5 outside (0, 1)"),
+        ({"singular": [{"rho": 0.5, "beta": 0.0, "t": [1.0, 0.0]}]},
+         "singular[0]: beta must be nonzero"),
+    ],
+)
+def test_family_value_errors_exit_1(tmp_path, capsys, change, message):
+    cfg = write_config(tmp_path, variant(SCALAR_CONFIG, **change))
+    assert main(["dim", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 class TestWitnessCommand:
     def test_finds_direction(self, tmp_path):
         cfg = write_config(tmp_path, DROP_CONFIG)

@@ -513,7 +513,7 @@ class TestRegularBracket:
         assert bracket.certified_upper
 
     def test_rotation_pair_exact(self):
-        fam = rotation_family().regular_subfamily()
+        fam = IfsFamily(regular=rotation_family().regular)
         bracket = regular_dimension_bracket(fam, SolverOptions(depth=10))
         target = math.log(2) / math.log(10 / 3)
         assert bracket.lower == pytest.approx(target, abs=1e-8)

@@ -13,11 +13,8 @@ from affdim import (
     attractor_bound,
     check_irreducibility,
     compose_word,
-    fixed_point,
     identity_map,
-    natural_projection,
     unit_vector,
-    word_kernel,
 )
 from affdim.errors import ConfigError, ContractionError
 from affdim.ifs import compose_linear
@@ -86,11 +83,6 @@ class TestAffineMap2:
             for k in range(17):
                 assert np.allclose(batch[k], f.apply(pts[k]), atol=1e-14)
 
-    def test_fixed_point(self):
-        f = AffineMap2(Mat2.diagonal(0.5, 0.25), (1.0, 3.0))
-        p = fixed_point(f)
-        assert np.allclose(f.apply(p), p, atol=1e-14)
-
     def test_identity_map(self):
         assert np.allclose(identity_map().apply((3.0, -4.0)), [3.0, -4.0])
 
@@ -138,9 +130,24 @@ class TestRankOneSite:
             RankOneSite(**params)
 
 
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("rho", 1.0, ContractionError, "contraction violated, rho 1 outside"),
+            ("rho", 0.0, ContractionError, "contraction violated, rho 0 outside"),
+            ("beta", 0.0, ConfigError, "beta must be nonzero"),
+        ],
+    )
+    def test_rejects_out_of_range_parameters(self, field, value, error, message):
+        params = dict(rho=0.5, v_angle=0.0, c=0.0, beta=1.0, translation=(1.0, 0.0))
+        params[field] = value
+        with pytest.raises(error, match=message):
+            RankOneSite(**params)
+
+
 class TestIfsFamily:
     def test_rejects_non_contracting_regular(self):
-        with pytest.raises(ContractionError):
+        with pytest.raises(ContractionError, match=r"regular\[0\]: contraction violated"):
             IfsFamily(
                 regular=(AffineMap2(Mat2.diagonal(1.0, 0.3), (0.0, 0.0)),),
                 singular=(),
@@ -188,49 +195,6 @@ class TestIfsFamily:
         rank = maps[1].linear
         # row direction rotated to e2
         assert abs(float(rank.w() @ unit_vector(0.0))) < 1e-12
-
-    def test_regular_subfamily(self):
-        sub = scalar_family().regular_subfamily()
-        assert sub.n_singular == 0 and sub.n_regular == 1
-
-
-def test_natural_projection_point_and_diameter():
-    fam = cantor_similarities()
-    point, diam = natural_projection(fam, 0.0, (0, 1, 0))
-    # f0 f1 f0 (0) = f0 f1 (0) = f0(2/3) = 2/9
-    assert np.allclose(point, [2.0 / 9.0, 0.0], atol=1e-15)
-    assert diam == pytest.approx((1.0 / 3.0) ** 3 * 1.0, rel=1e-12)
-
-
-class TestWordKernel:
-    def test_regular_word_has_trivial_kernel(self):
-        fam = scalar_family()
-        info = word_kernel(fam, 0.0, (0, 0))
-        assert info.kind == "trivial"
-
-    def test_site_word_kernel_line(self):
-        fam = scalar_family()
-        info = word_kernel(fam, 0.0, (1, 0))
-        assert info.kind == "line"
-        # kernel of rho v w^T (1/3 Id) is perpendicular to w = e1
-        assert info.direction.distance_to(LineDir(math.pi / 2)) < 1e-10
-
-    def test_collapsed_word_full_plane(self):
-        # w perpendicular to v: f_j o f_j is the zero linear map
-        fam = IfsFamily(
-            regular=(),
-            singular=(
-                RankOneSite(
-                    rho=0.5,
-                    v_angle=0.0,
-                    c=math.pi / 2,
-                    beta=1.0,
-                    translation=(0.3, 0.0),
-                ),
-            ),
-        )
-        info = word_kernel(fam, 0.0, (0, 0))
-        assert info.kind == "full_plane"
 
 
 class TestIrreducibility:

@@ -9,14 +9,10 @@ from affdim import (
     RankOneFactor,
     conditional_norm,
     image_dir,
-    kernel_dir,
     singular_values,
-    svf,
     unit_vector,
 )
 from affdim.linalg import batch_singular_values
-
-from families import brute_svf
 
 
 def test_unit_vector():
@@ -38,10 +34,6 @@ class TestLineDir:
     def test_from_vector(self):
         d = LineDir.from_vector((-1.0, 0.0))
         assert d.distance_to(LineDir(0.0)) < 1e-12
-
-    def test_perpendicular(self):
-        d = LineDir(0.3)
-        assert abs(float(d.unit() @ d.perpendicular().unit())) < 1e-15
 
     def test_distance_wraps(self):
         # distance is measured on the half-circle of lines
@@ -126,50 +118,10 @@ class TestRankOneFactor:
     def test_image_and_kernel(self):
         r = RankOneFactor(0.5, 0.3, 1.1)
         assert image_dir(r).distance_to(LineDir(0.3)) < 1e-12
-        # kernel is the perpendicular of the row direction
-        assert kernel_dir(r).distance_to(LineDir(1.1 + math.pi / 2)) < 1e-12
 
     def test_rho_validation(self):
         with pytest.raises(Exception):
             RankOneFactor(-0.1, 0.0, 0.0)
-
-
-class TestSvf:
-    def test_t_zero_is_one(self):
-        assert svf(Mat2.diagonal(0.5, 0.25), 0.0) == 1.0
-        assert svf(RankOneFactor(0.5, 0.0, 1.0), 0.0) == 1.0
-
-    def test_piecewise_values(self):
-        m = Mat2.diagonal(0.5, 0.25)
-        assert svf(m, 0.5) == pytest.approx(0.5 ** 0.5)
-        assert svf(m, 1.5) == pytest.approx(0.5 * 0.25 ** 0.5)
-        assert svf(m, 3.0) == pytest.approx((0.5 * 0.25) ** 1.5)
-
-    def test_continuity_at_breakpoints_invertible(self):
-        m = Mat2(0.4, 0.1, -0.05, 0.3)
-        for t0 in (1.0, 2.0):
-            below = svf(m, t0 - 1e-9)
-            above = svf(m, t0 + 1e-9)
-            assert below == pytest.approx(above, rel=1e-7)
-
-    def test_rank_one_vanishes_past_one(self):
-        r = RankOneFactor(0.5, 0.3, 1.1)
-        assert svf(r, 1.0) == 0.5
-        assert svf(r, 1.0 + 1e-12) == 0.0
-        assert svf(r, 1.7) == 0.0
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(Exception):
-            svf(Mat2.identity(), -0.1)
-
-    def test_against_numpy_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            arr = rng.normal(size=(2, 2))
-            t = rng.uniform(0.0, 3.0)
-            assert svf(Mat2.from_array(arr), t) == pytest.approx(
-                brute_svf(arr, t), rel=1e-11, abs=1e-12
-            )
 
 
 class TestConditionalNorm:
