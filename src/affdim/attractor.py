@@ -268,10 +268,6 @@ def _cell_counts(points: np.ndarray, k_min: int, k_max: int) -> List[int]:
     return counts[::-1]
 
 
-def _occupied_cells(points: np.ndarray, k: int) -> int:
-    return _cell_counts(points, k, k)[0]
-
-
 def box_dim_estimate(
     cloud, k_min: int = 4, k_max: int = 12
 ) -> BoxCountSeries:
@@ -323,8 +319,10 @@ def level_bodies(
     Level 1 is family_bodies, with the direction-independent swept
     segment for each rank-one site; deeper levels compose the
     instantiated maps, so every level-k body is contained in its
-    level-(k-1) parent.
+    level-(k-1) parent. Raises ConfigError for levels below 1.
     """
+    if levels < 1:
+        raise ConfigError("levels must be at least 1")
     maps = fam.instantiate(alpha)
     prev = family_bodies(fam, U)
     out = [[(b, k >= fam.n_regular) for k, b in enumerate(prev)]]

@@ -7,8 +7,9 @@ use 12 significant digits and no locale formatting, so rerunning a
 command reproduces the files byte for byte (timing in report.json
 excepted).
 
-Exit codes: 0 success, 1 input or configuration error, 2 certificate
-or verification failure, 3 inconclusive dimension gap.
+Exit codes: 0 success, 1 input, configuration or usage error (such as
+a flag the subcommand does not read), 2 certificate or verification
+failure, 3 inconclusive dimension gap.
 """
 
 from __future__ import annotations
@@ -237,9 +238,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="affdim-out", help="output directory")
+
+    def solver(p):
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument(
             "--threads", type=int, default=None,
             help="accepted and validated; changes neither output nor speed",
@@ -247,10 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="affinity and invertible-part brackets")
     common(p)
+    solver(p)
     p.add_argument("--alpha", type=float, default=0.0)
 
     p = sub.add_parser("sweep", help="lower bound across one site's period")
     common(p)
+    solver(p)
     p.add_argument("--param", type=int, default=0, help="site index")
     p.add_argument("--steps", type=int, default=32)
 
@@ -264,6 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boxdim", help="box-counting slope of a sampled cloud")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--points", type=int, default=1 << 17)
     p.add_argument("--kmin", type=int, default=4)
@@ -271,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exceptional", help="certify a dimension drop")
     common(p)
+    solver(p)
     p.add_argument("--j", type=int, default=0, help="site index")
     p.add_argument("--i", type=int, default=0, help="companion letter")
 
@@ -293,7 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is
+        # bad input like any other
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     started = time.monotonic()
     try:
         text = Path(args.config).read_text()

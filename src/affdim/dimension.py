@@ -38,7 +38,7 @@ from .errors import (
     ConfigError,
 )
 from .ifs import AffineMap2, IfsFamily
-from .linalg import Mat2, RankOneFactor, batch_singular_values, unit_vector
+from .linalg import Linear, Mat2, RankOneFactor, batch_singular_values, unit_vector
 
 logger = logging.getLogger("affdim.dimension")
 
@@ -283,18 +283,13 @@ def _aitken(x0: float, x1: float, x2: float) -> float:
 # --- meet-in-the-middle level walk ------------------------------------------
 
 
-def _letter_stack(fam: IfsFamily, alphas, allowed) -> Tuple[np.ndarray, list]:
-    """(n_letters, 2, 2) linear parts and the letter norms.
-
-    Canonical letter order: regular maps first, then allowed anchors in
-    increasing index order; an anchor enters as its dense rho v w^T.
-    """
-    linears = [m.linear for m in fam.regular]
-    linears += [fam.singular[j].map_at(alphas[j]).linear for j in sorted(allowed)]
+def _letter_stack(linears: Sequence[Linear]) -> np.ndarray:
+    """(n_letters, 2, 2) stack of linear parts; a rank-one part enters as
+    its dense rho v w^T."""
     mats = [
         (a.as_mat2() if isinstance(a, RankOneFactor) else a).as_array() for a in linears
     ]
-    return np.array(mats).reshape(-1, 2, 2), [a.operator_norm() for a in linears]
+    return np.array(mats).reshape(-1, 2, 2)
 
 
 def _outer_sum(x0, y0, x1, y1) -> np.ndarray:
@@ -359,7 +354,12 @@ def _anchored_levels(
     alphas = fam.angles(alpha)
     start = fam.singular[sum_spec.start]
     rho_s = start.rho
-    A, letter_norms = _letter_stack(fam, alphas, sum_spec.allowed)
+    # canonical letter order: regular maps first, then allowed anchors in
+    # increasing index order
+    linears = [m.linear for m in fam.regular]
+    linears += [fam.singular[j].map_at(alphas[j]).linear for j in sorted(sum_spec.allowed)]
+    A = _letter_stack(linears)
+    letter_norms = [a.operator_norm() for a in linears]
     theta = _kahan_total(n ** s_floor for n in letter_norms)
     max_len = sum_spec.max_len
     half = (max_len + 1) // 2
@@ -645,194 +645,88 @@ def affinity_dimension(
 # --- partition sums over full words -----------------------------------------
 
 
-def _mul_right(U: np.ndarray, a: Mat2) -> np.ndarray:
-    out = np.empty_like(U)
-    out[:, 0, 0] = U[:, 0, 0] * a.a11 + U[:, 0, 1] * a.a21
-    out[:, 0, 1] = U[:, 0, 0] * a.a12 + U[:, 0, 1] * a.a22
-    out[:, 1, 0] = U[:, 1, 0] * a.a11 + U[:, 1, 1] * a.a21
-    out[:, 1, 1] = U[:, 1, 0] * a.a12 + U[:, 1, 1] * a.a22
-    return out
-
-
-def _advance_products(U: np.ndarray, mats: Sequence[Mat2]) -> np.ndarray:
-    """Append every letter to every product; children grouped per parent."""
-    if not mats or len(U) == 0:
-        return U[:0]
-    return np.stack([_mul_right(U, a) for a in mats], axis=1).reshape(-1, 2, 2)
-
-
-class _RankStates:
-    """Rank-one word products kept as column/row vector pairs L, R with
-    the product equal to L R^T; the larger singular value is |L||R| and
-    the smaller one is exactly zero."""
-
-    def __init__(self, Lx, Ly, Rx, Ry):
-        self.Lx, self.Ly, self.Rx, self.Ry = Lx, Ly, Rx, Ry
-
-    @classmethod
-    def empty(cls):
-        z = np.empty(0)
-        return cls(z, z, z, z)
-
-    def __len__(self):
-        return self.Lx.size
-
-    def norms(self) -> np.ndarray:
-        return np.hypot(self.Lx, self.Ly) * np.hypot(self.Rx, self.Ry)
-
-    @classmethod
-    def concat(cls, parts):
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return cls.empty()
-        return cls(
-            np.concatenate([p.Lx for p in parts]),
-            np.concatenate([p.Ly for p in parts]),
-            np.concatenate([p.Rx for p in parts]),
-            np.concatenate([p.Ry for p in parts]),
-        )
-
-
-def _advance_rank(
-    D: np.ndarray, S: _RankStates, maps: Sequence[AffineMap2]
-) -> _RankStates:
-    """Rank-one products one letter longer, grouped per appended letter.
-
-    A rank-one word stays rank one under any letter; a dense word turns
-    rank one under a rank-one letter.
-    """
-    parts = []
-    for m in maps:
-        lin = m.linear
-        if isinstance(lin, Mat2):
-            if len(S):
-                # (L R^T) A keeps L, sends R to A^T R
-                parts.append(
-                    _RankStates(
-                        S.Lx,
-                        S.Ly,
-                        lin.a11 * S.Rx + lin.a21 * S.Ry,
-                        lin.a12 * S.Rx + lin.a22 * S.Ry,
-                    )
-                )
-            continue
-        v, w = lin.v(), lin.w()
-        if len(D):
-            # dense word times rho v w^T collapses to (rho A v) w^T
-            lx = lin.rho * (D[:, 0, 0] * v[0] + D[:, 0, 1] * v[1])
-            ly = lin.rho * (D[:, 1, 0] * v[0] + D[:, 1, 1] * v[1])
-            parts.append(
-                _RankStates(lx, ly, np.full(len(D), w[0]), np.full(len(D), w[1]))
-            )
-        if len(S):
-            c = lin.rho * (S.Rx * v[0] + S.Ry * v[1])
-            parts.append(
-                _RankStates(
-                    c * S.Lx, c * S.Ly, np.full(len(S), w[0]), np.full(len(S), w[1])
-                )
-            )
-    return _RankStates.concat(parts)
-
-
 def _product_levels(
     maps: Sequence[AffineMap2], depth: int, opts: SolverOptions
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray, _RankStates]]:
+) -> Iterator[Tuple[int, Tuple[np.ndarray, ...], np.ndarray]]:
     """Products of all words of lengths 1..depth over a mixed alphabet.
 
-    Yields (length, dense, dets, rank) per level: the stacked products of
-    the all-invertible words with their determinants (each the product of
-    its letters' determinants, which keeps the smaller singular value
-    |det| / a1 accurate where a1 - a2 would cancel), and the words through
-    a rank-one letter kept factored, so their smaller singular value is
-    exactly zero rather than rounding noise. The walk stops before the
-    level that would take the cumulative word count past opts.budget.
+    Yields (length, entries, dets) per level: the entry arrays (a11, a12,
+    a21, a22) of every word's dense product, with the last-appended
+    letter most significant, and the words' determinants. A word's
+    determinant is the product of its letters' determinants, which keeps
+    the smaller singular value |det| / a1 accurate where a1 - a2 would
+    cancel; a rank-one letter's is exactly 0, so every word through one
+    has smaller singular value exactly 0 rather than rounding noise. The
+    walk stops before the level that would take the cumulative word
+    count past opts.budget.
     """
-    dense_mats = [m.linear for m in maps if isinstance(m.linear, Mat2)]
-    rank_parts = [m.linear for m in maps if isinstance(m.linear, RankOneFactor)]
-    D = (
-        np.stack([a.as_array() for a in dense_mats], axis=0)
-        if dense_mats
-        else np.empty((0, 2, 2))
-    )
-    letter_dets = dets = np.array([a.det() for a in dense_mats], dtype=float)
-    S = _RankStates(
-        np.array([r.rho * r.v()[0] for r in rank_parts]),
-        np.array([r.rho * r.v()[1] for r in rank_parts]),
-        np.array([r.w()[0] for r in rank_parts]),
-        np.array([r.w()[1] for r in rank_parts]),
-    )
+    linears = [m.linear for m in maps]
+    A = _letter_stack(linears)
+    letter_dets = np.array([a.det() if isinstance(a, Mat2) else 0.0 for a in linears])
+    P, dets = (A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]), letter_dets
     total = 0
     for k in range(1, depth + 1):
         total += len(maps) ** k
         if total > opts.budget:
             return
         if k > 1:
-            S = _advance_rank(D, S, maps)
-            D = _advance_products(D, dense_mats)
-            # in the children's order: grouped per parent, letters within
-            dets = np.multiply.outer(dets, letter_dets).reshape(-1)
-        yield k, D, dets, S
+            # letter-major: numpy's inner loop runs over the parent level
+            p11, p12, p21, p22 = P
+            P = (
+                _outer_sum(A[:, 0, 0], p11, A[:, 1, 0], p12),
+                _outer_sum(A[:, 0, 1], p11, A[:, 1, 1], p12),
+                _outer_sum(A[:, 0, 0], p21, A[:, 1, 0], p22),
+                _outer_sum(A[:, 0, 1], p21, A[:, 1, 1], p22),
+            )
+            dets = np.multiply.outer(letter_dets, dets).reshape(-1)
+        yield k, P, dets
 
 
 def _deepest_level(
     maps: Sequence[AffineMap2], depth: int, opts: SolverOptions, need: int = 1
-) -> Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Length and singular data (a1, a2, rank-one norms) of the deepest
-    level the walk reaches; BudgetError if it stops short of need."""
+) -> Tuple[int, Tuple[np.ndarray, np.ndarray]]:
+    """Length and singular values (a1, a2) of the deepest level the walk
+    reaches; BudgetError if it stops short of need."""
     k = 0
-    for k, D, dets, S in _product_levels(maps, depth, opts):
+    for k, P, dets in _product_levels(maps, depth, opts):
         pass
     if k < need:
         raise BudgetError(
             "word budget %d exceeded before word length %d" % (opts.budget, need)
         )
-    a1, a2 = batch_singular_values(D, dets)
-    return k, (a1, a2, S.norms())
+    return k, batch_singular_values(*P, dets)
 
 
-def _svf_sum(a1: np.ndarray, a2: np.ndarray, rank_norms: np.ndarray, s: float) -> float:
-    """Partition sum from cached singular data; order: invertible block
-    then rank-one block."""
-    pieces = []
-    if a1.size:
-        if s == 0.0:
-            pieces.append(float(a1.size))
-        elif s <= 1.0:
-            pieces.append(_chunked_sum(a1 ** s))
-        elif s <= 2.0:
-            pieces.append(_chunked_sum(a1 * a2 ** (s - 1.0)))
-        else:
-            pieces.append(_chunked_sum((a1 * a2) ** (s / 2.0)))
-    if rank_norms.size:
-        if s == 0.0:
-            pieces.append(float(rank_norms.size))
-        elif s <= 1.0:
-            pieces.append(_pow_sum(_positive(rank_norms), s))
-        # the smaller singular value is exactly zero: no contribution past s=1
-    return _kahan_total(pieces)
+def _svf_sum(a1: np.ndarray, a2: np.ndarray, s: float) -> float:
+    """Partition sum from cached singular values."""
+    if s == 0.0:
+        return float(a1.size)
+    if s <= 1.0:
+        return _chunked_sum(a1 ** s)
+    if s <= 2.0:
+        return _chunked_sum(a1 * a2 ** (s - 1.0))
+    return _chunked_sum((a1 * a2) ** (s / 2.0))
 
 
-def _svf_root(
-    a1: np.ndarray, a2: np.ndarray, rank_norms: np.ndarray, tol: float
-) -> float:
-    """Root of the partition sum = 1 over cached singular data, clamped
+def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float) -> float:
+    """Root of the partition sum = 1 over cached singular values, clamped
     to [0, 2]; the certified right end of its bracket is returned.
 
     The sum is convex on [0, 1] and on [1, 2], but at s = 1 it has a
     concave kink, where the exponent moves from a1 to a2, and a drop,
-    where the rank-one block stops counting; so the breakpoints are
+    where the words with a2 = 0 stop counting; so the breakpoints are
     checked first and the root is solved inside one piece.
     """
 
     def g(s):
-        return _svf_sum(a1, a2, rank_norms, s) - 1.0
+        return _svf_sum(a1, a2, s) - 1.0
 
     if g(0.0) <= 0.0:
         return 0.0
     if g(2.0) >= 0.0:
         return 2.0
     if g(1.0) < 0.0:
-        return _convex_root(_log_sum(a1, rank_norms), g, 0.0, tol, 1.0)[1]
+        return _convex_root(_log_sum(a1), g, 0.0, tol, 1.0)[1]
     # a1 a2^(s-1) = exp(log a1 - log a2 + s log a2); a zero a2 adds nothing past 1
     keep = (a1 > 0.0) & (a2 > 0.0)
     log_a2 = np.log(a2[keep])
@@ -893,8 +787,8 @@ def regular_dimension_bracket(
         raise ConfigError("bracket depth must be at least 1")
 
     depth, lower = 0, 0.0
-    for depth, D, dets, _ in _product_levels(fam.regular, opts.depth, opts):
-        a1, a2 = batch_singular_values(D, dets)
+    for depth, P, dets in _product_levels(fam.regular, opts.depth, opts):
+        a1, a2 = batch_singular_values(*P, dets)
         if a2.size <= 1:
             # the sum is a2.size at s = 0, so its root is 0
             continue
@@ -909,6 +803,6 @@ def regular_dimension_bracket(
             "word budget %d exceeded before word length 1" % opts.budget
         )
 
-    upper = _svf_root(a1, a2, np.empty(0), opts.tol)
+    upper = _svf_root(a1, a2, opts.tol)
     lower = min(lower, 2.0)
     return DimensionBracket(lower, max(upper, lower), depth, True)

@@ -3,7 +3,7 @@ closed-form singular values, and factored rank-one maps.
 
 Everything here is exact-formula numerics on scalars; the batch singular
 values for large word enumerations live at the bottom and operate on
-stacked arrays, from which dimension.py builds the singular value function.
+entry arrays, from which dimension.py builds the singular value function.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ class LineDir:
 
     def unit(self) -> np.ndarray:
         return unit_vector(self.angle)
-
-    def distance_to(self, other: "LineDir") -> float:
-        """Metric on directions: angular gap mod pi, in [0, pi/2]."""
-        d = abs(self.angle - other.angle) % math.pi
-        return min(d, math.pi - d)
 
 
 @dataclass(frozen=True)
@@ -123,12 +118,6 @@ class Mat2:
     def transpose(self) -> "Mat2":
         return Mat2(self.a11, self.a21, self.a12, self.a22)
 
-    def inverse(self) -> "Mat2":
-        d = self.det()
-        if abs(d) < 1e-300:
-            raise ZeroDivisionError("matrix is singular")
-        return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
             self.a11 * other.a11 + self.a12 * other.a21,
@@ -136,13 +125,6 @@ class Mat2:
             self.a21 * other.a11 + self.a22 * other.a21,
             self.a21 * other.a12 + self.a22 * other.a22,
         )
-
-    def __mul__(self, scalar: float) -> "Mat2":
-        return Mat2(
-            self.a11 * scalar, self.a12 * scalar, self.a21 * scalar, self.a22 * scalar
-        )
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -218,19 +200,31 @@ def conditional_norm(m: Linear, line: LineDir) -> float:
 
 # --- batch variants ---------------------------------------------------------
 #
-# Stacked (n,2,2) products appear in the dimension solvers; the formulas
-# mirror the scalar ones entry for entry, with the determinants passed in
-# (a word's is the product of its letters', accurate where the entries'
-# a11 a22 - a12 a21 would cancel).
+# Word products in the dimension solvers come as four entry arrays; the
+# formulas mirror the scalar ones entry for entry, with the determinants
+# passed in (a word's is the product of its letters', accurate where the
+# entries' a11 a22 - a12 a21 would cancel).
 
 
-def batch_singular_values(prods: np.ndarray, dets: np.ndarray) -> tuple:
-    """Largest and smallest singular values of a stack of 2x2 matrices
-    with the given determinants."""
-    e = (prods[:, 0, 0] + prods[:, 1, 1]) / 2.0
-    f = (prods[:, 0, 0] - prods[:, 1, 1]) / 2.0
-    g = (prods[:, 1, 0] + prods[:, 0, 1]) / 2.0
-    h = (prods[:, 1, 0] - prods[:, 0, 1]) / 2.0
-    a1 = np.hypot(e, h) + np.hypot(f, g)
-    a2 = np.divide(np.abs(dets), a1, out=np.zeros_like(a1), where=a1 > 0.0)
+def batch_singular_values(a11, a12, a21, a22, dets) -> tuple:
+    """Largest and smallest singular values of the 2x2 matrices with the
+    given entry arrays and determinants.
+
+    Two scratch arrays hold 2(e, h) and then 2(f, g), since doubling
+    both arguments doubles a hypot exactly; the second one then holds
+    a2, |dets| divided in place by a1. So a level costs three arrays
+    beyond its input.
+    """
+    x = np.add(a11, a22)
+    y = np.subtract(a21, a12)
+    a1 = np.hypot(x, y)
+    np.subtract(a11, a22, out=x)
+    np.add(a21, a12, out=y)
+    a1 += np.hypot(x, y, out=x)
+    a1 *= 0.5
+    a2 = np.abs(dets, out=y)
+    # a1 = 0 only for a zero product, whose det is 0: the 0/0 becomes 0
+    with np.errstate(invalid="ignore"):
+        a2 /= a1
+    a2[np.isnan(a2)] = 0.0
     return a1, a2

@@ -7,9 +7,11 @@ orbit-coupling bounds). Oracle helpers use plain bisection on scalar
 equations and never touch the package solvers.
 """
 
+import math
+
 import numpy as np
 
-from affdim import AffineMap2, IfsFamily, Mat2, RankOneSite
+from affdim import AffineMap2, IfsFamily, LineDir, Mat2, RankOneSite
 
 
 def scalar_family() -> IfsFamily:
@@ -126,6 +128,12 @@ def random_admissible(seed: int) -> IfsFamily:
         for _ in range(n_sing)
     )
     return IfsFamily(regular=tuple(regular), singular=singular)
+
+
+def angle_gap(a: LineDir, b: LineDir) -> float:
+    """Angular gap between two lines through the origin, in [0, pi/2]."""
+    d = abs(a.angle - b.angle) % math.pi
+    return min(d, math.pi - d)
 
 
 def bisect_scalar(g, lo: float, hi: float, iters: int = 200) -> float:

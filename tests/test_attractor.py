@@ -22,7 +22,7 @@ from affdim import (
     level_bodies,
     render_levels,
 )
-from affdim.attractor import _occupied_cells, apply_body
+from affdim.attractor import _cell_counts, apply_body
 from affdim.errors import BudgetError, ConfigError
 from affdim.ifs import attractor_bound, compose_word
 from affdim.linalg import RankOneFactor
@@ -277,23 +277,23 @@ class TestBoxCounting:
         assert res.scales == (2.0 ** -4, 2.0 ** -5, 2.0 ** -6)
 
     def test_edge_points_go_to_lower_cell(self):
-        assert _occupied_cells(np.array([[0.0, 0.0]]), 2) == 1
+        assert _cell_counts(np.array([[0.0, 0.0]]), 2, 2)[0] == 1
         # (0,0) lies on a cell edge and belongs below; (0.25, 0.25) is
         # interior to the cell above it
-        assert _occupied_cells(np.array([[0.0, 0.0], [0.25, 0.25]]), 2) == 2
+        assert _cell_counts(np.array([[0.0, 0.0], [0.25, 0.25]]), 2, 2)[0] == 2
 
     def test_negative_coordinates(self):
-        assert _occupied_cells(np.array([[-0.3, -0.7], [0.3, 0.7]]), 4) == 2
+        assert _cell_counts(np.array([[-0.3, -0.7], [0.3, 0.7]]), 4, 4)[0] == 2
 
     def test_count_does_not_depend_on_distance_from_origin(self):
         pts = np.random.default_rng(0).uniform(0.0, 0.01, size=(200_000, 2))
-        assert _occupied_cells(pts, 12) == 1681
-        assert _occupied_cells(pts + 1e6, 12) == 1681
+        assert _cell_counts(pts, 12, 12)[0] == 1681
+        assert _cell_counts(pts + 1e6, 12, 12)[0] == 1681
 
     def test_extent_past_31_bits_rejected(self):
         # 1e6 * 2^12 cells is more than 2^31
         with pytest.raises(ConfigError, match="2\\^31"):
-            _occupied_cells(np.array([[0.0, 0.0], [1e6, 0.0]]), 12)
+            _cell_counts(np.array([[0.0, 0.0], [1e6, 0.0]]), 12, 12)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -370,6 +370,11 @@ class TestLevelBodies:
         for bodies in level_bodies(fam, 0.7, region, 3):
             for body, _ in bodies:
                 assert containment_margin(body, region) >= 0.0
+
+    @pytest.mark.parametrize("levels", [0, -3])
+    def test_levels_below_one_rejected(self, levels):
+        with pytest.raises(ConfigError, match="levels must be at least 1"):
+            level_bodies(drop_family(), 0.0, SQUARE, levels)
 
     def test_apply_body_on_segment(self):
         m = AffineMap2(Mat2.diagonal(2.0, 2.0), (1.0, 0.0))

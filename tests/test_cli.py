@@ -424,6 +424,31 @@ class TestInputHandling:
                      "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["render", "--depth", "3"],
+        ["check-sep", "--seed", "4"],
+        ["boxdim", "--tol", "1e-9"],
+        ["witness", "--k1", "0", "--k2", "1", "--threads", "2"],
+        ["dim", "--bogus", "1"],
+    ],
+)
+def test_unread_flag_rejected(tmp_path, capsys, command):
+    # a flag the subcommand would ignore is a usage error, and a usage
+    # error is bad input: exit 1, not argparse's 2
+    cfg = write_config(tmp_path, DROP_CONFIG)
+    argv = [command[0], "--config", cfg, "--out", str(tmp_path / "o"), *command[1:]]
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["dim", "--help"]) == 0
+    assert "--depth" in capsys.readouterr().out
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_spatial_out(self):
         # scipy.spatial is the slowest import under affdim; only the

@@ -452,10 +452,26 @@ class TestPartitionSum:
         )
         maps = fam.instantiate(0.6)
         for n in (1, 2, 4):
-            for s in (0.0, 0.5, 1.0, 1.5):
+            for s in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
                 got = partition_sum(maps, n, s)
                 want = self.brute(maps, n, s, fam.n_regular)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+        # the dense rho v w^T of these sites has a rounding-noise det, so
+        # a rank-one letter's det must be taken as exactly 0 instead
+        sites = IfsFamily(
+            regular=(),
+            singular=(
+                RankOneSite(rho=0.4, v_angle=0.4, c=0.3, beta=1.0, translation=(0.0, 0.0)),
+                RankOneSite(rho=0.3, v_angle=1.1, c=0.5, beta=1.0, translation=(0.5, 0.2)),
+            ),
+        )
+        maps = sites.instantiate(0.6)
+        assert all(m.linear.as_mat2().det() != 0.0 for m in maps)
+        for n in (1, 2, 3, 4):
+            assert partition_sum(maps, n, 1.5) == 0.0
+            want = self.brute(maps, n, 0.5, 0)
+            assert partition_sum(maps, n, 0.5) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_smallest_singular_value_does_not_cancel(self):
         # diagonal words: a2 is the product of the second entries, about

@@ -19,7 +19,7 @@ from affdim import (
 from affdim.errors import ConfigError, ContractionError
 from affdim.ifs import compose_linear
 
-from families import cantor_similarities, scalar_family
+from families import angle_gap, cantor_similarities, scalar_family
 
 
 def random_linear(rng):
@@ -207,7 +207,7 @@ class TestIrreducibility:
         witness = check_irreducibility(mats)
         assert witness is not None
         assert min(
-            witness.distance_to(LineDir(0.0)), witness.distance_to(LineDir(math.pi / 2))
+            angle_gap(witness, LineDir(0.0)), angle_gap(witness, LineDir(math.pi / 2))
         ) < 1e-10
 
     def test_all_scalar_returns_witness(self):
