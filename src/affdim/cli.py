@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -70,14 +71,8 @@ def _write_report(out: Path, command: str, cfg: FamilyConfig, started: float, pa
 
 
 def _solver(cfg: FamilyConfig, args) -> SolverOptions:
-    base = cfg.solver
-    return SolverOptions(
-        depth=args.depth if args.depth is not None else base.depth,
-        tol=args.tol if args.tol is not None else base.tol,
-        prune=base.prune,
-        budget=base.budget,
-        threads=args.threads if args.threads is not None else base.threads,
-    )
+    flags = {k: getattr(args, k) for k in ("depth", "tol", "threads")}
+    return replace(cfg.solver, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_word(text: str) -> Tuple[int, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 from .dimension import SolverOptions
@@ -145,8 +145,10 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
     solver_spec = data.get("solver", {})
     if not isinstance(solver_spec, dict):
         raise ConfigError("solver must be an object")
-    names = {f.name for f in fields(SolverOptions)}
-    solver = SolverOptions(**{k: v for k, v in solver_spec.items() if k in names})
+    unknown = sorted(set(solver_spec) - {f.name for f in fields(SolverOptions)})
+    if unknown:
+        raise ConfigError("solver: unknown key(s) %s" % ", ".join(map(repr, unknown)))
+    solver = SolverOptions(**solver_spec)
 
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -197,13 +199,7 @@ def config_dict(cfg: FamilyConfig) -> dict:
             for s in fam.singular
         ],
         "region_U": cfg.region_spec,
-        "solver": {
-            "depth": cfg.solver.depth,
-            "tol": cfg.solver.tol,
-            "prune": cfg.solver.prune,
-            "budget": cfg.solver.budget,
-            "threads": cfg.solver.threads,
-        },
+        "solver": asdict(cfg.solver),
         "seed": cfg.seed,
     }
 

@@ -50,34 +50,30 @@ class SolverOptions:
     """Knobs shared by the dimension solvers.
 
     depth is the truncation word length; tol the largest width of a
-    certified root bracket in the exponent; prune drops word prefixes
-    whose entire subtree can contribute less than the threshold; budget
-    caps the total number of enumerated words per computation. threads
-    is accepted and validated for compatibility; every walk runs in the
+    certified root bracket in the exponent; budget caps the total number
+    of enumerated words per computation, every word counted. threads is
+    accepted and validated for compatibility; every walk runs in the
     calling thread, so it changes neither results nor speed.
     """
 
     depth: int = 12
     tol: float = 1e-9
-    prune: float = 1e-18
     budget: int = 1 << 22
     threads: int = 1
 
     def __post_init__(self):
         counts = (self.depth, self.budget, self.threads)
-        reals = (self.tol, self.prune)
         if (
             any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in counts)
-            or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in reals)
+            or isinstance(self.tol, bool)
+            or not isinstance(self.tol, numbers.Real)
             or self.depth < 0
             or self.budget < 1
             or self.threads < 1
             or not 0.0 < self.tol < math.inf
-            or not 0.0 <= self.prune < math.inf
         ):
             raise ConfigError("solver settings out of range")
         object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "prune", float(self.prune))
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -161,13 +157,6 @@ def _pow_sum(bases: np.ndarray, s: float) -> float:
 def _positive(bases: np.ndarray) -> np.ndarray:
     keep = bases > 0.0
     return bases if keep.all() else bases[keep]
-
-
-def _geometric_total(theta: float, n: int) -> float:
-    """Sum of theta**d for d = 0..n."""
-    if abs(theta - 1.0) < 1e-12:
-        return float(n + 1)
-    return (theta ** (n + 1) - 1.0) / (theta - 1.0)
 
 
 # --- certified convex roots -------------------------------------------------
@@ -300,33 +289,14 @@ def _outer_sum(x0, y0, x1, y1) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _prune_side(x, y, others, geom, s, prune):
-    """Drop the vectors (x, y) of one half whose every pair with the
-    other half, of lengths others, has its subtree bounded below prune.
-
-    A pair's base and those of its descendants d letters deeper are at
-    most |x||o| times d letter norms, so the pair bounds its subtree by
-    (|x| max|o|)^s * geom at exponent s. Returns the kept vectors and the
-    pruned mass, |x||o| for every dropped nonzero pair.
-    """
-    lengths = np.hypot(x, y)
-    bound = np.where(lengths > 0.0, (lengths * others.max()) ** s * geom, 0.0)
-    keep = bound >= prune
-    if keep.all():
-        return x, y, np.empty(0)
-    mass = np.multiply.outer(lengths[~keep], others).reshape(-1)
-    return x[keep], y[keep], _positive(mass)
-
-
 def _anchored_levels(
     fam: IfsFamily,
     alpha,
     sum_spec: AnchoredSumSpec,
     opts: SolverOptions,
-    s_floor: float = 0.0,
-) -> Tuple[List[np.ndarray], list, np.ndarray]:
+) -> Tuple[List[np.ndarray], list]:
     """Per-level base factors rho'|w'^T A_word v''| for word lengths
-    0..max_len, the letter norms of the alphabet, and the pruned mass.
+    0..max_len, and the letter norms of the alphabet.
 
     The walk meets in the middle. With h = ceil(max_len / 2), it builds
     the columns U_m = A_{l_m}...A_{l_1} v'' for m <= h and the rows
@@ -335,14 +305,10 @@ def _anchored_levels(
     last-applied letter most significant, so the words of a level come
     in the order of the letters l_k...l_1 read as digits.
 
-    Up to level h the columns are pruned against the single row R_0,
-    past it the rows against the columns U_h: a vector goes when its
-    every pair's subtree is bounded below opts.prune at exponent
-    s_floor. With s_floor=0 and prune <= 1 only exactly collapsed
-    vectors go, so the cached levels remain valid for every exponent.
-    A dropped nonzero pair (r, u) leaves |r||u| in the pruned mass: its
-    subtree contributes at most (|r||u|)^s / (1 - theta(s)) at any s
-    with theta(s) < 1. Once a half is empty, so is every deeper level.
+    No word is dropped, so level k holds n_letters**k bases, counted
+    against opts.budget before the level is built. An exactly collapsed
+    word has base exactly 0.0, which the sums mask, so the levels serve
+    every exponent.
     """
     if not 0 <= sum_spec.start < fam.n_singular:
         raise ConfigError("start anchor out of range")
@@ -353,23 +319,26 @@ def _anchored_levels(
             raise ConfigError("allowed anchor out of range")
     alphas = fam.angles(alpha)
     start = fam.singular[sum_spec.start]
-    rho_s = start.rho
     # canonical letter order: regular maps first, then allowed anchors in
     # increasing index order
     linears = [m.linear for m in fam.regular]
     linears += [fam.singular[j].map_at(alphas[j]).linear for j in sorted(sum_spec.allowed)]
     A = _letter_stack(linears)
     letter_norms = [a.operator_norm() for a in linears]
-    theta = _kahan_total(n ** s_floor for n in letter_norms)
     max_len = sum_spec.max_len
     half = (max_len + 1) // 2
 
     Ux, Uy = unit_vector(fam.singular[sum_spec.end].v_angle)[:, None]
-    Rx, Ry = rho_s * unit_vector(start.w_angle(alphas[sum_spec.start]))[:, None]
+    Rx, Ry = start.rho * unit_vector(start.w_angle(alphas[sum_spec.start]))[:, None]
     levels: List[np.ndarray] = []
-    pruned: List[np.ndarray] = []
     processed = 0
     for k in range(max_len + 1):
+        processed += len(linears) ** k
+        if processed > opts.budget:
+            raise BudgetError(
+                "anchored enumeration exceeded %d words at length %d"
+                % (opts.budget, k)
+            )
         if k > half:
             Rx, Ry = (
                 _outer_sum(Rx, A[:, 0, 0], Ry, A[:, 1, 0]),
@@ -380,27 +349,9 @@ def _anchored_levels(
                 _outer_sum(A[:, 0, 0], Ux, A[:, 0, 1], Uy),
                 _outer_sum(A[:, 1, 0], Ux, A[:, 1, 1], Uy),
             )
-        processed += Rx.size * Ux.size
-        if processed > opts.budget:
-            raise BudgetError(
-                "anchored enumeration exceeded %d words at length %d"
-                % (opts.budget, k)
-            )
-        if Rx.size * Ux.size and opts.prune > 0.0:
-            geom = _geometric_total(theta, max_len - k)
-            if k <= half:
-                others = np.array([rho_s])
-                Ux, Uy, mass = _prune_side(Ux, Uy, others, geom, s_floor, opts.prune)
-            else:
-                others = np.hypot(Ux, Uy)
-                Rx, Ry, mass = _prune_side(Rx, Ry, others, geom, s_floor, opts.prune)
-            pruned.append(mass)
-        if not Rx.size * Ux.size:
-            levels.extend(np.empty(0) for _ in range(k, max_len + 1))
-            break
         bases = _outer_sum(Rx, Ux, Ry, Uy)
         levels.append(np.abs(bases, out=bases))
-    return levels, letter_norms, np.concatenate(pruned or [np.empty(0)])
+    return levels, letter_norms
 
 
 def anchored_norm_sum(
@@ -419,7 +370,7 @@ def anchored_norm_sum(
     if s < 0.0:
         raise ValueError("exponent must be nonnegative")
     opts = opts or DEFAULT_OPTIONS
-    levels, _, _ = _anchored_levels(fam, alpha, sum_spec, opts, s_floor=s)
+    levels, _ = _anchored_levels(fam, alpha, sum_spec, opts)
     return _kahan_total(_pow_sum(_positive(b), s) for b in levels)
 
 
@@ -447,9 +398,7 @@ class _LevelSums:
         return self.logs(s, int(self.ends[n]))
 
 
-def _profile_from_levels(
-    sums: _LevelSums, tol: float, pruned: np.ndarray, prune: float
-) -> List[float]:
+def _profile_from_levels(sums: _LevelSums, tol: float) -> List[float]:
     """Certified left ends of the roots of the cumulative sums = 1, one
     for each truncation 0..max_len.
 
@@ -460,13 +409,7 @@ def _profile_from_levels(
     """
     max_len = len(sums.bases) - 1
     if sums.ends[-1] == 0:
-        if pruned.size:
-            logger.warning(
-                "every nonzero anchored term was pruned (prune=%g); "
-                "exponent degenerates to 0", prune
-            )
-        else:
-            logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
+        logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
         return [0.0] * (max_len + 1)
 
     out = []
@@ -486,7 +429,6 @@ def _profile_from_levels(
 
 def _upper_from_levels(
     sums: _LevelSums,
-    pruned: np.ndarray,
     letter_norms: Sequence[float],
     rho_anchor: float,
     tol: float,
@@ -496,18 +438,15 @@ def _upper_from_levels(
 
     The tail of the full series past length n is at most
     rho^s * theta(s)^(n+1) / (1 - theta(s)) with theta the sum of letter
-    norms to the s, and the pruned subtrees add at most P(s) / (1 -
-    theta(s)) with P the pruned mass; any s making truncation + tails
-    <= 1 upper-bounds the true exponent. Past the theta root this sum is
-    log-convex, so its root is solved like the others, with the
-    derivative in closed form. When theta stays >= 1 over the whole
-    candidate range the bound never applies and an extrapolated value is
-    returned, flagged uncertified.
+    norms to the s; any s making truncation + tail <= 1 upper-bounds the
+    true exponent. Past the theta root this sum is log-convex, so its
+    root is solved like the others, with the derivative in closed form.
+    When theta stays >= 1 over the whole candidate range the bound never
+    applies and an extrapolated value is returned, flagged uncertified.
     """
     max_len = len(sums.bases) - 1
     s_cap = 8.0
     theta_logs = _log_sum(letter_norms)
-    pruned_logs = _log_sum(pruned)
     log_rho = math.log(rho_anchor)
 
     def theta(s):
@@ -531,25 +470,24 @@ def _upper_from_levels(
 
     def tail_ref(s):
         th = theta(s)
-        return (rho_anchor ** s * th ** (max_len + 1) + _pow_sum(pruned, s)) / (1.0 - th)
+        return rho_anchor ** s * th ** (max_len + 1) / (1.0 - th)
 
     def tail_fast(s):
         th, d_th = theta_logs(s)
-        mass, d_mass = pruned_logs(s)
         # head = rho^s theta^(n+1), differentiated without dividing by theta
         part = rho_anchor ** s * th ** max_len
         head = part * th
         d_head = part * (th * log_rho + (max_len + 1) * d_th)
         q = 1.0 - th
-        return (head + mass) / q, (d_head + d_mass) / q + (head + mass) * d_th / (q * q)
+        return head / q, d_head / q + head * d_th / (q * q)
 
     def fast(s):
         trunc, d_trunc = sums.fast(s, max_len)
         tail, d_tail = tail_fast(s)
         return trunc + tail, d_trunc + d_tail
 
-    # the sum is at least its tails and at least 1 at lower, so a point
-    # where the tails alone still reach 1 is a left point too; it is cheap
+    # the sum is at least its tail and at least 1 at lower, so a point
+    # where the tail alone still reaches 1 is a left point too; it is cheap
     # to find and lies past the steep rise of 1/(1 - theta) near s_theta
     start = max(s_theta, lower)
     tail_root = _convex_root(tail_fast, lambda s: tail_ref(s) - 1.0, start, tol)
@@ -573,7 +511,6 @@ def anchor_exponent_profile(
     alpha,
     j: int,
     max_len: int = 12,
-    tol: float = 1e-9,
     opts: Optional[SolverOptions] = None,
 ) -> List[float]:
     """Lower exponent bounds for every truncation length 0..max_len.
@@ -583,22 +520,20 @@ def anchor_exponent_profile(
     critical exponent of the anchored series from below.
     """
     opts = opts or DEFAULT_OPTIONS
-    levels, _, pruned = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
-    return _profile_from_levels(_LevelSums(levels), tol, pruned, opts.prune)
+    levels, _ = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
+    return _profile_from_levels(_LevelSums(levels), opts.tol)
 
 
 def _anchor_bracket(fam: IfsFamily, alpha, j: int, opts: SolverOptions) -> AnchorBracket:
     # the levels and their logs live only for this call, so one anchor's
     # arrays are freed before the next anchor's walk
-    levels, letter_norms, pruned = _anchored_levels(
+    levels, letter_norms = _anchored_levels(
         fam, alpha, _anchor_spec(fam, j, opts.depth), opts
     )
     sums = _LevelSums(levels)
     del levels
-    profile = _profile_from_levels(sums, opts.tol, pruned, opts.prune)
-    up, cert = _upper_from_levels(
-        sums, pruned, letter_norms, fam.singular[j].rho, opts.tol, profile
-    )
+    profile = _profile_from_levels(sums, opts.tol)
+    up, cert = _upper_from_levels(sums, letter_norms, fam.singular[j].rho, opts.tol, profile)
     return AnchorBracket(profile[-1], up, cert)
 
 

@@ -170,6 +170,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver settings out of range"):
             parse_config(variant(SCALAR_CONFIG, solver={"tol": 0.0}))
 
+    @pytest.mark.parametrize("key", ["depht", "prune"])
+    def test_unknown_solver_key_rejected(self, key):
+        # a misspelt key used to be dropped, so the solve ran at the defaults
+        with pytest.raises(ConfigError, match="solver: unknown key\\(s\\) '%s'$" % key):
+            parse_config(variant(SCALAR_CONFIG, solver={"depth": 3, key: 1}))
+
     def test_non_integer_depth_not_truncated(self):
         with pytest.raises(ConfigError, match="solver settings out of range"):
             parse_config(variant(SCALAR_CONFIG, solver={"depth": 2.5}))
@@ -408,6 +414,12 @@ class TestInputHandling:
                      "--tol", "nan"])
         assert code == 1
         assert "error: solver settings out of range" in capsys.readouterr().err
+
+    def test_unknown_solver_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, variant(SCALAR_CONFIG, solver={"depht": 3}))
+        assert main(["dim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: solver: unknown key(s) 'depht'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_budget_below_first_level(self, tmp_path, capsys):
         # two regular maps do not fit a budget of one word

@@ -1,5 +1,4 @@
 import itertools
-import logging
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from affdim import (
     pressure_upper_root,
     regular_dimension_bracket,
 )
-from affdim import dimension
 from affdim.dimension import _anchored_levels
 from affdim.errors import BudgetError, ConfigError
 from affdim.ifs import compose_word
@@ -86,10 +84,7 @@ def collapsing_rows_family():
 def brute_levels(fam, alpha, spec):
     """Every word's base rho |w^T A_word v| from plain 2x2 products, one
     array per length, words in itertools.product order (the last-applied
-    letter first). With h = ceil(max_len / 2), a word l_k...l_1 is left
-    out when one of its column halves A_{l_m}...A_{l_1} v with m <= h or
-    its row halves rho w^T A_{l_k}...A_{l_j} with j > h is exactly zero:
-    the walk drops such columns and rows."""
+    letter first)."""
     alphas = fam.angles(alpha)
     maps = fam.instantiate(alpha)
     letters = [m.linear.as_array() for m in fam.regular] + [
@@ -100,21 +95,14 @@ def brute_levels(fam, alpha, spec):
     w_angle = start.w_angle(alphas[spec.start])
     row = start.rho * np.array([math.cos(w_angle), math.sin(w_angle)])
     v = np.array([math.cos(end.v_angle), math.sin(end.v_angle)])
-    half = (spec.max_len + 1) // 2
     levels = []
     for k in range(spec.max_len + 1):
         bases = []
         for word in itertools.product(range(len(letters)), repeat=k):
-            col, kept = v, True
-            for m, letter in enumerate(reversed(word), start=1):
+            col = v
+            for letter in reversed(word):
                 col = letters[letter] @ col
-                kept = kept and (m > half or bool(col.any()))
-            head = row
-            for letter in word[: max(k - half, 0)]:
-                head = head @ letters[letter]
-                kept = kept and bool(head.any())
-            if kept:
-                bases.append(abs(row @ col))
+            bases.append(abs(row @ col))
         levels.append(np.array(bases))
     return levels
 
@@ -141,10 +129,9 @@ class TestLevelWalk:
         make, alpha, start, end, allowed = case
         fam = make()
         spec = AnchoredSumSpec(start=start, end=end, max_len=max_len, allowed=allowed)
-        got, norms, pruned = _anchored_levels(fam, alpha, spec, SolverOptions())
+        got, norms = _anchored_levels(fam, alpha, spec, SolverOptions())
         want = brute_levels(fam, alpha, spec)
         assert len(norms) == fam.n_regular + len(allowed)
-        assert pruned.size == 0
         assert len(got) == max_len + 1
         for k, (g, w) in enumerate(zip(got, want)):
             assert g.shape == w.shape, k
@@ -168,62 +155,15 @@ class TestLevelWalk:
             with pytest.raises(BudgetError, match=message):
                 anchored_norm_sum(fam, 0.6, spec, 0.5, opts)
 
-    @pytest.mark.parametrize("prune", [3.0, 40.0, 100.0, 1000.0])
-    def test_pruned_subtrees_keep_the_bracket_certified(self, prune):
-        # two letters at depth 8: at s = 0 a word of length k bounds its
-        # 2^(9-k) - 1 descendants, so every prune > 1 drops the deepest
-        # rows, and prune > 31 whole column levels (they end at k = 4);
-        # the mass of both enters the tail
-        fam = rotation_family()
-        full = affinity_dimension(fam, 0.0, SolverOptions(depth=8))
-        pruned = affinity_dimension(fam, 0.0, SolverOptions(depth=8, prune=prune))
-        _, _, mass = _anchored_levels(
-            fam, 0.0, anchor_spec(fam, 0, 8), SolverOptions(prune=prune)
-        )
-        assert mass.size > 0
-        assert pruned.certified_upper
-        assert pruned.lower <= full.lower <= pruned.upper
-
-    def test_pruned_rows_cost_no_words(self):
-        # prune=7 at depth 8 drops every word of length 7 (bound 3), so
-        # the walk counts 1 + 2 + ... + 128 = 255 words and stops there
-        fam = rotation_family()
-        spec = anchor_spec(fam, 0, 8)
-        levels, _, mass = _anchored_levels(
-            fam, 0.0, spec, SolverOptions(prune=7.0, budget=255)
-        )
-        assert [b.size for b in levels] == [1, 2, 4, 8, 16, 32, 64, 0, 0]
-        assert mass.size == 128
-        with pytest.raises(BudgetError, match="exceeded 254 words at length 7$"):
-            _anchored_levels(fam, 0.0, spec, SolverOptions(prune=7.0, budget=254))
-
-    @pytest.mark.parametrize("s, prune, words", [(5.0, 1e-18, 255), (0.0, 1e30, 1)])
-    def test_walk_stops_once_the_columns_are_pruned_away(
-        self, monkeypatch, s, prune, words
-    ):
-        # at s = 5 every column of the rotation family is pruned by length
-        # 8, at prune=1e30 the first one already; the rows of lengths
-        # 21..40 must then never be built, and the sum is that of the
-        # surviving words up to length 7 (pruned subtrees add < 1e-15)
-        built = []
-
-        def spy(*args):
-            out = outer_sum(*args)
-            built.append(out.size)
-            return out
-
-        outer_sum = dimension._outer_sum
-        monkeypatch.setattr(dimension, "_outer_sum", spy)
-        fam = rotation_family()
+    def test_empty_alphabet_walks_only_the_empty_word(self):
+        # one site and no regular map leave no letters: every level past 0
+        # is empty and costs no words, so a long walk fits a budget of 1
+        site = RankOneSite(rho=0.5, v_angle=0.3, c=0.2, beta=1.0, translation=(0.0, 0.0))
+        fam = IfsFamily(regular=(), singular=(site,))
         spec = anchor_spec(fam, 0, 40)
-        opts = SolverOptions(prune=prune, budget=words)
-        value = anchored_norm_sum(fam, 0.3, spec, s, opts)
-        assert sum(built) <= 3 * words
-        if prune < 1.0:
-            want = brute_levels(fam, 0.3, anchor_spec(fam, 0, 7))
-            assert value == pytest.approx(sum((b ** s).sum() for b in want), abs=1e-15)
-        else:
-            assert value == 0.0
+        want = brute_levels(fam, 0.0, anchor_spec(fam, 0, 0))[0][0]
+        value = anchored_norm_sum(fam, 0.0, spec, 1.0, SolverOptions(budget=1))
+        assert value == pytest.approx(want, rel=1e-15)
 
 
 class TestAnchoredNormSum:
@@ -273,6 +213,13 @@ class TestProfile:
         prof = anchor_exponent_profile(fam, 0.4, 0, max_len=10)
         assert all(b >= a for a, b in zip(prof, prof[1:]))
 
+    def test_profile_solves_at_the_options_tol(self):
+        fam = scalar_family()
+        fine = anchor_exponent_profile(fam, 0.0, 0, max_len=8)
+        coarse = anchor_exponent_profile(fam, 0.0, 0, max_len=8, opts=SolverOptions(tol=1e-3))
+        assert coarse != fine
+        assert all(f - 1e-3 <= c <= f + 1e-9 for c, f in zip(coarse, fine))
+
     def test_lower_is_last_profile_entry(self):
         fam = scalar_family()
         prof = anchor_exponent_profile(fam, 0.0, 0, max_len=8)
@@ -288,24 +235,6 @@ class TestUpper:
         assert certified
         assert SCALAR_LIMIT <= upper + 1e-12
         assert upper == pytest.approx(SCALAR_LIMIT, abs=5e-3)
-
-    @pytest.mark.parametrize("prune", [3.0, 100.0])
-    def test_pruned_mass_keeps_the_upper_certified(self, prune):
-        # pruning drops real subtrees at these thresholds; without their
-        # bound in the tail the "certified" upper was 0.787844 at 3.0 and
-        # 0.1332 at 100, both below the exponent
-        bracket = affinity_dimension(
-            scalar_family(), 0.0, SolverOptions(depth=12, prune=prune)
-        )
-        assert bracket.certified_upper
-        assert bracket.lower <= SCALAR_LIMIT <= bracket.upper
-
-    def test_all_terms_pruned_is_logged_as_pruning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="affdim.dimension"):
-            affinity_dimension(scalar_family(), 0, SolverOptions(depth=12, prune=100))
-        messages = [r.getMessage() for r in caplog.records]
-        assert any("pruned" in m and "prune=100" in m for m in messages), messages
-        assert not any("no nonzero terms" in m for m in messages), messages
 
 
 class TestAffinityDimension:
@@ -373,8 +302,6 @@ class TestAffinityDimension:
         dict(tol=0.0),
         dict(tol=math.nan),
         dict(tol=math.inf),
-        dict(prune=-1.0),
-        dict(prune=math.nan),
     ],
 )
 def test_solver_options_validated(bad):
