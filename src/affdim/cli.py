@@ -26,11 +26,7 @@ from typing import List, Optional, Tuple
 from . import __version__
 from .attractor import box_dim_estimate, chaos_game, render_levels
 from .config import FamilyConfig, config_digest, parse_config
-from .dimension import (
-    SolverOptions,
-    affinity_dimension,
-    regular_dimension_bracket,
-)
+from .dimension import SolverOptions, affinity_dimension
 from .errors import (
     AffdimError,
     BudgetError,
@@ -106,8 +102,8 @@ def cmd_dim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
         "affinity": {"lower": bracket.lower, "upper": bracket.upper,
                      "depth": bracket.depth, "certified": bracket.certified_upper},
     }
-    if cfg.family.n_regular >= 1:
-        reg = regular_dimension_bracket(cfg.family, opts)
+    reg = bracket.regular
+    if reg is not None:
         rows.append(_bracket_row("regular", reg))
         payload["regular"] = {"lower": reg.lower, "upper": reg.upper,
                               "depth": reg.depth, "certified": reg.certified_upper}

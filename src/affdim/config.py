@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Union
+from typing import Tuple, Union
 
 from .dimension import SolverOptions
 from .errors import ConfigError, ContractionError
@@ -30,6 +30,12 @@ class FamilyConfig:
     region_spec: dict
     solver: SolverOptions
     seed: int
+
+
+def _known_keys(entry: dict, allowed, where: str) -> None:
+    unknown = sorted(set(entry) - set(allowed))
+    if unknown:
+        raise ConfigError("%s: unknown key(s) %s" % (where, ", ".join(map(repr, unknown))))
 
 
 def _number(value, where: str) -> float:
@@ -51,6 +57,7 @@ def _pair(value, where: str):
 def _parse_regular(entry, idx: int) -> AffineMap2:
     if not isinstance(entry, dict):
         raise ConfigError("regular[%d] must be an object" % idx)
+    _known_keys(entry, ("matrix", "t"), "regular[%d]" % idx)
     raw = entry.get("matrix")
     if (
         not isinstance(raw, (list, tuple))
@@ -72,6 +79,7 @@ def _parse_site(entry, idx: int) -> RankOneSite:
     message is prefixed with the site's index."""
     if not isinstance(entry, dict):
         raise ConfigError("singular[%d] must be an object" % idx)
+    _known_keys(entry, ("rho", "v_angle", "c", "beta", "t"), "singular[%d]" % idx)
     where = "singular[%d]." % idx
     params = dict(
         rho=_number(entry.get("rho"), where + "rho"),
@@ -86,11 +94,13 @@ def _parse_site(entry, idx: int) -> RankOneSite:
         raise ConfigError("singular[%d]: %s" % (idx, exc)) from exc
 
 
-def _parse_region(spec) -> ConvexBody:
+def _parse_region(spec) -> Tuple[ConvexBody, dict]:
+    """Region body and its canonical spec, with every default filled in."""
     if not isinstance(spec, dict):
         raise ConfigError("region_U must be an object")
     kind = spec.get("kind")
     if kind == "polygon":
+        _known_keys(spec, ("kind", "vertices"), "region_U")
         vertices = spec.get("vertices")
         if not isinstance(vertices, (list, tuple)) or len(vertices) < 3:
             raise ConfigError("region_U: malformed vertices")
@@ -98,13 +108,14 @@ def _parse_region(spec) -> ConvexBody:
             points = [_pair(v, "region_U vertex") for v in vertices]
         except ConfigError:
             raise ConfigError("region_U: malformed vertices")
-        return ConvexBody.polygon(points)
+        return ConvexBody.polygon(points), {"kind": kind, "vertices": [list(p) for p in points]}
     if kind == "disk64":
+        _known_keys(spec, ("kind", "center", "radius"), "region_U")
         center = _pair(spec.get("center", (0.0, 0.0)), "region_U.center")
         radius = _number(spec.get("radius"), "region_U.radius")
         if radius <= 0.0:
             raise ConfigError("region_U: radius must be positive")
-        return disk_polygon(center, radius)
+        return disk_polygon(center, radius), {"kind": kind, "center": list(center), "radius": radius}
     raise ConfigError("region_U: unknown kind %r" % (kind,))
 
 
@@ -122,6 +133,9 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("unsupported schema_version: %r" % (version,))
+    _known_keys(
+        data, ("schema_version", "regular", "singular", "region_U", "solver", "seed"), "config"
+    )
 
     raw_regular = data.get("regular", [])
     if not isinstance(raw_regular, list):
@@ -140,14 +154,12 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
         raise ConfigError(str(exc)) from exc
 
     region_spec = data.get("region_U", {"kind": "disk64", "center": [0.0, 0.0], "radius": 1.0})
-    region = _parse_region(region_spec)
+    region, region_spec = _parse_region(region_spec)
 
     solver_spec = data.get("solver", {})
     if not isinstance(solver_spec, dict):
         raise ConfigError("solver must be an object")
-    unknown = sorted(set(solver_spec) - {f.name for f in fields(SolverOptions)})
-    if unknown:
-        raise ConfigError("solver: unknown key(s) %s" % ", ".join(map(repr, unknown)))
+    _known_keys(solver_spec, [f.name for f in fields(SolverOptions)], "solver")
     solver = SolverOptions(**solver_spec)
 
     seed = data.get("seed", 0)
@@ -157,23 +169,10 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
     return FamilyConfig(
         family=family,
         region=region,
-        region_spec=_canonical_region(region_spec),
+        region_spec=region_spec,
         solver=solver,
         seed=seed,
     )
-
-
-def _canonical_region(spec: dict) -> dict:
-    if spec.get("kind") == "polygon":
-        return {
-            "kind": "polygon",
-            "vertices": [[float(x), float(y)] for x, y in spec["vertices"]],
-        }
-    return {
-        "kind": "disk64",
-        "center": [float(x) for x in spec.get("center", (0.0, 0.0))],
-        "radius": float(spec["radius"]) if "radius" in spec else 1.0,
-    }
 
 
 def config_dict(cfg: FamilyConfig) -> dict:

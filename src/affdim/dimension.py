@@ -12,10 +12,10 @@ Three families of quantities live here:
   certified) and upper-bounded through the pressure root.
 
 Every root is that of a convex, nonincreasing sum of powers b**s. One
-solver finds them all: Newton steps from the left on sums rebuilt from
-logs taken once per level, then both ends of a bracket of width at most
-tol confirmed by the b**s sums themselves, with a bisection on those
-sums as the fallback.
+solver finds them all with Newton steps from the left on sums rebuilt
+from logs taken once per level; each evaluation carries a stated bound
+on its rounding, under which the same sums certify both ends of a
+bracket of width at most tol.
 
 All enumeration is level-synchronous and vectorized in a canonical word
 order, and every reduction is compensated and performed in that order
@@ -92,7 +92,8 @@ class DimensionBracket:
 
     certified_upper records whether the upper end carries a proved tail
     bound; per_anchor (when present) stores the raw per-anchor brackets
-    that were intersected.
+    that were intersected, and regular the invertible sub-system's
+    bracket that was checked against 1, when the family has regular maps.
     """
 
     lower: float
@@ -100,6 +101,7 @@ class DimensionBracket:
     depth: int
     certified_upper: bool
     per_anchor: Optional[Dict[int, AnchorBracket]] = None
+    regular: Optional[DimensionBracket] = None
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,6 @@ def _chunked_sum(arr: np.ndarray) -> float:
     )
 
 
-def _pow_sum(bases: np.ndarray, s: float) -> float:
-    """Sum of bases**s over bases masked by _positive, so that zero bases
-    count as zero even at s=0."""
-    if s == 0.0:
-        return float(bases.size)
-    return _chunked_sum(bases ** s)
-
-
 def _positive(bases: np.ndarray) -> np.ndarray:
     keep = bases > 0.0
     return bases if keep.all() else bases[keep]
@@ -164,24 +158,43 @@ def _positive(bases: np.ndarray) -> np.ndarray:
 _S_MAX = 1e6
 _NEWTON_STEPS = 64
 
+# unit roundoff, and the rounding budget of a log-sum evaluation in ulps
+_U = 2.0 ** -53
+_ARG_ULPS = 8.0
+_SUM_ULPS = 64.0
+
 
 class _LogSum:
-    """F(s) = sum of exp(C + s*L) and its derivative F'(s), for logs L of
-    positive bases and optional offsets C taken once.
+    """F(s) = sum of exp(C + s*L), for logs L of positive bases and
+    optional offsets C = log a - L taken once.
 
-    An evaluation runs over the fixed _CHUNK blocks of a prefix of L
-    through one reused buffer and combines the block sums in order with
-    compensation, so, like the b**s sums, its bits never depend on the
-    thread count.
+    Evaluation n sums the prefix ends[n] of L (by default all of it) over
+    fixed _CHUNK blocks through one reused buffer and combines the block
+    sums in order with compensation, so its bits never depend on the
+    thread count. It returns (F, F', err, slope_err). Each term passes
+    through fl(log b), a product, an add and exp, each within a few ulp
+    of its argument, so it is off by at most _ARG_ULPS * (s max|L| +
+    max|C| + 1) ulp, an offset counting as max|C| + 2 max|L| to cover the
+    logs it came from; the chunked sums, their combination and the
+    comparisons with 1 take _SUM_ULPS more (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3). So err bounds the rounding
+    of F, and slope_err = max|L| err that of F', whose terms are value
+    terms times logs. Underflowed terms lose less than the smallest
+    normal float each, far inside err where F is near 1.
     """
 
-    def __init__(self, logs: np.ndarray, offsets: Optional[np.ndarray] = None):
+    def __init__(self, logs: np.ndarray, offsets: Optional[np.ndarray] = None, ends=None):
         self.logs = logs
         self.offsets = offsets
+        self.ends = [logs.size] if ends is None else ends
         self._buf = np.empty(min(logs.size, _CHUNK))
+        self._log_max = max(-float(logs.min(initial=0.0)), float(logs.max(initial=0.0)))
+        self._offset_max = 0.0
+        if offsets is not None:
+            self._offset_max = float(np.max(np.abs(offsets), initial=0.0)) + 2.0 * self._log_max
 
-    def __call__(self, s: float, end: Optional[int] = None) -> Tuple[float, float]:
-        end = self.logs.size if end is None else end
+    def __call__(self, s: float, n: int = -1) -> Tuple[float, float, float, float]:
+        end = int(self.ends[n])
         values, slopes = [], []
         for i in range(0, end, _CHUNK):
             logs = self.logs[i : min(i + _CHUNK, end)]
@@ -193,38 +206,60 @@ class _LogSum:
             values.append(np.sum(buf))
             buf *= logs
             slopes.append(np.sum(buf))
-        return _kahan_total(values), _kahan_total(slopes)
+        F, dF = _kahan_total(values), _kahan_total(slopes)
+        rel = (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
+        return F, dF, rel * F, rel * self._log_max * F
 
 
 def _log_sum(*bases: np.ndarray) -> _LogSum:
-    """_LogSum over the positive entries of the given base arrays."""
-    logs = np.concatenate([_positive(np.asarray(b, dtype=float)) for b in bases])
-    return _LogSum(np.log(logs, out=logs))
+    """_LogSum over the positive entries of the given base arrays, taken
+    once, one array after another; evaluation n sums the first n + 1."""
+    positive = [_positive(np.asarray(b, dtype=float)) for b in bases]
+    logs = np.concatenate(positive)
+    return _LogSum(np.log(logs, out=logs), ends=np.cumsum([b.size for b in positive]))
 
 
 def _convex_root(
-    fast, ref, lo: float, tol: float, hi: float = math.inf
+    evaluate, lo: float, tol: float, hi: float = math.inf
 ) -> Optional[Tuple[float, float]]:
     """Bracket [a, b] of the root of g = F - 1, convex and nonincreasing.
 
-    ref(s) is g from the b**s sums every certificate rests on, fast(s)
-    returns (F, F') from precomputed logs. The caller knows ref(lo) >= 0
-    and, when hi is finite, ref(hi) < 0. Newton steps on log F, which is
-    convex too since every F here is log-convex, start at lo and never
-    pass the root; one step solves a single exponential exactly. They
-    stop once a step, or the next step the quadratic model predicts, is
-    at most tol/8. The iterate r yields a = r - tol/4 and b = a + tol/2,
-    both confirmed by ref. If either check fails, the bracket is widened
-    to the right by doubling and bisected on ref, so the result always
-    satisfies ref(a) >= 0 > ref(b) (lo and a finite hi are taken as
-    given) and b - a <= tol unless a and b are adjacent floats. None when
-    no right end exists below _S_MAX.
+    evaluate(s) returns (F, F', err, slope_err) as _LogSum does; F - err
+    >= 1 certifies g >= 0 at s, F + err < 1 certifies g < 0, and between
+    them s is undecided. The caller knows g(lo) >= 0 and, when hi is
+    finite, g(hi) < 0. Newton steps on log F, which is convex too, start
+    at lo and never pass the root; one step solves a single exponential
+    exactly, and each decided iterate becomes lo or hi. They stop once a
+    step, or the next step the quadratic model predicts, is at most
+    tol/8, and the final iterate r gives a = r - tol/4 and b = a + tol/2.
+    By convexity F(a) >= F(x) + F'(x)(a - x) at the last evaluated iterate
+    x, so that tangent, lowered by err and slope_err, certifies a when it
+    reaches 1; b takes one more evaluation. If an end fails, the bracket
+    is widened to the right by doubling and bisected, so g(a) >= 0 > g(b)
+    (lo and a finite hi taken as given), and b - a <= tol unless a and b
+    are adjacent floats or g's sign is undecided at their midpoint. None
+    when no right end exists below _S_MAX.
     """
     cap = min(hi, _S_MAX)
+
+    def probe(s, values=None) -> bool:
+        nonlocal lo, hi
+        F, _, err, _ = values or evaluate(s)
+        if F - err >= 1.0:
+            lo = s
+        elif F + err < 1.0:
+            hi = s
+        else:
+            return False
+        return True
+
     r = lo
     prev = math.inf
     for _ in range(_NEWTON_STEPS):
-        F, dF = fast(r)
+        x, values = r, evaluate(r)
+        if lo < x < hi:
+            probe(x, values)
+        F, dF, err, slope_err = values
         if not (F > 1.0 and dF < 0.0):
             break
         step = -math.log(F) * F / dF
@@ -236,14 +271,10 @@ def _convex_root(
             break
         prev = step
 
-    def probe(s):
-        nonlocal lo, hi
-        if ref(s) >= 0.0:
-            lo = s
-        else:
-            hi = s
-
     a = max(lo, r - 0.25 * tol)
+    # the tangent at x, lowered on either side of x by the slope's bound
+    if lo < a < hi and F - err + (a - x) * (dF - math.copysign(slope_err, a - x)) >= 1.0:
+        lo = a
     for s in (a, a + 0.5 * tol):
         if lo < s < hi:
             probe(s)
@@ -255,9 +286,8 @@ def _convex_root(
         width *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        if not lo < mid < hi or not probe(mid):
             break
-        probe(mid)
     return lo, hi
 
 
@@ -371,34 +401,15 @@ def anchored_norm_sum(
         raise ValueError("exponent must be nonnegative")
     opts = opts or DEFAULT_OPTIONS
     levels, _ = _anchored_levels(fam, alpha, sum_spec, opts)
-    return _kahan_total(_pow_sum(_positive(b), s) for b in levels)
+    # zero bases count as zero even at s = 0
+    positive = map(_positive, levels)
+    return _kahan_total(float(b.size) if s == 0.0 else _chunked_sum(b ** s) for b in positive)
 
 
 # --- anchored exponent solvers ----------------------------------------------
 
 
-class _LevelSums:
-    """Cumulative sums over word lengths 0..n of the anchored bases.
-
-    Each level is masked to its positive bases once, and their logs are
-    taken once, level after level in one array, so the sum over lengths
-    0..n is a prefix of it. ref is the compensated per-level b**s sum,
-    fast returns the sum and its derivative from the logs.
-    """
-
-    def __init__(self, levels: List[np.ndarray]):
-        self.bases = [_positive(b) for b in levels]
-        self.ends = np.cumsum([b.size for b in self.bases])
-        self.logs = _log_sum(*self.bases)
-
-    def ref(self, s: float, n: int) -> float:
-        return _kahan_total(_pow_sum(b, s) for b in self.bases[: n + 1])
-
-    def fast(self, s: float, n: int) -> Tuple[float, float]:
-        return self.logs(s, int(self.ends[n]))
-
-
-def _profile_from_levels(sums: _LevelSums, tol: float) -> List[float]:
+def _profile_from_levels(sums: _LogSum, tol: float) -> List[float]:
     """Certified left ends of the roots of the cumulative sums = 1, one
     for each truncation 0..max_len.
 
@@ -407,7 +418,7 @@ def _profile_from_levels(sums: _LevelSums, tol: float) -> List[float]:
     since the deeper sum dominates pointwise. So the sequence is
     nondecreasing without any numerical slack.
     """
-    max_len = len(sums.bases) - 1
+    max_len = len(sums.ends) - 1
     if sums.ends[-1] == 0:
         logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
         return [0.0] * (max_len + 1)
@@ -416,9 +427,7 @@ def _profile_from_levels(sums: _LevelSums, tol: float) -> List[float]:
     lo = 0.0
     for n in range(max_len + 1):
         if sums.ends[n] > 1:
-            root = _convex_root(
-                lambda s: sums.fast(s, n), lambda s: sums.ref(s, n) - 1.0, lo, tol
-            )
+            root = _convex_root(lambda s: sums(s, n), lo, tol)
             if root is None:
                 # terms are products of norms < 1, so this cannot trigger; guard anyway
                 raise ConfigError("anchored sum does not decay; family is not contracting")
@@ -428,7 +437,7 @@ def _profile_from_levels(sums: _LevelSums, tol: float) -> List[float]:
 
 
 def _upper_from_levels(
-    sums: _LevelSums,
+    sums: _LogSum,
     letter_norms: Sequence[float],
     rho_anchor: float,
     tol: float,
@@ -444,14 +453,10 @@ def _upper_from_levels(
     When theta stays >= 1 over the whole candidate range the bound never
     applies and an extrapolated value is returned, flagged uncertified.
     """
-    max_len = len(sums.bases) - 1
+    max_len = len(sums.ends) - 1
     s_cap = 8.0
-    theta_logs = _log_sum(letter_norms)
+    theta = _log_sum(letter_norms)
     log_rho = math.log(rho_anchor)
-
-    def theta(s):
-        return _kahan_total(n ** s for n in letter_norms)
-
     lower = fallback_profile[-1]
 
     def extrapolated() -> Tuple[float, bool]:
@@ -459,43 +464,39 @@ def _upper_from_levels(
         guess = _aitken(*tail) if len(tail) == 3 else lower
         return max(guess, lower), False
 
-    if theta(s_cap) >= 1.0:
+    th, _, th_err, _ = theta(s_cap)
+    if th + th_err >= 1.0:
         return extrapolated()
 
     # first find where the tail bound becomes valid
-    if theta(0.0) < 1.0:
-        s_theta = 0.0
-    else:
-        s_theta = _convex_root(theta_logs, lambda s: theta(s) - 1.0, 0.0, tol, s_cap)[1]
+    s_theta = _convex_root(theta, 0.0, tol, s_cap)[1] if letter_norms else 0.0
 
-    def tail_ref(s):
-        th = theta(s)
-        return rho_anchor ** s * th ** (max_len + 1) / (1.0 - th)
-
-    def tail_fast(s):
-        th, d_th = theta_logs(s)
+    def tail(s):
+        th, d_th, th_err, _ = theta(s)
         # head = rho^s theta^(n+1), differentiated without dividing by theta
         part = rho_anchor ** s * th ** max_len
         head = part * th
         d_head = part * (th * log_rho + (max_len + 1) * d_th)
         q = 1.0 - th
-        return head / q, d_head / q + head * d_th / (q * q)
+        value = head / q
+        slope = d_head / q + head * d_th / (q * q)
+        # theta's rounding enters n+1 times through the power and once through
+        # 1/q; log rho and the letter logs are < 0, so it covers the slope too
+        th_rel = th_err / th if th else 0.0
+        rel = 2.0 * ((max_len + 8) * (th_rel + _U) + th_err / q)
+        return value, slope, rel * value, -rel * slope
 
-    def fast(s):
-        trunc, d_trunc = sums.fast(s, max_len)
-        tail, d_tail = tail_fast(s)
-        return trunc + tail, d_trunc + d_tail
+    def total(s):
+        return tuple(x + y for x, y in zip(sums(s, max_len), tail(s)))
 
     # the sum is at least its tail and at least 1 at lower, so a point
     # where the tail alone still reaches 1 is a left point too; it is cheap
     # to find and lies past the steep rise of 1/(1 - theta) near s_theta
     start = max(s_theta, lower)
-    tail_root = _convex_root(tail_fast, lambda s: tail_ref(s) - 1.0, start, tol)
+    tail_root = _convex_root(tail, start, tol)
     if tail_root is not None:
         start = tail_root[0]
-    root = _convex_root(
-        fast, lambda s: sums.ref(s, max_len) + tail_ref(s) - 1.0, start, tol
-    )
+    root = _convex_root(total, start, tol)
     if root is None:
         return extrapolated()
     return max(root[1], lower), True
@@ -521,7 +522,7 @@ def anchor_exponent_profile(
     """
     opts = opts or DEFAULT_OPTIONS
     levels, _ = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
-    return _profile_from_levels(_LevelSums(levels), opts.tol)
+    return _profile_from_levels(_log_sum(*levels), opts.tol)
 
 
 def _anchor_bracket(fam: IfsFamily, alpha, j: int, opts: SolverOptions) -> AnchorBracket:
@@ -530,7 +531,7 @@ def _anchor_bracket(fam: IfsFamily, alpha, j: int, opts: SolverOptions) -> Ancho
     levels, letter_norms = _anchored_levels(
         fam, alpha, _anchor_spec(fam, j, opts.depth), opts
     )
-    sums = _LevelSums(levels)
+    sums = _log_sum(*levels)
     del levels
     profile = _profile_from_levels(sums, opts.tol)
     up, cert = _upper_from_levels(sums, letter_norms, fam.singular[j].rho, opts.tol, profile)
@@ -552,6 +553,7 @@ def affinity_dimension(
     opts = opts or DEFAULT_OPTIONS
     if fam.n_singular < 1:
         raise ConfigError("affinity bracket needs at least one rank-one site")
+    reg = None
     if fam.n_regular >= 1:
         reg = regular_dimension_bracket(fam, opts)
         if reg.upper >= 1.0:
@@ -574,7 +576,7 @@ def affinity_dimension(
             "anchored brackets do not intersect (lower %.9f > upper %.9f); "
             "increase the truncation depth" % (lower, upper)
         )
-    return DimensionBracket(lower, max(upper, lower), opts.depth, certified, per)
+    return DimensionBracket(lower, max(upper, lower), opts.depth, certified, per, reg)
 
 
 # --- partition sums over full words -----------------------------------------
@@ -653,20 +655,21 @@ def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float) -> float:
     checked first and the root is solved inside one piece.
     """
 
-    def g(s):
-        return _svf_sum(a1, a2, s) - 1.0
-
-    if g(0.0) <= 0.0:
+    if a1.size <= 1:
+        # the sum is a1.size at s = 0, so its root is 0
         return 0.0
-    if g(2.0) >= 0.0:
+    # at s = 2 and s = 1 the terms are the plain products a1 a2 and a1, so
+    # these sums round only in the summation
+    slack = 1.0 + _SUM_ULPS * _U
+    if _chunked_sum(a1 * a2) * slack >= 1.0:
         return 2.0
-    if g(1.0) < 0.0:
-        return _convex_root(_log_sum(a1), g, 0.0, tol, 1.0)[1]
+    if _chunked_sum(a1) * slack < 1.0:
+        return _convex_root(_log_sum(a1), 0.0, tol, 1.0)[1]
     # a1 a2^(s-1) = exp(log a1 - log a2 + s log a2); a zero a2 adds nothing past 1
     keep = (a1 > 0.0) & (a2 > 0.0)
     log_a2 = np.log(a2[keep])
     piece = _LogSum(log_a2, np.log(a1[keep]) - log_a2)
-    return _convex_root(piece, g, 1.0, tol, 2.0)[1]
+    return _convex_root(piece, 1.0, tol, 2.0)[1]
 
 
 def partition_sum(
@@ -724,12 +727,7 @@ def regular_dimension_bracket(
     depth, lower = 0, 0.0
     for depth, P, dets in _product_levels(fam.regular, opts.depth, opts):
         a1, a2 = batch_singular_values(*P, dets)
-        if a2.size <= 1:
-            # the sum is a2.size at s = 0, so its root is 0
-            continue
-        root = _convex_root(
-            _log_sum(a2), lambda s: _chunked_sum(a2 ** s) - 1.0, 0.0, opts.tol
-        )
+        root = _convex_root(_log_sum(a2), 0.0, opts.tol)
         if root is None:
             raise ConfigError("smallest singular values do not decay")
         lower = max(lower, root[0])

@@ -104,6 +104,18 @@ def commutation_residual(fam: IfsFamily, alpha: float, j: int, i: int) -> float:
 _MAX_BISECT = 200
 
 
+def _anchor_letter(fam: IfsFamily, j: int, i: int) -> int:
+    """Letter of site j, once j and the companion letter i are checked."""
+    if not 0 <= j < fam.n_singular:
+        raise ConfigError("site index out of range")
+    if not 0 <= i < fam.n_maps:
+        raise ConfigError("companion letter out of range")
+    anchor = fam.singular_letter(j)
+    if i == anchor:
+        raise ConfigError("companion letter coincides with the site")
+    return anchor
+
+
 def find_common_fixed_point_angle(
     fam: IfsFamily,
     j: int,
@@ -124,8 +136,7 @@ def find_common_fixed_point_angle(
     """
     if grid_size < 2:
         raise ConfigError("grid must have at least two points")
-    if i == fam.singular_letter(j):
-        raise ConfigError("companion letter coincides with the site")
+    _anchor_letter(fam, j, i)
     site = fam.singular[j]
     if site.beta == 0.0:
         raise ConfigError("site angle does not move with the parameter")
@@ -212,9 +223,7 @@ def exceptional_family(
 ) -> ReducedFamily:
     """Three-letter grouping of the family at the coincidence angle,
     with the word (j, j, i) dropped in favor of its duplicate (j, i, j)."""
-    anchor = fam.singular_letter(j)
-    if i == anchor:
-        raise ConfigError("companion letter coincides with the site")
+    anchor = _anchor_letter(fam, j, i)
     maps = fam.instantiate(alpha_star)
     removed = (anchor, anchor, i)
     duplicate = (anchor, i, anchor)
@@ -270,7 +279,8 @@ def dimension_drop(
 
     strict_gap is set only when the certified upper end for the reduced
     family falls below the certified lower end for the original; an
-    overlap is reported as-is rather than raised.
+    overlap is reported as-is rather than raised. A site or letter index
+    out of range is a ConfigError, raised before any work.
     """
     opts = opts or SolverOptions()
     alpha_star = find_common_fixed_point_angle(fam, j, i)

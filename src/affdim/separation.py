@@ -443,6 +443,8 @@ def projection_witness(
     direction falls in the admissible set with the requested angular
     margin. The grid doubles up to 2^16 points before giving up.
     """
+    if not (0 <= k1 < fam.n_maps and 0 <= k2 < fam.n_maps):
+        raise ConfigError("letter index out of range")
     if k1 == k2:
         raise ConfigError("need two distinct letters to separate")
     if not 0 <= j < fam.n_singular:

@@ -176,6 +176,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver: unknown key\\(s\\) '%s'$" % key):
             parse_config(variant(SCALAR_CONFIG, solver={"depth": 3, key: 1}))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"solvr": {"depth": 3}}, "config: unknown key(s) 'solvr'"),
+            ({"regular": [{"matrix": [[0.3, 0.0], [0.0, 0.3]], "t": [0.0, 0.0], "tt": 1}]},
+             "regular[0]: unknown key(s) 'tt'"),
+            ({"singular": [{"rho": 0.5, "bta": 2.0, "t": [1.0, 0.0]}]},
+             "singular[0]: unknown key(s) 'bta'"),
+            ({"region_U": {"kind": "disk64", "centre": [0.0, 0.0], "radius": 2.0}},
+             "region_U: unknown key(s) 'centre'"),
+            ({"region_U": {"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]],
+                           "radius": 1.0}},
+             "region_U: unknown key(s) 'radius'"),
+        ],
+    )
+    def test_unknown_key_rejected(self, change, message):
+        # each used to be dropped, so the run went on at a default
+        with pytest.raises(ConfigError) as exc:
+            parse_config(variant(SCALAR_CONFIG, **change))
+        assert str(exc.value) == message
+
     def test_non_integer_depth_not_truncated(self):
         with pytest.raises(ConfigError, match="solver settings out of range"):
             parse_config(variant(SCALAR_CONFIG, solver={"depth": 2.5}))
@@ -205,6 +226,21 @@ class TestParseConfig:
 
 
 class TestDimCommand:
+    def test_regular_bracket_computed_once(self, tmp_path, monkeypatch):
+        import affdim.dimension as dimension
+
+        # each regular bracket takes one product walk over the regular maps
+        calls = []
+        real = dimension._product_levels
+        monkeypatch.setattr(
+            dimension, "_product_levels", lambda *args: calls.append(args) or real(*args)
+        )
+        cfg = write_config(tmp_path, SCALAR_CONFIG)
+        assert main(["dim", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+        rows = (tmp_path / "out" / "dim.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["affinity", "anchor_0", "regular"]
+
     def test_writes_bracket_table(self, tmp_path):
         cfg = write_config(tmp_path, SCALAR_CONFIG)
         out = tmp_path / "out"
@@ -394,6 +430,26 @@ class TestWitnessCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["exceptional", "--j", "1", "--i", "0"], "site index out of range"),
+        (["exceptional", "--j", "-1"], "site index out of range"),
+        (["exceptional", "--i", "9"], "companion letter out of range"),
+        (["exceptional", "--i", "-1"], "companion letter out of range"),
+        (["witness", "--k1", "0", "--k2", "7"], "letter index out of range"),
+        (["witness", "--k1", "-1", "--k2", "0"], "letter index out of range"),
+    ],
+)
+def test_index_out_of_range_exits_1(tmp_path, capsys, command, message):
+    # the family has one regular map and one site: these ended in an
+    # IndexError traceback, or a negative index wrapped round silently
+    cfg = write_config(tmp_path, DROP_CONFIG)
+    argv = [command[0], "--config", cfg, "--out", str(tmp_path / "o"), *command[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 class TestInputHandling:
     def test_missing_config(self, tmp_path):
         code = main(["dim", "--config", str(tmp_path / "nope.json"),
@@ -420,6 +476,11 @@ class TestInputHandling:
         assert main(["dim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: solver: unknown key(s) 'depht'\n"
         assert not (tmp_path / "o").exists()
+
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, variant(SCALAR_CONFIG, solvr={"depth": 3}))
+        assert main(["dim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: config: unknown key(s) 'solvr'\n"
 
     def test_budget_below_first_level(self, tmp_path, capsys):
         # two regular maps do not fit a budget of one word

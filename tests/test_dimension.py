@@ -165,6 +165,14 @@ class TestLevelWalk:
         value = anchored_norm_sum(fam, 0.0, spec, 1.0, SolverOptions(budget=1))
         assert value == pytest.approx(want, rel=1e-15)
 
+    def test_empty_alphabet_bracket_is_zero(self):
+        # the letter-norm tail is exactly 0 here, and so is its bound
+        site = RankOneSite(rho=0.5, v_angle=0.3, c=0.2, beta=1.0, translation=(0.0, 0.0))
+        fam = IfsFamily(regular=(), singular=(site,))
+        bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=5))
+        assert bracket.lower == 0.0 and 0.0 < bracket.upper <= 1e-9
+        assert bracket.certified_upper
+
 
 class TestAnchoredNormSum:
     def test_scalar_family_closed_form_s1(self):

@@ -148,6 +148,23 @@ class TestExceptionalFamily:
             exceptional_family(fam, 0.0, 0, fam.singular_letter(0))
 
 
+@pytest.mark.parametrize(
+    "j, i, message",
+    [(1, 0, "site index"), (-1, 0, "site index"), (0, 2, "companion letter"),
+     (0, -1, "companion letter")],
+)
+@pytest.mark.parametrize(
+    "call",
+    [find_common_fixed_point_angle, dimension_drop,
+     lambda fam, j, i: exceptional_family(fam, 0.0, j, i)],
+    ids=["find_angle", "dimension_drop", "exceptional_family"],
+)
+def test_indices_out_of_range_rejected(call, j, i, message):
+    # one regular map and one site: letters 0 and 1, site 0
+    with pytest.raises(ConfigError, match=message + " out of range"):
+        call(drop_family(), j, i)
+
+
 class TestDimensionDrop:
     def test_certified_drop(self):
         rep = dimension_drop(drop_family(), 0, 0)

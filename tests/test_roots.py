@@ -1,13 +1,15 @@
 """The certified convex root solver behind every dimension bracket.
 
-The solver navigates with sums rebuilt from logs and confirms both ends
-of its bracket with the b**s sums; these tests check the confirmation
-on random level sets, force its fallback with skewed fast sums, and
-bound how many full-level sums one root costs.
+The solver steps on sums rebuilt from logs and certifies both ends of
+its bracket on the same sums under a stated rounding bound; these tests
+check that bound against mpmath, the certified ends against
+high-precision sums on random level sets, force the fallback with
+skewed slopes, and bound how many full-level sums one root costs.
 """
 
 import math
 
+import mpmath  # a declared test dependency: missing, it fails the module
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import affdim.dimension as dimension
 from affdim import SolverOptions, affinity_dimension, pressure_upper_root
-from affdim.dimension import _convex_root, _LevelSums
+from affdim.dimension import _ARG_ULPS, _U, _convex_root, _log_sum
 
 from families import rotation_family
 
@@ -26,53 +28,96 @@ level_sets = st.lists(
 
 
 def full_sums(levels):
-    sums = _LevelSums([np.array(b) for b in levels])
-    n = len(levels) - 1
-    return (lambda s: sums.fast(s, n)), (lambda s: sums.ref(s, n) - 1.0)
+    # evaluates over every level, as the deepest profile root does
+    return _log_sum(*levels)
+
+
+def exact_sum(levels, s):
+    """Sum of b**s over the float bases, in 120-bit arithmetic."""
+    with mpmath.workprec(120):
+        return sum(mpmath.mpf(b) ** mpmath.mpf(s) for level in levels for b in level)
+
+
+def assert_certified(levels, evaluate, a, b):
+    """The ends straddle the root of the exact sums, and the solver's
+    sums there are within their stated bound of them."""
+    at_a, at_b = exact_sum(levels, a), exact_sum(levels, b)
+    assert at_a >= 1 > at_b
+    for s, exact in ((a, at_a), (b, at_b)):
+        F, _, err, _ = evaluate(s)
+        assert abs(mpmath.mpf(F) - exact) <= err
 
 
 @settings(max_examples=200, deadline=None)
 @given(levels=level_sets, tol=st.floats(min_value=1e-12, max_value=1e-3))
 def test_bracket_confirmed_by_reference_sums(levels, tol):
-    fast, ref = full_sums(levels)
-    a, b = _convex_root(fast, ref, 0.0, tol)
-    assert ref(a) >= 0.0 > ref(b)
-    assert 0.0 < b - a <= tol
+    evaluate = full_sums(levels)
+    a, b = _convex_root(evaluate, 0.0, tol)
+    assert_certified(levels, evaluate, a, b)
+    assert 0.0 < b - a
+    if b - a > tol:
+        # allowed only where the rounding bound leaves the sign open
+        F, _, err, _ = evaluate(0.5 * (a + b))
+        assert not (F - err >= 1.0 or F + err < 1.0), (a, b)
 
 
-@pytest.mark.parametrize("offset", [1e-13, -1e-13, 0.5, -0.5])
-def test_skewed_fast_sums_fall_back_to_a_confirmed_bracket(offset):
-    # with tol below the root shift that the offset causes, the Newton
-    # estimate fails its check and the bisection on the b**s sums decides
-    fast, ref = full_sums([[0.5, 1.0 / 3.0], [0.25, 0.1, 0.05]])
-    tol = 1e-14
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_skewed_slopes_fall_back_to_a_certified_bracket(scale):
+    # a slope off by the factor sends the Newton steps past the root (0.5)
+    # or stops them short of it (2.0); the slope bound owns up to the skew,
+    # so the tangent cannot certify the left end and the fallback decides
+    levels = [[0.5, 1.0 / 3.0], [0.25, 0.1, 0.05]]
+    evaluate = full_sums(levels)
+    tol = 1e-12
     calls = []
-
-    def skewed(s):
-        value, slope = fast(s)
-        return value + offset, slope
 
     def counted(s):
         calls.append(s)
-        return ref(s)
+        return evaluate(s)
 
-    a, b = _convex_root(skewed, counted, 0.0, tol)
-    assert len(calls) > 2
-    assert ref(a) >= 0.0 > ref(b)
+    def skewed(s):
+        F, dF, err, slope_err = counted(s)
+        return F, scale * dF, err, abs(1.0 - scale) * -dF + slope_err
+
+    _convex_root(counted, 0.0, tol)
+    plain = len(calls)
+    calls.clear()
+    a, b = _convex_root(skewed, 0.0, tol)
+    assert len(calls) > plain + 1
+    assert_certified(levels, evaluate, a, b)
     assert b - a <= tol
 
 
 def test_no_root_below_the_cap_returns_none():
     # bases equal to 1 never decay: the sum stays at 2
-    fast, ref = full_sums([[1.0, 1.0]])
-    assert _convex_root(fast, ref, 0.0, 1e-9) is None
+    assert _convex_root(full_sums([[1.0, 1.0]]), 0.0, 1e-9) is None
+
+
+def test_log_sum_terms_within_the_stated_bound():
+    # every certificate rests on the log sums, whose bound takes each term
+    # exp(s * fl(log b)) within _ARG_ULPS * (s |log b| + 1) ulp of b**s;
+    # 20000 bases from 1e-300 to just below 1, with b**s kept normal,
+    # taken as the solver takes them: one array of logs to one exponent
+    # in (0, 2] through numpy's vector log and exp
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    with mpmath.workprec(120):
+        for s in 2.0 - rng.uniform(0.0, 2.0, size=200):
+            decades = rng.uniform(0.0, min(300.0, 300.0 / s), size=90)
+            bases = np.concatenate([10.0 ** -decades, 1.0 - 10.0 ** -rng.uniform(1, 15, size=10)])
+            logs = np.log(bases)
+            got = np.exp(logs * s)
+            for b, log_b, g in zip(bases.tolist(), logs.tolist(), got.tolist()):
+                exact = mpmath.mpf(b) ** mpmath.mpf(float(s))
+                ulps = float(abs(mpmath.mpf(g) - exact) / exact) / _U
+                worst = max(worst, ulps / (_ARG_ULPS * (s * abs(log_b) + 1.0)))
+    assert worst <= 1.0, worst
 
 
 def test_powers_within_four_ulp_of_mpmath():
-    # every certificate rests on the b**s sums, so this build's power must
-    # stay close to correctly rounded; 20000 bases in (1e-12, 1), taken
-    # as the solver takes them: one array to one exponent in (0, 2]
-    import mpmath  # a declared test dependency: missing, it fails the test
+    # partition_sum and anchored_norm_sum report b**s sums, so this
+    # build's power must stay close to correctly rounded; 20000 bases in
+    # (1e-12, 1), one array to one exponent in (0, 2]
     rng = np.random.default_rng(7)
     exponents = 2.0 - rng.uniform(0.0, 2.0, size=200)
     worst = 0.0
@@ -89,9 +134,8 @@ def test_powers_within_four_ulp_of_mpmath():
 
 
 def test_root_at_the_left_end():
-    fast, ref = full_sums([[0.5]])
     # one base: the sum is 1 at s = 0 and below 1 after it
-    a, b = _convex_root(fast, ref, 0.0, 1e-9)
+    a, b = _convex_root(full_sums([[0.5]]), 0.0, 1e-9)
     assert a == 0.0 and 0.0 < b <= 1e-9
 
 
@@ -126,25 +170,47 @@ def calls_per_call(monkeypatch, outer, counted, keep=lambda *args: True):
 
 def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
     depth = 8
-    per_root = calls_per_call(
-        monkeypatch,
-        "_convex_root",
-        [(_LevelSums, "fast"), (_LevelSums, "ref")],
-        keep=lambda sums, s, n: n == depth,
-    )
+    roots, deep_sums = [], []
+    real_root, real_sums = dimension._convex_root, dimension._LogSum.__call__
+
+    def root(evaluate, *args):
+        calls = []
+        roots.append(calls)
+
+        def recorded(s):
+            before = len(deep_sums)
+            values = evaluate(s)
+            calls.append((s, values, len(deep_sums) > before))
+            return values
+
+        return real_root(recorded, *args)
+
+    def sums(self, s, n=-1):
+        if len(self.ends) == depth + 1 and n == depth:
+            deep_sums.append(s)
+        return real_sums(self, s, n)
+
+    monkeypatch.setattr(dimension, "_convex_root", root)
+    monkeypatch.setattr(dimension._LogSum, "__call__", sums)
     bracket = affinity_dimension(rotation_family(), 0.0, SolverOptions(depth=depth))
     assert bracket.certified_upper
-    deep = [c for c in per_root if c]
-    # the last profile entry and the upper end, each confirmed by two
-    # b**s sums after at most three Newton steps
-    assert len(deep) == 2
-    assert sum(deep) <= 10, per_root
+    deep = [calls for calls in roots if any(hit for _, _, hit in calls)]
+    # the last profile entry and the upper end
+    assert len(deep) == 2, roots
+    for calls in deep:
+        assert all(hit for _, _, hit in calls)
+        # every evaluation but the last is a Newton step from the one
+        # before it, so the last is the only one made to certify an end:
+        # the right one, the left end coming from the last tangent
+        for (s, (F, dF, _, _), _), (t, _, _) in zip(calls, calls[1:-1]):
+            assert t == s - math.log(F) * F / dF
+        assert len(calls) <= 4, calls
 
 
 def test_pressure_root_costs_few_sums(monkeypatch):
-    # the breakpoint checks at s = 0, 1, 2 count too
+    # the breakpoint sums at s = 1 and 2 count too
     per_root = calls_per_call(
-        monkeypatch, "_svf_root", [(dimension, "_svf_sum"), (dimension._LogSum, "__call__")]
+        monkeypatch, "_svf_root", [(dimension, "_chunked_sum"), (dimension._LogSum, "__call__")]
     )
     maps = rotation_family().instantiate(0.0)
     for n in (2, 6):

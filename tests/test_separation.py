@@ -355,6 +355,12 @@ class TestProjectionWitness:
         with pytest.raises(ConfigError):
             projection_witness(fam, disk_polygon((0.0, 0.0), 1.0), (0,), 5, 0, 1)
 
+    @pytest.mark.parametrize("k1, k2", [(0, 7), (-1, 0), (2, 1)])
+    def test_letter_indices_checked(self, k1, k2):
+        fam = drop_family()
+        with pytest.raises(ConfigError, match="letter index out of range"):
+            projection_witness(fam, disk_polygon((0.0, 0.0), 1.0), (0,), 0, k1, k2)
+
     def test_word_must_be_invertible_letters(self):
         fam = drop_family()
         with pytest.raises(ConfigError):
