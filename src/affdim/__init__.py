@@ -24,7 +24,6 @@ from .ifs import (
     attractor_bound,
     check_irreducibility,
     compose_word,
-    identity_map,
 )
 from .linalg import (
     LineDir,
@@ -51,15 +50,12 @@ from .separation import (
     ConvexBody,
     SeparationCertificate,
     admissible_projections,
-    body_distance,
     check_convex_separation,
-    containment_margin,
     disk_polygon,
     family_bodies,
     image_body,
     projected_interval,
     projection_witness,
-    swept_segment,
 )
 from .attractor import (
     BoxCountSeries,
@@ -68,7 +64,6 @@ from .attractor import (
     chaos_game,
     cylinder_points,
     hausdorff_distance,
-    level_bodies,
     render_levels,
 )
 from .exceptional import (
@@ -87,10 +82,8 @@ from .exceptional import (
 from .config import (
     SCHEMA_VERSION,
     FamilyConfig,
-    config_dict,
     config_digest,
     parse_config,
-    serialize_config,
 )
 
 __version__ = "0.1.0"

@@ -97,6 +97,10 @@ def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
     starts a fresh orbit at the origin, so the clouds do not depend on
     how chunks are scheduled.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+    if burn_in < 0:
+        raise ConfigError("burn-in must be nonnegative")
     clouds = [np.empty((n_points, 2)) for _ in tables]
     starts = range(0, n_points, _CHAOS_CHUNK)
     for start, child in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
@@ -311,7 +315,7 @@ def apply_body(m: AffineMap2, body: ConvexBody) -> ConvexBody:
     return ConvexBody.segment(m.apply(body.vertices[0]), m.apply(body.vertices[1]))
 
 
-def level_bodies(
+def _level_bodies(
     fam: IfsFamily, alpha, U: ConvexBody, levels: int
 ) -> List[List[Tuple[ConvexBody, bool]]]:
     """Image bodies per level; the flag marks level-1 swept segments.
@@ -343,7 +347,7 @@ def render_levels(fam: IfsFamily, alpha, U: ConvexBody, levels: int) -> str:
         raise ConfigError("levels must be 1, 2 or 3")
     if U.kind != "polygon":
         raise ConfigError("render needs a polygon region")
-    per_level = level_bodies(fam, alpha, U, levels)
+    per_level = _level_bodies(fam, alpha, U, levels)
 
     xs, ys = U.vertices[:, 0], -U.vertices[:, 1]
     pad = 0.05 * max(xs.max() - xs.min(), ys.max() - ys.min())

@@ -114,12 +114,9 @@ def cmd_dim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 def cmd_sweep(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
     opts = _solver(cfg, args)
-    j = args.param
-    if not 0 <= j < cfg.family.n_singular:
-        raise ConfigError("sweep site index out of range")
+    period = cfg.family.site(args.param).period
     if args.steps < 1:
         raise ConfigError("sweep needs at least one step")
-    period = 2.0 * math.pi / abs(cfg.family.singular[j].beta)
     rows = []
     for k in range(args.steps + 1):
         alpha = k * period / args.steps
@@ -180,17 +177,11 @@ def cmd_exceptional(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_delta(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
-    j = args.j
-    if not 0 <= j < cfg.family.n_singular:
-        raise ConfigError("site index out of range")
-    anchor = cfg.family.singular_letter(j)
+    anchor = cfg.family.singular_letter(args.j)
     letters = [k for k in range(cfg.family.n_maps) if k != anchor]
-    system = [line_map(cfg.family, j, (letter,), args.alpha) for letter in letters]
+    system = [line_map(cfg.family, args.j, (letter,), args.alpha) for letter in letters]
     word_a = _parse_word(args.word_a)
     word_b = _parse_word(args.word_b)
-    for word in (word_a, word_b):
-        if any(not 0 <= w < len(system) for w in word):
-            raise ConfigError("word letters index the line-map system")
     value, tail = translation_series_gap(system, word_a, word_b, args.terms)
     payload = {"value": value, "tail_bound": tail, "terms": args.terms,
                "alphabet": letters}

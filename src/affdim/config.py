@@ -175,7 +175,7 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
     )
 
 
-def config_dict(cfg: FamilyConfig) -> dict:
+def _config_dict(cfg: FamilyConfig) -> dict:
     """Full configuration as a plain dict with every default filled in."""
     fam = cfg.family
     return {
@@ -203,12 +203,12 @@ def config_dict(cfg: FamilyConfig) -> dict:
     }
 
 
-def serialize_config(cfg: FamilyConfig) -> str:
+def _serialize_config(cfg: FamilyConfig) -> str:
     """Canonical JSON form: sorted keys, minimal separators, defaults
     filled; equal configurations serialize identically."""
-    return json.dumps(config_dict(cfg), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_config_dict(cfg), sort_keys=True, separators=(",", ":"))
 
 
 def config_digest(cfg: FamilyConfig) -> str:
     """Hex digest identifying the canonical configuration."""
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_serialize_config(cfg).encode("utf-8")).hexdigest()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -340,25 +340,18 @@ def _anchored_levels(
     word has base exactly 0.0, which the sums mask, so the levels serve
     every exponent.
     """
-    if not 0 <= sum_spec.start < fam.n_singular:
-        raise ConfigError("start anchor out of range")
-    if not 0 <= sum_spec.end < fam.n_singular:
-        raise ConfigError("end anchor out of range")
-    for j in sum_spec.allowed:
-        if not 0 <= j < fam.n_singular:
-            raise ConfigError("allowed anchor out of range")
+    start, end = fam.site(sum_spec.start), fam.site(sum_spec.end)
     alphas = fam.angles(alpha)
-    start = fam.singular[sum_spec.start]
     # canonical letter order: regular maps first, then allowed anchors in
     # increasing index order
     linears = [m.linear for m in fam.regular]
-    linears += [fam.singular[j].map_at(alphas[j]).linear for j in sorted(sum_spec.allowed)]
+    linears += [fam.site(j).map_at(alphas[j]).linear for j in sorted(sum_spec.allowed)]
     A = _letter_stack(linears)
     letter_norms = [a.operator_norm() for a in linears]
     max_len = sum_spec.max_len
     half = (max_len + 1) // 2
 
-    Ux, Uy = unit_vector(fam.singular[sum_spec.end].v_angle)[:, None]
+    Ux, Uy = unit_vector(end.v_angle)[:, None]
     Rx, Ry = start.rho * unit_vector(start.w_angle(alphas[sum_spec.start]))[:, None]
     levels: List[np.ndarray] = []
     processed = 0
@@ -397,7 +390,7 @@ def anchored_norm_sum(
     the image line of the end map, computed in factored form; terms with
     an exactly collapsed composition contribute zero at every s.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError("exponent must be nonnegative")
     opts = opts or DEFAULT_OPTIONS
     levels, _ = _anchored_levels(fam, alpha, sum_spec, opts)
@@ -681,7 +674,7 @@ def partition_sum(
     """Sum of the singular value function over all length-n words."""
     if n < 1:
         raise ValueError("partition sums need word length n >= 1")
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError("exponent must be nonnegative")
     opts = opts or DEFAULT_OPTIONS
     _, data = _deepest_level(maps, n, opts, need=n)
@@ -702,9 +695,9 @@ def pressure_upper_root(
     """
     if n < 1:
         raise ValueError("partition sums need word length n >= 1")
-    opts = opts or DEFAULT_OPTIONS
+    opts = replace(opts or DEFAULT_OPTIONS, tol=tol)
     _, data = _deepest_level(maps, n, opts, need=n)
-    return _svf_root(*data, tol)
+    return _svf_root(*data, opts.tol)
 
 
 def regular_dimension_bracket(

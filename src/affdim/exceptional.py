@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -66,12 +65,10 @@ def line_map(fam: IfsFamily, j: int, word: Word, alpha: float) -> LineMap:
     line by x -> x * v_j + t_j, the composition acts on the coordinate x
     by a 1-d affine map, returned here.
     """
-    if not 0 <= j < fam.n_singular:
-        raise ConfigError("site index out of range")
+    site = fam.site(j)
     anchor = fam.singular_letter(j)
-    if any(letter == anchor for letter in word):
+    if any(fam.letter(letter) == anchor for letter in word):
         raise ConfigError("word may not contain the anchor site itself")
-    site = fam.singular[j]
     maps = fam.instantiate(alpha)
     f = compose_word(maps, tuple(word))
     w = unit_vector(site.w_angle(alpha))
@@ -93,8 +90,9 @@ def fixed_point_gap(fam: IfsFamily, j: int, i: int, alpha: float) -> float:
 def commutation_residual(fam: IfsFamily, alpha: float, j: int, i: int) -> float:
     """Largest coefficient difference between f_j o f_j o f_i and
     f_j o f_i o f_j at the given angle."""
-    maps = fam.instantiate(alpha)
     anchor = fam.singular_letter(j)
+    fam.letter(i, "companion letter")
+    maps = fam.instantiate(alpha)
     a = compose_word(maps, (anchor, anchor, i))
     b = compose_word(maps, (anchor, i, anchor))
     table = _map_table((a, b))
@@ -106,12 +104,8 @@ _MAX_BISECT = 200
 
 def _anchor_letter(fam: IfsFamily, j: int, i: int) -> int:
     """Letter of site j, once j and the companion letter i are checked."""
-    if not 0 <= j < fam.n_singular:
-        raise ConfigError("site index out of range")
-    if not 0 <= i < fam.n_maps:
-        raise ConfigError("companion letter out of range")
     anchor = fam.singular_letter(j)
-    if i == anchor:
+    if fam.letter(i, "companion letter") == anchor:
         raise ConfigError("companion letter coincides with the site")
     return anchor
 
@@ -137,10 +131,7 @@ def find_common_fixed_point_angle(
     if grid_size < 2:
         raise ConfigError("grid must have at least two points")
     _anchor_letter(fam, j, i)
-    site = fam.singular[j]
-    if site.beta == 0.0:
-        raise ConfigError("site angle does not move with the parameter")
-    period = 2.0 * math.pi / abs(site.beta)
+    period = fam.site(j).period
 
     def gap(a: float) -> Optional[float]:
         try:
@@ -325,6 +316,8 @@ def translation_series_gap(
         raise ConfigError("words must be nonempty")
     if not system:
         raise ConfigError("empty line-map system")
+    if any(not 0 <= w < len(system) for w in (*word_a, *word_b)):
+        raise ConfigError("word letters index the line-map system")
     max_lam = max(abs(g.lam) for g in system)
     if max_lam >= 1.0:
         raise ConfigError("line-map slopes must stay below 1 in magnitude")
@@ -361,14 +354,15 @@ def invariance_clouds(
     if n_points < 1:
         raise ConfigError("need at least one point")
     reduced = exceptional_family(fam, alpha_star, j, i)
-    maps = fam.instantiate(alpha_star)
-    full_words = list(itertools.product(range(fam.n_maps), repeat=3))
-    table_full = _map_table(compose_word(maps, w) for w in full_words)
-    table_red = _map_table(
-        compose_word(maps, reduced.duplicate_word if w == reduced.removed_word else w)
-        for w in full_words
-    )
-
+    # the full grouping is the reduced one with the removed word put back
+    # at its lexicographic row
+    shape = (fam.n_maps,) * 3
+    removed = int(np.ravel_multi_index(reduced.removed_word, shape))
+    maps = list(reduced.maps)
+    maps.insert(removed, compose_word(fam.instantiate(alpha_star), reduced.removed_word))
+    table_full = _map_table(maps)
+    table_red = table_full.copy()
+    table_red[removed] = table_full[np.ravel_multi_index(reduced.duplicate_word, shape)]
     points_f, points_g = _orbits([table_full, table_red], n_points, seed, burn_in)
     cloud_f = PointCloud(points_f, seed, "chaos", n_points)
     cloud_g = PointCloud(points_g, seed, "chaos", n_points)

@@ -94,13 +94,13 @@ class AffineMap2:
         )
 
 
-def identity_map() -> AffineMap2:
+def _identity_map() -> AffineMap2:
     return AffineMap2(Mat2.identity(), np.zeros(2))
 
 
 def compose_word(maps: Sequence[AffineMap2], word: Word) -> AffineMap2:
     """Composition f_{w0} o f_{w1} o ... o f_{wk} (empty word: identity)."""
-    out = identity_map()
+    out = _identity_map()
     for letter in word:
         out = out.compose(maps[letter])
     return out
@@ -141,6 +141,11 @@ class RankOneSite:
             )
         if self.beta == 0.0:
             raise ConfigError("beta must be nonzero")
+
+    @property
+    def period(self) -> float:
+        """Length 2*pi/|beta| of the alpha range that turns the row once."""
+        return 2.0 * math.pi / abs(self.beta)
 
     def w_angle(self, alpha: float) -> float:
         return self.c + self.beta * alpha
@@ -196,7 +201,21 @@ class IfsFamily:
     def n_maps(self) -> int:
         return len(self.regular) + len(self.singular)
 
+    def site(self, j: int) -> RankOneSite:
+        """Site j; ConfigError for an index outside 0..n_singular-1."""
+        if not 0 <= j < self.n_singular:
+            raise ConfigError("site index out of range")
+        return self.singular[j]
+
+    def letter(self, i: int, role: str = "letter index") -> int:
+        """Letter i, once checked to lie in 0..n_maps-1; the ConfigError
+        names the index by its role."""
+        if not 0 <= i < self.n_maps:
+            raise ConfigError("%s out of range" % role)
+        return i
+
     def singular_letter(self, j: int) -> int:
+        self.site(j)
         return self.n_regular + j
 
     def angles(self, alpha: Union[float, Sequence[float]]) -> Tuple[float, ...]:

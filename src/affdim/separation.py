@@ -82,7 +82,10 @@ class ConvexBody:
 
     @classmethod
     def polygon(cls, vertices) -> "ConvexBody":
-        hull = _convex_hull(np.asarray(vertices, dtype=float))
+        points = np.asarray(vertices, dtype=float)
+        if not np.isfinite(points).all():
+            raise ConfigError("polygon vertices must be finite")
+        hull = _convex_hull(points)
         if len(hull) < 3:
             raise ConfigError("polygon needs at least three non-collinear vertices")
         start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
@@ -107,8 +110,8 @@ class ConvexBody:
 def disk_polygon(center, radius: float, n: int = 64) -> ConvexBody:
     """Regular n-gon inscribed in the disk; the polygonization gap to the
     full disk is radius*(1 - cos(pi/n))."""
-    if radius <= 0.0:
-        raise ConfigError("disk needs positive radius")
+    if not 0.0 < radius < math.inf:
+        raise ConfigError("disk needs a positive finite radius")
     if n < 3:
         raise ConfigError("disk polygon needs n >= 3")
     c = np.asarray(center, dtype=float)
@@ -143,7 +146,7 @@ def _bodies_intersect(A: ConvexBody, B: ConvexBody) -> bool:
     return True
 
 
-def body_distance(A: ConvexBody, B: ConvexBody) -> float:
+def _body_distance(A: ConvexBody, B: ConvexBody) -> float:
     """Euclidean distance between two convex bodies; 0 when they meet."""
     if _bodies_intersect(A, B):
         return 0.0
@@ -157,7 +160,7 @@ def body_distance(A: ConvexBody, B: ConvexBody) -> float:
     return best
 
 
-def containment_margin(inner: ConvexBody, outer: ConvexBody) -> float:
+def _containment_margin(inner: ConvexBody, outer: ConvexBody) -> float:
     """Smallest signed distance of inner's vertices to outer's boundary.
 
     Positive means strictly inside; convexity makes vertex checks cover
@@ -329,7 +332,7 @@ def admissible_projections(A: ConvexBody, B: ConvexBody) -> ArcSet:
     before complementing: the set is closed, so without the pad its
     endpoints would claim the borderline directions that only touch.
     """
-    if body_distance(A, B) <= 0.0:
+    if _body_distance(A, B) <= 0.0:
         raise ConfigError("bodies intersect; no separating projections exist")
     diffs = (A.vertices[:, None, :] - B.vertices[None, :, :]).reshape(-1, 2)
     lo, hi = _direction_cone(diffs)
@@ -365,12 +368,12 @@ def image_body(m: AffineMap2, U: ConvexBody) -> ConvexBody:
     return ConvexBody.polygon(m.apply_points(U.vertices))
 
 
-def swept_segment(fam: IfsFamily, j: int, U: ConvexBody) -> ConvexBody:
+def _swept_segment(fam: IfsFamily, j: int, U: ConvexBody) -> ConvexBody:
     """Smallest segment containing a site's image of U for every row
     direction: t_j +- rho_j * R * v_j with R the largest vertex norm."""
     if U.kind != "polygon":
-        raise ConfigError("swept_segment expects a polygon")
-    site = fam.singular[j]
+        raise ConfigError("a swept segment needs a polygon region")
+    site = fam.site(j)
     r = site.rho * U.max_vertex_norm()
     v = unit_vector(site.v_angle)
     return ConvexBody.segment(site.translation - r * v, site.translation + r * v)
@@ -406,7 +409,7 @@ def family_bodies(fam: IfsFamily, U: ConvexBody) -> List[ConvexBody]:
     """Image bodies in letter order: invertible images, then swept
     segments, which already account for every row direction."""
     bodies = [image_body(m, U) for m in fam.regular]
-    bodies.extend(swept_segment(fam, j, U) for j in range(fam.n_singular))
+    bodies.extend(_swept_segment(fam, j, U) for j in range(fam.n_singular))
     return bodies
 
 
@@ -414,12 +417,12 @@ def check_convex_separation(fam: IfsFamily, U: ConvexBody) -> SeparationCertific
     """Certify containment and pairwise disjointness uniformly over the
     rank-one row directions. Failures are encoded, never raised."""
     bodies = family_bodies(fam, U)
-    margins = [containment_margin(b, U) for b in bodies]
+    margins = [_containment_margin(b, U) for b in bodies]
     contained = tuple(m >= 0.0 for m in margins)
     min_dist = math.inf
     for a in range(len(bodies)):
         for b in range(a + 1, len(bodies)):
-            min_dist = min(min_dist, body_distance(bodies[a], bodies[b]))
+            min_dist = min(min_dist, _body_distance(bodies[a], bodies[b]))
     if len(bodies) < 2:
         min_dist = math.inf
     passed = all(contained) and min_dist > 0.0
@@ -443,12 +446,9 @@ def projection_witness(
     direction falls in the admissible set with the requested angular
     margin. The grid doubles up to 2^16 points before giving up.
     """
-    if not (0 <= k1 < fam.n_maps and 0 <= k2 < fam.n_maps):
-        raise ConfigError("letter index out of range")
-    if k1 == k2:
+    if fam.letter(k1) == fam.letter(k2):
         raise ConfigError("need two distinct letters to separate")
-    if not 0 <= j < fam.n_singular:
-        raise ConfigError("site index out of range")
+    site = fam.site(j)
     bodies = family_bodies(fam, U)
     admissible = admissible_projections(bodies[k1], bodies[k2])
 
@@ -459,8 +459,7 @@ def projection_witness(
         prod = prod @ fam.regular[letter].linear
     pt = prod.transpose()
 
-    site = fam.singular[j]
-    period = 2.0 * _PI / abs(site.beta)
+    period = site.period
     n = grid
     while n <= (1 << 16):
         for m_idx in range(n):

@@ -13,19 +13,18 @@ from affdim import (
     PointCloud,
     box_dim_estimate,
     chaos_game,
-    containment_margin,
     cylinder_points,
     exceptional_family,
     find_common_fixed_point_angle,
     hausdorff_distance,
     invariance_clouds,
-    level_bodies,
     render_levels,
 )
-from affdim.attractor import _cell_counts, apply_body
+from affdim.attractor import _cell_counts, _level_bodies, apply_body
 from affdim.errors import BudgetError, ConfigError
 from affdim.ifs import attractor_bound, compose_word
 from affdim.linalg import RankOneFactor
+from affdim.separation import _containment_margin
 
 from families import (
     cantor_similarities,
@@ -102,6 +101,24 @@ class TestChaosGame:
     def test_needs_points(self):
         with pytest.raises(ConfigError):
             chaos_game(drop_family(), 0.0, 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # -1 ended in numpy's "expected non-negative integer"
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            chaos_game(drop_family(), 0.0, 10, seed)
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            invariance_clouds(drop_family(), 0, 0, 1.0, 10, seed)
+
+    def test_burn_in_must_be_nonnegative(self):
+        # -5 raised a numpy broadcast ValueError
+        with pytest.raises(ConfigError, match="burn-in"):
+            chaos_game(drop_family(), 0.0, 10, 1, burn_in=-5)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = chaos_game(drop_family(), 0.0, 50, np.int64(3))
+        b = chaos_game(drop_family(), 0.0, 50, 3)
+        assert np.array_equal(a.points, b.points)
 
 
 class TestOrbitKernel:
@@ -356,7 +373,7 @@ SQUARE = ConvexBody.polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 class TestLevelBodies:
     def test_counts_and_flags(self):
         fam = scalar_family()
-        levels = level_bodies(fam, 0.0, SQUARE, 3)
+        levels = _level_bodies(fam, 0.0, SQUARE, 3)
         assert [len(l) for l in levels] == [2, 4, 8]
         assert [flag for _, flag in levels[0]] == [False, True]
         for later in levels[1:]:
@@ -367,14 +384,14 @@ class TestLevelBodies:
         region = ConvexBody.polygon(
             [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
         )
-        for bodies in level_bodies(fam, 0.7, region, 3):
+        for bodies in _level_bodies(fam, 0.7, region, 3):
             for body, _ in bodies:
-                assert containment_margin(body, region) >= 0.0
+                assert _containment_margin(body, region) >= 0.0
 
     @pytest.mark.parametrize("levels", [0, -3])
     def test_levels_below_one_rejected(self, levels):
         with pytest.raises(ConfigError, match="levels must be at least 1"):
-            level_bodies(drop_family(), 0.0, SQUARE, levels)
+            _level_bodies(drop_family(), 0.0, SQUARE, levels)
 
     def test_apply_body_on_segment(self):
         m = AffineMap2(Mat2.diagonal(2.0, 2.0), (1.0, 0.0))

@@ -3,19 +3,23 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import affdim
 from affdim import (
     SCHEMA_VERSION,
-    config_dict,
     config_digest,
     parse_config,
-    serialize_config,
 )
 from affdim.cli import main
+from affdim.config import _config_dict, _serialize_config
 from affdim.errors import ConfigError
 
 SCALAR_CONFIG = {
@@ -80,9 +84,9 @@ class TestParseConfig:
 
     def test_canonical_reserialization(self):
         cfg = parse_config(SCALAR_CONFIG)
-        again = parse_config(config_dict(cfg))
+        again = parse_config(_config_dict(cfg))
         assert config_digest(cfg) == config_digest(again)
-        text = serialize_config(cfg)
+        text = _serialize_config(cfg)
         assert json.loads(text)["schema_version"] == SCHEMA_VERSION
         # canonical form: sorted keys, no whitespace
         assert text == json.dumps(json.loads(text), sort_keys=True,
@@ -448,6 +452,59 @@ def test_index_out_of_range_exits_1(tmp_path, capsys, command, message):
     argv = [command[0], "--config", cfg, "--out", str(tmp_path / "o"), *command[1:]]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+_BAD_SITE = st.one_of(st.integers(max_value=-1), st.integers(min_value=1, max_value=10**6))
+_BAD_LETTER = st.one_of(st.integers(max_value=-1), st.integers(min_value=2, max_value=10**6))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _index_cases():
+    # DROP_CONFIG has one regular map and one site: letters 0 and 1, site 0
+    flag = lambda name, values: values.map(lambda v: ["--%s=%d" % (name, v)])
+    return st.one_of(
+        st.tuples(st.just("exceptional"), flag("j", _BAD_SITE)),
+        st.tuples(st.just("exceptional"), flag("i", _BAD_LETTER)),
+        st.tuples(st.just("witness"), flag("j", _BAD_SITE).map(
+            lambda a: a + ["--k1=0", "--k2=1"])),
+        st.tuples(st.just("witness"), flag("k1", _BAD_LETTER).map(lambda a: a + ["--k2=0"])),
+        st.tuples(st.just("witness"), flag("k2", _BAD_LETTER).map(lambda a: a + ["--k1=0"])),
+        st.tuples(st.just("sweep"), flag("param", _BAD_SITE)),
+        st.tuples(st.just("delta"), flag("j", _BAD_SITE).map(
+            lambda a: a + ["--word-a=0", "--word-b=0,0"])),
+        st.tuples(st.just("boxdim"), flag("seed", st.integers(max_value=-1))),
+    ).map(lambda case: (DROP_CONFIG, case[0], case[1]))
+
+
+def _polygon_with(value, k, axis):
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    vertices[k][axis] = value
+    return {"kind": "polygon", "vertices": vertices}
+
+
+def _region_cases():
+    regions = st.one_of(
+        st.builds(lambda r: {"kind": "disk64", "radius": r}, _NON_FINITE),
+        st.builds(lambda x, y: {"kind": "disk64", "center": [x, y], "radius": 1.0},
+                  _NON_FINITE, st.floats(-1, 1)),
+        st.builds(_polygon_with, _NON_FINITE, st.integers(0, 2), st.integers(0, 1)),
+    )
+    return st.tuples(regions, st.sampled_from(["check-sep", "render", "dim"])).map(
+        lambda case: (variant(DROP_CONFIG, region_U=case[0]), case[1], []))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(_index_cases(), _region_cases()))
+def test_bad_input_exits_1_with_one_error_line(case):
+    config, command, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        err = StringIO()
+        with redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out", str(Path(tmp) / "o"), *extra])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
 class TestInputHandling:

@@ -433,6 +433,12 @@ class TestPartitionSum:
             partition_sum(maps, 0, 1.0)
         with pytest.raises(ValueError):
             partition_sum(maps, 2, -0.5)
+        # a NaN exponent returned nan
+        with pytest.raises(ValueError):
+            partition_sum(maps, 4, math.nan)
+        fam = scalar_family()
+        with pytest.raises(ValueError):
+            anchored_norm_sum(fam, 0.0, anchor_spec(fam, 0, 2), math.nan)
 
 
 class TestPressureRoot:
@@ -452,6 +458,13 @@ class TestPressureRoot:
             AffineMap2(Mat2.diagonal(0.9, 0.9), (0.1, 0.0)),
         ]
         assert pressure_upper_root(maps, 3) == 2.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_tol_checked_like_solver_options(self, tol):
+        # nan and inf returned 1.0, and -1 was accepted
+        maps = cantor_similarities().instantiate()
+        with pytest.raises(ConfigError, match="solver settings out of range"):
+            pressure_upper_root(maps, 4, tol)
 
 
 class TestRegularBracket:

@@ -165,6 +165,25 @@ def test_indices_out_of_range_rejected(call, j, i, message):
         call(drop_family(), j, i)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda fam: commutation_residual(fam, 0.3, 1, 0), "site index"),
+        (lambda fam: commutation_residual(fam, 0.3, -1, 0), "site index"),
+        (lambda fam: commutation_residual(fam, 0.3, 0, 5), "companion letter"),
+        (lambda fam: commutation_residual(fam, 0.3, 0, -1), "companion letter"),
+        (lambda fam: fixed_point_gap(fam, 0, 5, 0.3), "letter index"),
+        (lambda fam: fixed_point_gap(fam, 0, -2, 0.3), "letter index"),
+        (lambda fam: line_map(fam, 0, (-1,), 0.3), "letter index"),
+    ],
+)
+def test_unchecked_indices_now_rejected(call, message):
+    # these raised IndexError, returned 0.0 or a number, or wrapped a
+    # negative letter round to the last map
+    with pytest.raises(ConfigError, match=message + " out of range"):
+        call(drop_family())
+
+
 class TestDimensionDrop:
     def test_certified_drop(self):
         rep = dimension_drop(drop_family(), 0, 0)
@@ -231,6 +250,14 @@ class TestTranslationSeriesGap:
             translation_series_gap((), (0,), (0,), 5)
         with pytest.raises(ConfigError):
             translation_series_gap((LineMap(1.0, 0.5),), (0,), (0,), 5)
+
+    @pytest.mark.parametrize("word", [(3,), (-1,), (0, 1, 3)])
+    def test_words_must_index_the_system(self, word):
+        # (3,) raised IndexError and (-1,) wrapped round to the last map
+        with pytest.raises(ConfigError, match="index the line-map system"):
+            translation_series_gap(self.SYSTEM, word, (0,), 4)
+        with pytest.raises(ConfigError, match="index the line-map system"):
+            translation_series_gap(self.SYSTEM, (0,), word, 4)
 
 
 class TestInvarianceClouds:

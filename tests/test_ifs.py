@@ -13,11 +13,10 @@ from affdim import (
     attractor_bound,
     check_irreducibility,
     compose_word,
-    identity_map,
     unit_vector,
 )
 from affdim.errors import ConfigError, ContractionError
-from affdim.ifs import compose_linear
+from affdim.ifs import _identity_map, compose_linear
 
 from families import angle_gap, cantor_similarities, scalar_family
 
@@ -84,7 +83,7 @@ class TestAffineMap2:
                 assert np.allclose(batch[k], f.apply(pts[k]), atol=1e-14)
 
     def test_identity_map(self):
-        assert np.allclose(identity_map().apply((3.0, -4.0)), [3.0, -4.0])
+        assert np.allclose(_identity_map().apply((3.0, -4.0)), [3.0, -4.0])
 
 
 class TestWords:
@@ -115,6 +114,13 @@ class TestRankOneSite:
     def test_row_angle_moves_linearly(self):
         site = RankOneSite(rho=0.5, v_angle=0.1, c=0.2, beta=2.0, translation=(0.0, 0.0))
         assert site.w_angle(0.3) == pytest.approx(0.2 + 0.6)
+
+    @pytest.mark.parametrize("beta", [2.0, -0.5])
+    def test_period_turns_the_row_once(self, beta):
+        site = RankOneSite(rho=0.5, v_angle=0.1, c=0.2, beta=beta, translation=(0.0, 0.0))
+        assert site.period == 2.0 * math.pi / abs(beta)
+        turn = site.w_angle(site.period) - site.w_angle(0.0)
+        assert abs(turn) == pytest.approx(2.0 * math.pi)
 
     def test_map_at(self):
         site = RankOneSite(rho=0.5, v_angle=0.0, c=0.0, beta=1.0, translation=(1.0, 0.0))
@@ -176,6 +182,21 @@ class TestIfsFamily:
         fam = scalar_family()
         assert fam.n_regular == 1 and fam.n_singular == 1 and fam.n_maps == 2
         assert fam.singular_letter(0) == 1
+
+    def test_site_and_letter_lookups(self):
+        fam = scalar_family()
+        assert fam.site(0) is fam.singular[0]
+        assert fam.letter(1) == 1
+        for j in (-1, 1):
+            with pytest.raises(ConfigError, match="^site index out of range$"):
+                fam.site(j)
+            with pytest.raises(ConfigError, match="^site index out of range$"):
+                fam.singular_letter(j)
+        for i in (-1, 2):
+            with pytest.raises(ConfigError, match="^letter index out of range$"):
+                fam.letter(i)
+            with pytest.raises(ConfigError, match="^companion letter out of range$"):
+                fam.letter(i, "companion letter")
 
     def test_angles_broadcast(self):
         fam = scalar_family()

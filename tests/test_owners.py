@@ -1,0 +1,61 @@
+"""Family indices and site periods have one owner: ``ifs.py``.
+
+``IfsFamily.site`` and ``IfsFamily.letter`` range-check site and letter
+indices, and ``RankOneSite.period`` is the one place 2*pi/|beta| is
+computed. Any other module that writes out ``0 <= j < fam.n_singular``
+or ``abs(site.beta)`` again has grown a second copy of the idea.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "affdim"
+OWNER = "ifs.py"
+COUNTS = {"n_singular", "n_maps"}
+
+
+def _is_count(node):
+    return isinstance(node, ast.Attribute) and node.attr in COUNTS
+
+
+def violations(source):
+    """(line, what) for each chained comparison against a family count and
+    each abs(<x>.beta) in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and len(node.ops) > 1:
+            if any(map(_is_count, [node.left, *node.comparators])):
+                found.append((node.lineno, "chained range check"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "abs"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "beta"
+        ):
+            found.append((node.lineno, "abs(beta)"))
+    return found
+
+
+def test_guard_flags_the_copies_it_forbids():
+    source = (
+        "if not 0 <= j < fam.n_singular: pass\n"
+        "ok = 0 <= k1 < fam.n_maps and k1 != k2\n"
+        "period = 2.0 * math.pi / abs(fam.singular[j].beta)\n"
+        "fine = j < fam.n_singular\n"
+    )
+    assert violations(source) == [
+        (1, "chained range check"),
+        (2, "chained range check"),
+        (3, "abs(beta)"),
+    ]
+
+
+def test_indices_and_periods_are_owned_by_ifs():
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != OWNER]
+    assert len(modules) >= 8
+    found = {
+        p.name: hits for p in modules if (hits := violations(p.read_text()))
+    }
+    assert not found, "use IfsFamily.site/letter or RankOneSite.period: %s" % found

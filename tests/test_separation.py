@@ -13,18 +13,16 @@ from affdim import (
     Mat2,
     RankOneSite,
     admissible_projections,
-    body_distance,
     check_convex_separation,
-    containment_margin,
     disk_polygon,
     family_bodies,
     image_body,
     projected_interval,
     projection_witness,
-    swept_segment,
 )
 from affdim.errors import AffdimError, ConfigError
 from affdim.linalg import unit_vector
+from affdim.separation import _body_distance, _containment_margin, _swept_segment
 
 from families import cantor_similarities, drop_family, wide_family
 
@@ -78,34 +76,44 @@ class TestConvexBody:
         with pytest.raises(ConfigError):
             disk_polygon((0, 0), 1.0, n=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # a NaN region once gave an infinite margin and a "nan" SVG viewBox
+        with pytest.raises(ConfigError, match="polygon vertices must be finite"):
+            ConvexBody.polygon([(0.0, 0.0), (1.0, 0.0), (bad, 1.0)])
+        with pytest.raises(ConfigError, match="polygon vertices must be finite"):
+            disk_polygon((0.0, bad), 1.0)
+        with pytest.raises(ConfigError, match="positive finite radius"):
+            disk_polygon((0.0, 0.0), bad)
+
 
 class TestBodyDistance:
     def test_separated_squares(self):
-        assert body_distance(square_at(0, 0), square_at(3, 0)) == pytest.approx(2.0)
+        assert _body_distance(square_at(0, 0), square_at(3, 0)) == pytest.approx(2.0)
 
     def test_diagonal_gap(self):
         # nearest points are the corners (1,1) and (2,2)
-        assert body_distance(square_at(0, 0), square_at(2, 2)) == pytest.approx(
+        assert _body_distance(square_at(0, 0), square_at(2, 2)) == pytest.approx(
             math.sqrt(2.0)
         )
 
     def test_overlap_and_touching_are_zero(self):
-        assert body_distance(square_at(0, 0), square_at(0.5, 0.0)) == 0.0
-        assert body_distance(square_at(0, 0), square_at(1.0, 0.0)) == 0.0
+        assert _body_distance(square_at(0, 0), square_at(0.5, 0.0)) == 0.0
+        assert _body_distance(square_at(0, 0), square_at(1.0, 0.0)) == 0.0
 
     def test_segment_cases(self):
         seg = ConvexBody.segment((0, 2), (1, 2))
-        assert body_distance(square_at(0, 0), seg) == pytest.approx(1.0)
+        assert _body_distance(square_at(0, 0), seg) == pytest.approx(1.0)
         other = ConvexBody.segment((0, 3), (1, 3))
-        assert body_distance(seg, other) == pytest.approx(1.0)
+        assert _body_distance(seg, other) == pytest.approx(1.0)
         crossing = ConvexBody.segment((0.5, 1.5), (0.5, 2.5))
-        assert body_distance(seg, crossing) == 0.0
+        assert _body_distance(seg, crossing) == 0.0
 
     def test_degenerate_points(self):
         p = ConvexBody.segment((0, 0), (0, 0))
         q = ConvexBody.segment((3, 4), (3, 4))
-        assert body_distance(p, q) == pytest.approx(5.0)
-        assert body_distance(p, p) == 0.0
+        assert _body_distance(p, q) == pytest.approx(5.0)
+        assert _body_distance(p, p) == 0.0
 
 
 class TestContainmentMargin:
@@ -113,19 +121,19 @@ class TestContainmentMargin:
         inner = ConvexBody.polygon(
             [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)]
         )
-        assert containment_margin(inner, square_at(0, 0)) == pytest.approx(0.25)
+        assert _containment_margin(inner, square_at(0, 0)) == pytest.approx(0.25)
 
     def test_vertex_outside_is_negative(self):
         inner = ConvexBody.polygon([(0.5, 0.5), (1.5, 0.5), (0.5, 1.5)])
-        assert containment_margin(inner, square_at(0, 0)) == pytest.approx(-0.5)
+        assert _containment_margin(inner, square_at(0, 0)) == pytest.approx(-0.5)
 
     def test_segment_inside(self):
         seg = ConvexBody.segment((0.1, 0.5), (0.9, 0.5))
-        assert containment_margin(seg, square_at(0, 0)) == pytest.approx(0.1)
+        assert _containment_margin(seg, square_at(0, 0)) == pytest.approx(0.1)
 
     def test_outer_must_be_polygon(self):
         with pytest.raises(ConfigError):
-            containment_margin(square_at(0, 0), ConvexBody.segment((0, 0), (5, 5)))
+            _containment_margin(square_at(0, 0), ConvexBody.segment((0, 0), (5, 5)))
 
 
 class TestArcSet:
@@ -275,7 +283,7 @@ class TestSweptSegment:
         fam = drop_family()
         site = fam.singular[0]
         U = square_at(0, 0)
-        seg = swept_segment(fam, 0, U)
+        seg = _swept_segment(fam, 0, U)
         r = site.rho * math.sqrt(2.0)
         v = unit_vector(site.v_angle)
         want = np.array([site.translation - r * v, site.translation + r * v])
@@ -284,7 +292,7 @@ class TestSweptSegment:
     def test_covers_site_image_at_any_angle(self):
         fam = drop_family()
         U = disk_polygon((0.0, 0.0), 1.0)
-        seg = swept_segment(fam, 0, U)
+        seg = _swept_segment(fam, 0, U)
         lo = seg.vertices[0]
         d = seg.vertices[1] - lo
         den = float(d @ d)
