@@ -6,14 +6,16 @@ Three families of quantities live here:
   length, and the root that upper-bounds the critical exponent
   (submultiplicativity of the singular value function);
 * truncated conditional-norm sums anchored at a rank-one map, whose roots
-  squeeze the critical exponent of the mixed system from both sides;
+  squeeze the critical exponent of the mixed system from both sides; a
+  word through rank-one letters has a product of scalar factors as its
+  term, so these sums are built from one table of factor logs;
 * the bracket for the invertible sub-system alone, lower-bounded through
   smallest singular values (supermultiplicative, so fixed-depth roots are
   certified) and upper-bounded through the pressure root.
 
 Every root is that of a convex, nonincreasing sum of powers b**s. One
 solver finds them all with Newton steps from the left on sums rebuilt
-from logs taken once per level; each evaluation carries a stated bound
+from logs taken once; each evaluation carries a stated bound
 on its rounding, under which the same sums certify both ends of a
 bracket of width at most tol.
 
@@ -24,6 +26,7 @@ over fixed chunks, so results never depend on the threads setting.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
@@ -181,9 +184,15 @@ class _LogSum:
     of F, and slope_err = max|L| err that of F', whose terms are value
     terms times logs. Underflowed terms lose less than the smallest
     normal float each, far inside err where F is near 1.
+
+    Given group bounds, groups(s, n) returns instead the sums of terms
+    and of slopes of every group, one np.add.reduceat per block, so the
+    number of numpy calls does not grow with the number of groups.
     """
 
-    def __init__(self, logs: np.ndarray, offsets: Optional[np.ndarray] = None, ends=None):
+    def __init__(
+        self, logs: np.ndarray, offsets: Optional[np.ndarray] = None, ends=None, bounds=None
+    ):
         self.logs = logs
         self.offsets = offsets
         self.ends = [logs.size] if ends is None else ends
@@ -192,23 +201,69 @@ class _LogSum:
         self._offset_max = 0.0
         if offsets is not None:
             self._offset_max = float(np.max(np.abs(offsets), initial=0.0)) + 2.0 * self._log_max
+        if bounds is not None:
+            self._groups = len(bounds) - 1
+            live = np.flatnonzero(np.diff(bounds) > 0)
+            starts = np.asarray(bounds)[live]
+            self._plans = [_block_plan(starts, live, int(end)) for end in self.ends]
+
+    def _terms(self, s: float, i: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The terms of the block [i, end) in the reused buffer, and their logs."""
+        logs = self.logs[i:end]
+        buf = self._buf[: logs.size]
+        np.multiply(logs, s, out=buf)
+        if self.offsets is not None:
+            buf += self.offsets[i:end]
+        np.exp(buf, out=buf)
+        return buf, logs
 
     def __call__(self, s: float, n: int = -1) -> Tuple[float, float, float, float]:
         end = int(self.ends[n])
         values, slopes = [], []
         for i in range(0, end, _CHUNK):
-            logs = self.logs[i : min(i + _CHUNK, end)]
-            buf = self._buf[: logs.size]
-            np.multiply(logs, s, out=buf)
-            if self.offsets is not None:
-                buf += self.offsets[i : i + logs.size]
-            np.exp(buf, out=buf)
+            buf, logs = self._terms(s, i, min(i + _CHUNK, end))
             values.append(np.sum(buf))
             buf *= logs
             slopes.append(np.sum(buf))
         F, dF = _kahan_total(values), _kahan_total(slopes)
         rel = (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
         return F, dF, rel * F, rel * self._log_max * F
+
+    def groups(self, s: float, n: int = -1) -> Tuple[np.ndarray, np.ndarray]:
+        """Sums of the terms and of their slopes in each group, the logs
+        between consecutive bounds given at construction; groups past
+        evaluation n's prefix sum to 0. A group that spans blocks
+        combines its block sums in order with compensation."""
+        end = int(self.ends[n])
+        sums, comp = np.zeros((2, self._groups)), np.zeros((2, self._groups))
+        for i, (cuts, at) in zip(range(0, end, _CHUNK), self._plans[n]):
+            buf, logs = self._terms(s, i, min(i + _CHUNK, end))
+            parts = [np.add.reduceat(buf, cuts)]
+            buf *= logs
+            parts.append(np.add.reduceat(buf, cuts))
+            for total, c, part in zip(sums, comp, parts):
+                if i == 0:
+                    total[at] = part
+                    continue
+                y = part - c[at]
+                t = total[at] + y
+                c[at] = (t - total[at]) - y
+                total[at] = t
+        return sums[0], sums[1]
+
+
+def _block_plan(starts: np.ndarray, live: np.ndarray, end: int) -> list:
+    """For each _CHUNK block of the prefix [0, end): the offsets in the
+    block where the parts of the groups live[k], starting at starts[k],
+    begin, and those groups."""
+    plan = []
+    for i in range(0, end, _CHUNK):
+        lo = max(int(np.searchsorted(starts, i, "right")) - 1, 0)
+        hi = int(np.searchsorted(starts, min(i + _CHUNK, end)))
+        cuts = starts[lo:hi] - i
+        cuts[0] = 0
+        plan.append((cuts, live[lo:hi]))
+    return plan
 
 
 def _log_sum(*bases: np.ndarray) -> _LogSum:
@@ -235,7 +290,9 @@ def _convex_root(
     By convexity F(a) >= F(x) + F'(x)(a - x) at the last evaluated iterate
     x, so that tangent, lowered by err and slope_err, certifies a when it
     reaches 1; b takes one more evaluation. If an end fails, the bracket
-    is widened to the right by doubling and bisected, so g(a) >= 0 > g(b)
+    is widened away from it by doubling steps that start at the width of
+    the undecided band, estimated as err / |F'| at the last iterate, and
+    then bisected, so g(a) >= 0 > g(b)
     (lo and a finite hi taken as given), and b - a <= tol unless a and b
     are adjacent floats or g's sign is undecided at their midpoint. None
     when no right end exists below _S_MAX.
@@ -278,11 +335,21 @@ def _convex_root(
     for s in (a, a + 0.5 * tol):
         if lo < s < hi:
             probe(s)
-    width = tol
+    # an undecided end steps away from the root by doublings that start at
+    # the width of the undecided band, err / |F'| at the last iterate
+    band = max(tol, err / -dF) if dF < 0.0 else tol
+    width = band
     while hi == math.inf:
-        if lo + width > _S_MAX:
+        s = max(lo, a + 0.5 * tol) + width
+        if s > _S_MAX:
             return None
-        probe(lo + width)
+        probe(s)
+        width *= 2.0
+    width = band
+    while lo < min(a, hi) - width:
+        s = min(a, hi) - width
+        if probe(s) and lo == s:
+            break
         width *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -299,7 +366,7 @@ def _aitken(x0: float, x1: float, x2: float) -> float:
     return x2 - d2 * d2 / den
 
 
-# --- meet-in-the-middle level walk ------------------------------------------
+# --- site-factored anchored sums -------------------------------------------
 
 
 def _letter_stack(linears: Sequence[Linear]) -> np.ndarray:
@@ -319,62 +386,178 @@ def _outer_sum(x0, y0, x1, y1) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _anchored_levels(
-    fam: IfsFamily,
-    alpha,
-    sum_spec: AnchoredSumSpec,
-    opts: SolverOptions,
-) -> Tuple[List[np.ndarray], list]:
-    """Per-level base factors rho'|w'^T A_word v''| for word lengths
-    0..max_len, and the letter norms of the alphabet.
-
-    The walk meets in the middle. With h = ceil(max_len / 2), it builds
-    the columns U_m = A_{l_m}...A_{l_1} v'' for m <= h and the rows
-    R_j = rho' w'^T A_{a_1}...A_{a_j} for j <= max_len - h, and level k
-    is |R_{k-m} (x) U_m| with m = min(k, h). Both halves put the
-    last-applied letter most significant, so the words of a level come
-    in the order of the letters l_k...l_1 read as digits.
-
-    No word is dropped, so level k holds n_letters**k bases, counted
-    against opts.budget before the level is built. An exactly collapsed
-    word has base exactly 0.0, which the sums mask, so the levels serve
-    every exponent.
-    """
-    start, end = fam.site(sum_spec.start), fam.site(sum_spec.end)
-    alphas = fam.angles(alpha)
-    # canonical letter order: regular maps first, then allowed anchors in
-    # increasing index order
-    linears = [m.linear for m in fam.regular]
-    linears += [fam.site(j).map_at(alphas[j]).linear for j in sorted(sum_spec.allowed)]
-    A = _letter_stack(linears)
-    letter_norms = [a.operator_norm() for a in linears]
-    max_len = sum_spec.max_len
-    half = (max_len + 1) // 2
-
-    Ux, Uy = unit_vector(end.v_angle)[:, None]
-    Rx, Ry = start.rho * unit_vector(start.w_angle(alphas[sum_spec.start]))[:, None]
-    levels: List[np.ndarray] = []
-    processed = 0
+def _check_word_budget(n_letters: int, max_len: int, opts: SolverOptions) -> None:
+    """An anchored sum covers n_letters**k words at each length k <= max_len;
+    BudgetError at the first length that takes the running count past
+    opts.budget."""
+    covered = 0
     for k in range(max_len + 1):
-        processed += len(linears) ** k
-        if processed > opts.budget:
+        covered += n_letters ** k
+        if covered > opts.budget:
             raise BudgetError(
-                "anchored enumeration exceeded %d words at length %d"
-                % (opts.budget, k)
+                "anchored enumeration exceeded %d words at length %d" % (opts.budget, k)
             )
-        if k > half:
-            Rx, Ry = (
-                _outer_sum(Rx, A[:, 0, 0], Ry, A[:, 1, 0]),
-                _outer_sum(Rx, A[:, 0, 1], Ry, A[:, 1, 1]),
-            )
-        elif k > 0:
-            Ux, Uy = (
-                _outer_sum(A[:, 0, 0], Ux, A[:, 0, 1], Uy),
-                _outer_sum(A[:, 1, 0], Ux, A[:, 1, 1], Uy),
-            )
-        bases = _outer_sum(Rx, Ux, Ry, Uy)
-        levels.append(np.abs(bases, out=bases))
-    return levels, letter_norms
+
+
+def _site_table(
+    fam: IfsFamily, alpha, caps: np.ndarray, walked: Sequence[Tuple[np.ndarray, ...]]
+) -> Tuple[Dict[Tuple[int, int], np.ndarray], List[int]]:
+    """Logs of the factors c[a, b, u] = rho_a |w_a^T A_u v_b| over regular words u.
+
+    walked holds the entries that _product_levels yields over fam.regular
+    for the lengths 1..caps.max() at least. Row (a, b) holds the logs for
+    every word of length m <= caps[a, b], level m spanning off[m]:off[m +
+    1] in the walk's order, after the empty word; an exactly zero factor
+    has log -inf. So one walk serves every row.
+    """
+    alphas = fam.angles(alpha)
+    empty = (np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
+    depth = int(caps.max())
+    levels = [empty, *walked[:depth]]
+    off = np.cumsum([0] + [P[0].size for P in levels]).tolist()
+    # without regular maps nothing is walked: every level past 0 is empty
+    off += off[-1:] * (depth + 2 - len(off))
+    p11, p12, p21, p22 = (np.concatenate(e) for e in zip(*levels))
+    v = np.array([unit_vector(site.v_angle) for site in fam.singular])
+    w = np.array([
+        site.rho * unit_vector(site.w_angle(a)) for site, a in zip(fam.singular, alphas)
+    ])
+    rows = {}
+    for cap in np.unique(caps[caps >= 0]).tolist():
+        a, b = np.nonzero(caps == cap)
+        end = off[cap + 1]
+        # (x, y) = A_u v_b, then c = |rho_a w_a . (x, y)|
+        x = _outer_sum(v[b, 0], p11[:end], v[b, 1], p12[:end]).reshape(a.size, end)
+        y = _outer_sum(v[b, 0], p21[:end], v[b, 1], p22[:end]).reshape(a.size, end)
+        x *= w[a, 0, None]
+        y *= w[a, 1, None]
+        c = np.abs(np.add(x, y, out=x), out=x)
+        logs = np.log(c, out=np.full_like(c, -np.inf), where=c > 0.0)
+        rows.update(zip(zip(a.tolist(), b.tolist()), logs))
+    return rows, off
+
+
+def _site_sums(rows, off, spec: AnchoredSumSpec):
+    """Truncated anchored sums F_n(s), n = 0..spec.max_len, factored at
+    the rank-one letters, from the factor logs of a _site_table.
+
+    A word from spec.start to spec.end whose site letters are b_1..b_r
+    splits into regular segments u_0..u_r, and its term rho |w^T A_word
+    v| is the product c[start, b_1, u_0] c[b_1, b_2, u_1] ...
+    c[b_r, end, u_r] of factors. So F_n(s) combines the group sums
+    S[a, b, m](s) of c[a, b, u]^s over the words u of length m: a
+    segment from start to end has m <= n, one from start to a site or
+    from a site to end m <= n - 1, and one between two sites m <= n - 2.
+    The logs of the positive factors go into one flat array, groups
+    ordered by m, so that truncation n is a prefix. Without sites inside
+    the words every term is one factor, and a plain _LogSum over that
+    array is the sum; otherwise a _SiteSums multiplies the group sums
+    out. Either way ends[n] is the number of nonzero terms of
+    truncation n, and evaluation returns (F, F', err, slope_err).
+    """
+    n = spec.max_len
+    inner = sorted(spec.allowed)
+    sites = [spec.start, *inner] + ([spec.end] if spec.end != spec.start else [])
+    q, e = len(inner), sites.index(spec.end)
+    mid = range(1, q + 1)
+    pairs = [(0, e, n)] + [(0, b, n - 1) for b in mid] + [(b, e, n - 1) for b in mid]
+    pairs += [(b, c, n - 2) for b in mid for c in mid]
+    groups = [(m, i, k) for m in range(n + 1) for i, k, cap in pairs if m <= cap]
+    logs = np.concatenate([rows[sites[i], sites[k]][off[m] : off[m + 1]] for m, i, k in groups])
+    bounds = np.cumsum([0] + [off[m + 1] - off[m] for m, _, _ in groups])
+    keep = logs > -np.inf
+    if not keep.all():
+        bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
+        logs = logs[keep]
+    ends = bounds[np.searchsorted([m for m, _, _ in groups], np.arange(1, n + 2))]
+    if not q:
+        return _LogSum(logs, ends=ends)
+    return _SiteSums(_LogSum(logs, ends=ends, bounds=bounds), groups, np.diff(bounds), e, q)
+
+
+class _SiteSums:
+    """The anchored sums of _site_sums for words through q >= 1 other sites.
+
+    The site letters are numbered 0 (start), 1..q (the sites allowed
+    inside the words) and e (end: 0 when it is start, else q + 1). Each
+    evaluation takes every group sum and its slope from terms.groups,
+    and a dynamic program over word length and next site multiplies
+    them out, carrying slopes by the product rule.
+
+    A term with r site letters is a product of r + 1 <= n + 1 group
+    sums, each within the _LogSum bound with max|L| = M taken over the
+    factor logs; it passes r multiplications and at most n + 1
+    sequential accumulations of at most q n + 1 positive summands, and
+    the compensated total over lengths adds 2 ulps. So err = ((n + 1)
+    (_ARG_ULPS (s M + 1) + _SUM_ULPS + q n) + n + 2) u F bounds the
+    rounding of F. Each term of F' is a value term times one of its at
+    most n + 1 factor logs, rounded at most twice as often, so
+    slope_err = 2 (n + 1) M err.
+    """
+
+    def __init__(self, terms: _LogSum, groups, sizes: np.ndarray, e: int, q: int):
+        self.terms, self._e, self._q = terms, e, q
+        self.max_len = groups[-1][0]
+        self._width = width = q + 1 + (e > 0)
+        self._keys = np.array([(m * width + i) * width + k for m, i, k in groups], dtype=np.intp)
+        counts = self._by_length(sizes.astype(float), np.zeros(len(groups)), self.max_len)[0]
+        self.ends = list(itertools.accumulate(counts))
+
+    def _by_length(self, values, slopes, n) -> Tuple[List[float], List[float]]:
+        """Sums and slopes of the terms of each word length 0..n."""
+        size = (self.max_len + 1) * self._width ** 2
+        S, D = np.zeros(size), np.zeros(size)
+        S[self._keys], D[self._keys] = values, slopes
+        S = S.reshape(-1, self._width, self._width).tolist()
+        D = D.reshape(-1, self._width, self._width).tolist()
+        e, inner = self._e, range(1, self._q + 1)
+        # P[L - 1][b - 1]: words of length L from start that end in site letter b
+        P, dP, E, dE = [], [], [], []
+
+        def extend(k, t):
+            # a segment of length k from start to t, or a prefix through a
+            # site letter at L <= k and then a segment of length k - L to t
+            x, dx = S[k][0][t], D[k][0][t]
+            for L, (p, dp) in enumerate(zip(P, dP), 1):
+                s, ds = S[k - L], D[k - L]
+                for b in inner:
+                    x += p[b - 1] * s[b][t]
+                    dx += dp[b - 1] * s[b][t] + p[b - 1] * ds[b][t]
+            return x, dx
+
+        for k in range(n + 1):
+            x, dx = extend(k, e)
+            E.append(x)
+            dE.append(dx)
+            if k < n and inner:
+                ends = [extend(k, b) for b in inner]
+                P.append([x for x, _ in ends])
+                dP.append([dx for _, dx in ends])
+        return E, dE
+
+    def __call__(self, s: float, n: int = -1) -> Tuple[float, float, float, float]:
+        n = range(self.max_len + 1)[n]
+        E, dE = self._by_length(*self.terms.groups(s, n), n)
+        F, dF = _kahan_total(E), _kahan_total(dE)
+        M = self.terms._log_max
+        group = _ARG_ULPS * (abs(s) * M + 1.0) + _SUM_ULPS
+        err = ((n + 1) * (group + self._q * n) + n + 2) * _U * F
+        return F, dF, err, 2.0 * (n + 1) * M * err
+
+
+def _anchored_sums(fam: IfsFamily, alpha, spec: AnchoredSumSpec, opts: SolverOptions):
+    """_site_sums of one spec, over a table walked for that spec alone."""
+    for j in (spec.start, spec.end, *spec.allowed):
+        fam.site(j)
+    n = spec.max_len
+    _check_word_budget(fam.n_regular + len(spec.allowed), n, opts)
+    caps = np.full((fam.n_singular,) * 2, -1)
+    inner = sorted(spec.allowed)
+    caps[spec.start, spec.end] = n
+    caps[spec.start, inner] = caps[inner, spec.end] = n - 1
+    caps[np.ix_(inner, inner)] = n - 2
+    levels = [P for _, P, _ in _product_levels(fam.regular, n, opts)]
+    return _site_sums(*_site_table(fam, alpha, caps, levels), spec)
 
 
 def anchored_norm_sum(
@@ -387,16 +570,13 @@ def anchored_norm_sum(
     """Truncated sum of conditional norms to the power s.
 
     Each word contributes the norm of (start map) o (word) restricted to
-    the image line of the end map, computed in factored form; terms with
-    an exactly collapsed composition contribute zero at every s.
+    the image line of the end map, computed as a product of factors split
+    at the word's rank-one letters; terms with an exactly collapsed
+    factor contribute zero at every s.
     """
     if not s >= 0.0:
         raise ValueError("exponent must be nonnegative")
-    opts = opts or DEFAULT_OPTIONS
-    levels, _ = _anchored_levels(fam, alpha, sum_spec, opts)
-    # zero bases count as zero even at s = 0
-    positive = map(_positive, levels)
-    return _kahan_total(float(b.size) if s == 0.0 else _chunked_sum(b ** s) for b in positive)
+    return _anchored_sums(fam, alpha, sum_spec, opts or DEFAULT_OPTIONS)(s)[0]
 
 
 # --- anchored exponent solvers ----------------------------------------------
@@ -514,20 +694,14 @@ def anchor_exponent_profile(
     critical exponent of the anchored series from below.
     """
     opts = opts or DEFAULT_OPTIONS
-    levels, _ = _anchored_levels(fam, alpha, _anchor_spec(fam, j, max_len), opts)
-    return _profile_from_levels(_log_sum(*levels), opts.tol)
+    return _profile_from_levels(_anchored_sums(fam, alpha, _anchor_spec(fam, j, max_len), opts), opts.tol)
 
 
-def _anchor_bracket(fam: IfsFamily, alpha, j: int, opts: SolverOptions) -> AnchorBracket:
-    # the levels and their logs live only for this call, so one anchor's
-    # arrays are freed before the next anchor's walk
-    levels, letter_norms = _anchored_levels(
-        fam, alpha, _anchor_spec(fam, j, opts.depth), opts
-    )
-    sums = _log_sum(*levels)
-    del levels
-    profile = _profile_from_levels(sums, opts.tol)
-    up, cert = _upper_from_levels(sums, letter_norms, fam.singular[j].rho, opts.tol, profile)
+def _anchor_bracket(fam: IfsFamily, sums, j: int, tol: float) -> AnchorBracket:
+    letter_norms = [m.linear.operator_norm() for m in fam.regular]
+    letter_norms += [fam.singular[k].rho for k in range(fam.n_singular) if k != j]
+    profile = _profile_from_levels(sums, tol)
+    up, cert = _upper_from_levels(sums, letter_norms, fam.singular[j].rho, tol, profile)
     return AnchorBracket(profile[-1], up, cert)
 
 
@@ -546,16 +720,25 @@ def affinity_dimension(
     opts = opts or DEFAULT_OPTIONS
     if fam.n_singular < 1:
         raise ConfigError("affinity bracket needs at least one rank-one site")
-    reg = None
+    reg, levels = None, []
     if fam.n_regular >= 1:
-        reg = regular_dimension_bracket(fam, opts)
+        reg = _regular_bracket(fam, opts, levels)
         if reg.upper >= 1.0:
             raise ConfigError(
                 "invertible sub-system exponent not certified below 1 "
                 "(upper bound %.6f)" % reg.upper
             )
 
-    per = {j: _anchor_bracket(fam, alpha, j, opts) for j in range(fam.n_singular)}
+    # one table serves every anchor: a segment that starts or ends at the
+    # anchor fits depth - 1 letters, one from the anchor to itself depth
+    n, K = opts.depth, fam.n_singular
+    _check_word_budget(fam.n_maps - 1, n, opts)
+    caps = np.full((K, K), n - 1) + np.eye(K, dtype=int)
+    rows, off = _site_table(fam, alpha, caps, levels)
+    per = {
+        j: _anchor_bracket(fam, _site_sums(rows, off, _anchor_spec(fam, j, n)), j, opts.tol)
+        for j in range(K)
+    }
     lower = max(min(1.0, p.lower) for p in per.values())
     certified_ups = [min(1.0, p.upper) for p in per.values() if p.certified]
     if certified_ups:
@@ -711,7 +894,15 @@ def regular_dimension_bracket(
     hence their maximum) certifiably sits below the exponent, and for
     similarities both ends collapse onto the exact value.
     """
-    opts = opts or DEFAULT_OPTIONS
+    return _regular_bracket(fam, opts or DEFAULT_OPTIONS)
+
+
+def _regular_bracket(
+    fam: IfsFamily, opts: SolverOptions, walked: Optional[list] = None
+) -> DimensionBracket:
+    """regular_dimension_bracket, appending the entries of every level it
+    walks to walked when given, so that the same walk can build a
+    _site_table."""
     if fam.n_regular == 0:
         raise ConfigError("no invertible maps in the family")
     if opts.depth < 1:
@@ -719,6 +910,8 @@ def regular_dimension_bracket(
 
     depth, lower = 0, 0.0
     for depth, P, dets in _product_levels(fam.regular, opts.depth, opts):
+        if walked is not None:
+            walked.append(P)
         a1, a2 = batch_singular_values(*P, dets)
         root = _convex_root(_log_sum(a2), 0.0, opts.tol)
         if root is None:

@@ -493,8 +493,49 @@ def _region_cases():
         lambda case: (variant(DROP_CONFIG, region_U=case[0]), case[1], []))
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=st.one_of(_index_cases(), _region_cases()))
+def _malformed_cases():
+    # config shapes the parser must turn into one error line, never a traceback
+    numbers = st.floats(-0.3, 0.3)
+    texts = st.text(max_size=4)
+
+    def regular(matrix, t=(0.0, 0.0)):
+        return {"regular": [{"matrix": matrix, "t": list(t)}]}
+
+    def matrix_with(x, k):
+        rows = [[0.15, 0.0], [0.0, 0.15]]
+        rows[k // 2][k % 2] = x
+        return regular(rows)
+
+    def site(**change):
+        return {"singular": [dict(DROP_CONFIG["singular"][0], **change)]}
+
+    matrices = st.one_of(
+        st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=3, max_size=3),
+        st.lists(st.lists(numbers, min_size=1, max_size=3), min_size=2, max_size=2).filter(
+            lambda rows: any(len(row) != 2 for row in rows)),
+    ).map(regular)
+    misplaced_strings = st.one_of(
+        st.builds(matrix_with, texts, st.integers(0, 3)),
+        texts.map(lambda x: regular([[0.15, 0.0], [0.0, 0.15]], (x, 0.0))),
+        st.sampled_from(["rho", "v_angle", "c", "beta"]).flatmap(
+            lambda key: texts.map(lambda x: site(**{key: x}))),
+        st.sampled_from(["depth", "tol", "budget", "threads"]).flatmap(
+            lambda key: texts.map(lambda x: {"solver": {key: x}})),
+        texts.map(lambda x: {"region_U": {"kind": "disk64", "radius": x}}),
+        texts.map(lambda x: {"seed": x}),
+    )
+    singular_not_list = st.one_of(
+        texts, st.integers(), st.none(), st.just(DROP_CONFIG["singular"][0])
+    ).map(lambda x: {"singular": x})
+    no_radius = st.one_of(
+        st.just({}), st.tuples(numbers, numbers).map(lambda c: {"center": list(c)})
+    ).map(lambda extra: {"region_U": dict(kind="disk64", **extra)})
+    return st.one_of(matrices, misplaced_strings, singular_not_list, no_radius).map(
+        lambda change: (variant(DROP_CONFIG, **change), "dim", []))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(_index_cases(), _region_cases(), _malformed_cases()))
 def test_bad_input_exits_1_with_one_error_line(case):
     config, command, extra = case
     with tempfile.TemporaryDirectory() as tmp:

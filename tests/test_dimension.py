@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath  # a declared test dependency: missing, it fails the module
 import numpy as np
 import pytest
 
@@ -18,7 +19,8 @@ from affdim import (
     pressure_upper_root,
     regular_dimension_bracket,
 )
-from affdim.dimension import _anchored_levels
+import affdim.dimension as dimension
+from affdim.dimension import _anchored_sums
 from affdim.errors import BudgetError, ConfigError
 from affdim.ifs import compose_word
 
@@ -126,18 +128,20 @@ class TestLevelWalk:
     @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: "%s-%d-%d-%s" % (
         c[0].__name__, c[2], c[3], "".join(map(str, sorted(c[4])))))
     def test_levels_match_plain_products(self, case, max_len):
+        # every truncation's factored sum against the plain products' terms
         make, alpha, start, end, allowed = case
         fam = make()
         spec = AnchoredSumSpec(start=start, end=end, max_len=max_len, allowed=allowed)
-        got, norms = _anchored_levels(fam, alpha, spec, SolverOptions())
+        sums = _anchored_sums(fam, alpha, spec, SolverOptions())
         want = brute_levels(fam, alpha, spec)
-        assert len(norms) == fam.n_regular + len(allowed)
-        assert len(got) == max_len + 1
-        for k, (g, w) in enumerate(zip(got, want)):
-            assert g.shape == w.shape, k
-            # exact collapses stay exact zeros, in the same places
-            np.testing.assert_array_equal(g == 0.0, w == 0.0)
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-16)
+        # exact collapses stay exact zeros, so the nonzero terms count exactly
+        counts = np.cumsum([np.count_nonzero(w) for w in want]).tolist()
+        assert list(sums.ends) == counts
+        for n in range(max_len + 1):
+            assert sums(0.0, n)[0] == counts[n]
+            for s in (0.5, 1.0, 1.7):
+                exact = math.fsum(float(np.sum(w[w > 0.0] ** s)) for w in want[: n + 1])
+                assert sums(s, n)[0] == pytest.approx(exact, rel=1e-12, abs=0.0), (n, s)
 
     def test_budget_trips_at_the_level_that_passes_it(self):
         # four letters and no collapsed column: a walk to length n costs
@@ -172,6 +176,71 @@ class TestLevelWalk:
         bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=5))
         assert bracket.lower == 0.0 and 0.0 < bracket.upper <= 1e-9
         assert bracket.certified_upper
+
+
+def exact_terms(fam, alpha, spec):
+    """Every word's base rho |w^T A_word v| in 120-bit arithmetic, the
+    family's float matrices and unit vectors taken as exact, one list per
+    length, as brute_levels orders them."""
+    maps = fam.instantiate(alpha)
+    letters = [m.linear.as_array() for m in fam.regular] + [
+        maps[fam.singular_letter(j)].linear.as_mat2().as_array()
+        for j in sorted(spec.allowed)
+    ]
+    start, end = fam.singular[spec.start], fam.singular[spec.end]
+    w_angle = start.w_angle(fam.angles(alpha)[spec.start])
+    with mpmath.workprec(120):
+        letters = [mpmath.matrix(a.tolist()) for a in letters]
+        row = mpmath.mpf(start.rho) * mpmath.matrix([[math.cos(w_angle), math.sin(w_angle)]])
+        v = mpmath.matrix([math.cos(end.v_angle), math.sin(end.v_angle)])
+        levels = []
+        for k in range(spec.max_len + 1):
+            terms = []
+            for word in itertools.product(range(len(letters)), repeat=k):
+                col = v
+                for letter in reversed(word):
+                    col = letters[letter] * col
+                terms.append(abs((row * col)[0]))
+            levels.append(terms)
+    return levels
+
+
+@pytest.mark.parametrize("start, end, allowed", [(0, 0, {1, 2}), (0, 2, {1})])
+def test_site_sums_within_the_stated_bound(start, end, allowed):
+    # F and F' of every truncation against 120-bit sums over the words; the
+    # bases' own rounding, a few ulps each, is not part of the bound and
+    # stays far inside it
+    fam = three_site_family()
+    spec = AnchoredSumSpec(start=start, end=end, max_len=5, allowed=allowed)
+    sums = _anchored_sums(fam, 0.6, spec, SolverOptions())
+    levels = exact_terms(fam, 0.6, spec)
+    with mpmath.workprec(120):
+        for s in (0.3, 0.81, 1.0, 1.7):
+            F_exact = dF_exact = mpmath.mpf(0)
+            for n, terms in enumerate(levels):
+                for t in terms:
+                    if t:
+                        power = t ** s
+                        F_exact += power
+                        dF_exact += power * mpmath.log(t)
+                F, dF, err, slope_err = sums(s, n)
+                assert abs(mpmath.mpf(F) - F_exact) <= err, (s, n)
+                assert abs(mpmath.mpf(dF) - dF_exact) <= slope_err, (s, n)
+
+
+def test_groups_cut_by_blocks_keep_their_sums(monkeypatch):
+    # blocks of 7 terms cut most groups, whose parts are then combined
+    fam = three_site_family()
+    spec = AnchoredSumSpec(start=0, end=0, max_len=5, allowed={1, 2})
+    sums = _anchored_sums(fam, 0.6, spec, SolverOptions())
+    whole = [(sums(0.0, n), sums(0.8, n)) for n in range(6)]
+    monkeypatch.setattr(dimension, "_CHUNK", 7)
+    cut = _anchored_sums(fam, 0.6, spec, SolverOptions())
+    assert cut.terms.logs.size > 20 * 7
+    for n, (at_0, at_s) in enumerate(whole):
+        assert cut(0.0, n)[0] == at_0[0]
+        assert cut(0.0, n) == pytest.approx(at_0, rel=1e-14)
+        assert cut(0.8, n) == pytest.approx(at_s, rel=1e-14)
 
 
 class TestAnchoredNormSum:

@@ -115,7 +115,7 @@ def test_log_sum_terms_within_the_stated_bound():
 
 
 def test_powers_within_four_ulp_of_mpmath():
-    # partition_sum and anchored_norm_sum report b**s sums, so this
+    # partition_sum reports b**s sums, so this
     # build's power must stay close to correctly rounded; 20000 bases in
     # (1e-12, 1), one array to one exponent in (0, 2]
     rng = np.random.default_rng(7)
@@ -131,6 +131,25 @@ def test_powers_within_four_ulp_of_mpmath():
                 ulp = float(np.spacing(float(exact)))
                 worst = max(worst, float(abs(mpmath.mpf(g) - exact)) / ulp)
     assert worst <= 4.0, worst
+
+
+def test_undecided_ends_widen_from_the_band():
+    # at tol = 1e-15 both Newton-derived ends fall inside the band where the
+    # rounding bound leaves the sign open; the widening starts next to them
+    # at the band's width instead of doubling from tol at the left end
+    evaluate = full_sums([[1e-5, 1e-5]])
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return evaluate(s)
+
+    a, b = _convex_root(counted, 0.0, 1e-15)
+    assert len(calls) <= 20, len(calls)
+    F, _, err, _ = evaluate(a)
+    assert F - err >= 1.0
+    F, _, err, _ = evaluate(b)
+    assert F + err < 1.0
 
 
 def test_root_at_the_left_end():
