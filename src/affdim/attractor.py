@@ -14,8 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetError, ConfigError
-from .ifs import AffineMap2, IfsFamily
-from .linalg import RankOneFactor
+from .ifs import AffineMap2, IfsFamily, _map_table
 from .separation import ConvexBody, family_bodies, image_body
 
 _CHAOS_CHUNK = 1 << 15
@@ -34,16 +33,6 @@ class PointCloud:
     seed: Optional[int]
     method: str
     depth_or_count: int
-
-
-def _map_table(maps) -> np.ndarray:
-    """(n_maps, 6) rows [a11 a12 a21 a22 t1 t2]; a rank-one map enters
-    as its dense matrix rho v w^T."""
-    rows = []
-    for m in maps:
-        a = m.linear.as_mat2() if isinstance(m.linear, RankOneFactor) else m.linear
-        rows.append((a.a11, a.a12, a.a21, a.a22, m.translation[0], m.translation[1]))
-    return np.array(rows, dtype=float).reshape(-1, 6)
 
 
 def _orbit(table: np.ndarray, picks: np.ndarray, burn_in: int) -> np.ndarray:

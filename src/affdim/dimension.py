@@ -20,8 +20,9 @@ on its rounding, under which the same sums certify both ends of a
 bracket of width at most tol.
 
 All enumeration is level-synchronous and vectorized in a canonical word
-order, and every reduction is compensated and performed in that order
-over fixed chunks, so results never depend on the threads setting.
+order, and every sum is one numpy reduction over its terms in that
+order in the calling thread, so results never depend on the threads
+setting.
 """
 
 from __future__ import annotations
@@ -40,12 +41,10 @@ from .errors import (
     BudgetError,
     ConfigError,
 )
-from .ifs import AffineMap2, IfsFamily
-from .linalg import Linear, Mat2, RankOneFactor, batch_singular_values, unit_vector
+from .ifs import AffineMap2, IfsFamily, _map_table
+from .linalg import Mat2, batch_singular_values, unit_vector
 
 logger = logging.getLogger("affdim.dimension")
-
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -129,33 +128,6 @@ class AnchoredSumSpec:
             raise ConfigError("max_len must be nonnegative")
 
 
-# --- deterministic reduction helpers ----------------------------------------
-
-
-def _kahan_total(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _chunked_sum(arr: np.ndarray) -> float:
-    # fixed chunk boundaries, then compensated left-to-right combination;
-    # neither depends on the thread count
-    return _kahan_total(
-        np.sum(arr[i : i + _CHUNK]) for i in range(0, arr.size, _CHUNK)
-    )
-
-
-def _positive(bases: np.ndarray) -> np.ndarray:
-    keep = bases > 0.0
-    return bases if keep.all() else bases[keep]
-
-
 # --- certified convex roots -------------------------------------------------
 
 _S_MAX = 1e6
@@ -171,23 +143,26 @@ class _LogSum:
     """F(s) = sum of exp(C + s*L), for logs L of positive bases and
     optional offsets C = log a - L taken once.
 
-    Evaluation n sums the prefix ends[n] of L (by default all of it) over
-    fixed _CHUNK blocks through one reused buffer and combines the block
-    sums in order with compensation, so its bits never depend on the
-    thread count. It returns (F, F', err, slope_err). Each term passes
-    through fl(log b), a product, an add and exp, each within a few ulp
-    of its argument, so it is off by at most _ARG_ULPS * (s max|L| +
-    max|C| + 1) ulp, an offset counting as max|C| + 2 max|L| to cover the
-    logs it came from; the chunked sums, their combination and the
-    comparisons with 1 take _SUM_ULPS more (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3). So err bounds the rounding
-    of F, and slope_err = max|L| err that of F', whose terms are value
-    terms times logs. Underflowed terms lose less than the smallest
-    normal float each, far inside err where F is near 1.
+    Evaluation n sums the prefix ends[n] of L (by default all of it) in
+    one pass through one reused buffer, and returns (F, F', err,
+    slope_err). Each term passes through fl(log b), a product, an add
+    and exp, each within a few ulp of its argument, so it is off by at
+    most _ARG_ULPS * (s max|L| + max|C| + 1) ulp, an offset counting as
+    max|C| + 2 max|L| to cover the logs it came from. numpy sums a
+    contiguous float64 array pairwise: a leaf of at most 128 terms puts
+    each term through at most 25 roundings (15 in its accumulator, 3 in
+    the combine, 7 for the remainder), and each halving above 128 terms
+    adds one more, so even the default budget of 2^22 words stays at 40;
+    with the comparisons with 1 that is inside _SUM_ULPS (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3). So err
+    bounds the rounding of F, and slope_err = max|L| err that of F',
+    whose terms are value terms times logs. Underflowed terms lose less
+    than the smallest normal float each, far inside err where F is near 1.
 
     Given group bounds, groups(s, n) returns instead the sums of terms
-    and of slopes of every group, one np.add.reduceat per block, so the
-    number of numpy calls does not grow with the number of groups.
+    and of slopes of every group, one np.add.reduceat over the same
+    prefix, so the number of numpy calls does not grow with the number
+    of groups.
     """
 
     def __init__(
@@ -196,82 +171,57 @@ class _LogSum:
         self.logs = logs
         self.offsets = offsets
         self.ends = [logs.size] if ends is None else ends
-        self._buf = np.empty(min(logs.size, _CHUNK))
+        self._buf = np.empty(logs.size)
         self._log_max = max(-float(logs.min(initial=0.0)), float(logs.max(initial=0.0)))
         self._offset_max = 0.0
         if offsets is not None:
             self._offset_max = float(np.max(np.abs(offsets), initial=0.0)) + 2.0 * self._log_max
         if bounds is not None:
             self._groups = len(bounds) - 1
+            # truncation ends are group bounds, so a prefix holds whole groups
             live = np.flatnonzero(np.diff(bounds) > 0)
             starts = np.asarray(bounds)[live]
-            self._plans = [_block_plan(starts, live, int(end)) for end in self.ends]
+            cuts = np.searchsorted(starts, self.ends)
+            self._cuts = [(starts[:k], live[:k]) for k in cuts.tolist()]
 
-    def _terms(self, s: float, i: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The terms of the block [i, end) in the reused buffer, and their logs."""
-        logs = self.logs[i:end]
-        buf = self._buf[: logs.size]
+    def _terms(self, s: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The terms of evaluation n's prefix in the reused buffer, and their logs."""
+        end = int(self.ends[n])
+        logs = self.logs[:end]
+        buf = self._buf[:end]
         np.multiply(logs, s, out=buf)
         if self.offsets is not None:
-            buf += self.offsets[i:end]
+            buf += self.offsets[:end]
         np.exp(buf, out=buf)
         return buf, logs
 
     def __call__(self, s: float, n: int = -1) -> Tuple[float, float, float, float]:
-        end = int(self.ends[n])
-        values, slopes = [], []
-        for i in range(0, end, _CHUNK):
-            buf, logs = self._terms(s, i, min(i + _CHUNK, end))
-            values.append(np.sum(buf))
-            buf *= logs
-            slopes.append(np.sum(buf))
-        F, dF = _kahan_total(values), _kahan_total(slopes)
+        buf, logs = self._terms(s, n)
+        F = float(np.sum(buf))
+        buf *= logs
+        dF = float(np.sum(buf))
         rel = (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
         return F, dF, rel * F, rel * self._log_max * F
 
     def groups(self, s: float, n: int = -1) -> Tuple[np.ndarray, np.ndarray]:
         """Sums of the terms and of their slopes in each group, the logs
         between consecutive bounds given at construction; groups past
-        evaluation n's prefix sum to 0. A group that spans blocks
-        combines its block sums in order with compensation."""
-        end = int(self.ends[n])
-        sums, comp = np.zeros((2, self._groups)), np.zeros((2, self._groups))
-        for i, (cuts, at) in zip(range(0, end, _CHUNK), self._plans[n]):
-            buf, logs = self._terms(s, i, min(i + _CHUNK, end))
-            parts = [np.add.reduceat(buf, cuts)]
+        evaluation n's prefix sum to 0."""
+        cuts, live = self._cuts[n]
+        sums = np.zeros((2, self._groups))
+        if live.size:
+            buf, logs = self._terms(s, n)
+            sums[0, live] = np.add.reduceat(buf, cuts)
             buf *= logs
-            parts.append(np.add.reduceat(buf, cuts))
-            for total, c, part in zip(sums, comp, parts):
-                if i == 0:
-                    total[at] = part
-                    continue
-                y = part - c[at]
-                t = total[at] + y
-                c[at] = (t - total[at]) - y
-                total[at] = t
+            sums[1, live] = np.add.reduceat(buf, cuts)
         return sums[0], sums[1]
 
 
-def _block_plan(starts: np.ndarray, live: np.ndarray, end: int) -> list:
-    """For each _CHUNK block of the prefix [0, end): the offsets in the
-    block where the parts of the groups live[k], starting at starts[k],
-    begin, and those groups."""
-    plan = []
-    for i in range(0, end, _CHUNK):
-        lo = max(int(np.searchsorted(starts, i, "right")) - 1, 0)
-        hi = int(np.searchsorted(starts, min(i + _CHUNK, end)))
-        cuts = starts[lo:hi] - i
-        cuts[0] = 0
-        plan.append((cuts, live[lo:hi]))
-    return plan
-
-
-def _log_sum(*bases: np.ndarray) -> _LogSum:
-    """_LogSum over the positive entries of the given base arrays, taken
-    once, one array after another; evaluation n sums the first n + 1."""
-    positive = [_positive(np.asarray(b, dtype=float)) for b in bases]
-    logs = np.concatenate(positive)
-    return _LogSum(np.log(logs, out=logs), ends=np.cumsum([b.size for b in positive]))
+def _log_sum(bases) -> _LogSum:
+    """_LogSum over the positive entries of bases, logs taken once."""
+    bases = np.asarray(bases, dtype=float)
+    keep = bases > 0.0
+    return _LogSum(np.log(bases if keep.all() else bases[keep]))
 
 
 def _convex_root(
@@ -369,15 +319,6 @@ def _aitken(x0: float, x1: float, x2: float) -> float:
 # --- site-factored anchored sums -------------------------------------------
 
 
-def _letter_stack(linears: Sequence[Linear]) -> np.ndarray:
-    """(n_letters, 2, 2) stack of linear parts; a rank-one part enters as
-    its dense rho v w^T."""
-    mats = [
-        (a.as_mat2() if isinstance(a, RankOneFactor) else a).as_array() for a in linears
-    ]
-    return np.array(mats).reshape(-1, 2, 2)
-
-
 def _outer_sum(x0, y0, x1, y1) -> np.ndarray:
     """x0 (x) y0 + x1 (x) y1 flattened row-major: elementwise products
     only, so no threaded BLAS path is ever taken."""
@@ -397,6 +338,20 @@ def _check_word_budget(n_letters: int, max_len: int, opts: SolverOptions) -> Non
             raise BudgetError(
                 "anchored enumeration exceeded %d words at length %d" % (opts.budget, k)
             )
+
+
+def _segment_caps(spec: AnchoredSumSpec) -> np.ndarray:
+    """caps[a, b]: the most regular letters a word of spec has between
+    site letters a and b, negative where no segment runs from a to b. A
+    segment from start to end has at most max_len letters, one from
+    start to a site or from a site to end max_len - 1, one between two
+    sites max_len - 2."""
+    n, inner = spec.max_len, sorted(spec.allowed)
+    caps = np.full((max(spec.start, spec.end, *inner) + 1,) * 2, -1)
+    caps[spec.start, spec.end] = n
+    caps[spec.start, inner] = caps[inner, spec.end] = n - 1
+    caps[np.ix_(inner, inner)] = n - 2
+    return caps
 
 
 def _site_table(
@@ -445,24 +400,21 @@ def _site_sums(rows, off, spec: AnchoredSumSpec):
     splits into regular segments u_0..u_r, and its term rho |w^T A_word
     v| is the product c[start, b_1, u_0] c[b_1, b_2, u_1] ...
     c[b_r, end, u_r] of factors. So F_n(s) combines the group sums
-    S[a, b, m](s) of c[a, b, u]^s over the words u of length m: a
-    segment from start to end has m <= n, one from start to a site or
-    from a site to end m <= n - 1, and one between two sites m <= n - 2.
-    The logs of the positive factors go into one flat array, groups
-    ordered by m, so that truncation n is a prefix. Without sites inside
-    the words every term is one factor, and a plain _LogSum over that
-    array is the sum; otherwise a _SiteSums multiplies the group sums
-    out. Either way ends[n] is the number of nonzero terms of
-    truncation n, and evaluation returns (F, F', err, slope_err).
+    S[a, b, m](s) of c[a, b, u]^s over the words u of length m up to
+    the _segment_caps of spec. The logs of the positive factors go into
+    one flat array, groups ordered by m, so that truncation n is a
+    prefix. Without sites inside the words every term is one factor,
+    and a plain _LogSum over that array is the sum; otherwise a
+    _SiteSums multiplies the group sums out. Either way ends[n] is the
+    number of nonzero terms of truncation n, and evaluation returns (F,
+    F', err, slope_err).
     """
     n = spec.max_len
     inner = sorted(spec.allowed)
     sites = [spec.start, *inner] + ([spec.end] if spec.end != spec.start else [])
     q, e = len(inner), sites.index(spec.end)
-    mid = range(1, q + 1)
-    pairs = [(0, e, n)] + [(0, b, n - 1) for b in mid] + [(b, e, n - 1) for b in mid]
-    pairs += [(b, c, n - 2) for b in mid for c in mid]
-    groups = [(m, i, k) for m in range(n + 1) for i, k, cap in pairs if m <= cap]
+    caps = _segment_caps(spec)[np.ix_(sites, sites)]
+    groups = [(m, i, k) for m in range(n + 1) for (i, k), cap in np.ndenumerate(caps) if m <= cap]
     logs = np.concatenate([rows[sites[i], sites[k]][off[m] : off[m + 1]] for m, i, k in groups])
     bounds = np.cumsum([0] + [off[m + 1] - off[m] for m, _, _ in groups])
     keep = logs > -np.inf
@@ -488,11 +440,11 @@ class _SiteSums:
     sums, each within the _LogSum bound with max|L| = M taken over the
     factor logs; it passes r multiplications and at most n + 1
     sequential accumulations of at most q n + 1 positive summands, and
-    the compensated total over lengths adds 2 ulps. So err = ((n + 1)
-    (_ARG_ULPS (s M + 1) + _SUM_ULPS + q n) + n + 2) u F bounds the
-    rounding of F. Each term of F' is a value term times one of its at
-    most n + 1 factor logs, rounded at most twice as often, so
-    slope_err = 2 (n + 1) M err.
+    math.fsum rounds the total over lengths once, inside the 2 ulps
+    counted for it. So err = ((n + 1) (_ARG_ULPS (s M + 1) + _SUM_ULPS
+    + q n) + n + 2) u F bounds the rounding of F. Each term of F' is a
+    value term times one of its at most n + 1 factor logs, rounded at
+    most twice as often, so slope_err = 2 (n + 1) M err.
     """
 
     def __init__(self, terms: _LogSum, groups, sizes: np.ndarray, e: int, q: int):
@@ -538,7 +490,7 @@ class _SiteSums:
     def __call__(self, s: float, n: int = -1) -> Tuple[float, float, float, float]:
         n = range(self.max_len + 1)[n]
         E, dE = self._by_length(*self.terms.groups(s, n), n)
-        F, dF = _kahan_total(E), _kahan_total(dE)
+        F, dF = math.fsum(E), math.fsum(dE)
         M = self.terms._log_max
         group = _ARG_ULPS * (abs(s) * M + 1.0) + _SUM_ULPS
         err = ((n + 1) * (group + self._q * n) + n + 2) * _U * F
@@ -551,13 +503,8 @@ def _anchored_sums(fam: IfsFamily, alpha, spec: AnchoredSumSpec, opts: SolverOpt
         fam.site(j)
     n = spec.max_len
     _check_word_budget(fam.n_regular + len(spec.allowed), n, opts)
-    caps = np.full((fam.n_singular,) * 2, -1)
-    inner = sorted(spec.allowed)
-    caps[spec.start, spec.end] = n
-    caps[spec.start, inner] = caps[inner, spec.end] = n - 1
-    caps[np.ix_(inner, inner)] = n - 2
     levels = [P for _, P, _ in _product_levels(fam.regular, n, opts)]
-    return _site_sums(*_site_table(fam, alpha, caps, levels), spec)
+    return _site_sums(*_site_table(fam, alpha, _segment_caps(spec), levels), spec)
 
 
 def anchored_norm_sum(
@@ -729,15 +676,15 @@ def affinity_dimension(
                 "(upper bound %.6f)" % reg.upper
             )
 
-    # one table serves every anchor: a segment that starts or ends at the
-    # anchor fits depth - 1 letters, one from the anchor to itself depth
+    # one table serves every anchor, cut at the longest segment any needs
     n, K = opts.depth, fam.n_singular
     _check_word_budget(fam.n_maps - 1, n, opts)
-    caps = np.full((K, K), n - 1) + np.eye(K, dtype=int)
+    specs = [_anchor_spec(fam, j, n) for j in range(K)]
+    caps = np.max([_segment_caps(spec) for spec in specs], axis=0)
     rows, off = _site_table(fam, alpha, caps, levels)
     per = {
-        j: _anchor_bracket(fam, _site_sums(rows, off, _anchor_spec(fam, j, n)), j, opts.tol)
-        for j in range(K)
+        j: _anchor_bracket(fam, _site_sums(rows, off, spec), j, opts.tol)
+        for j, spec in enumerate(specs)
     }
     lower = max(min(1.0, p.lower) for p in per.values())
     certified_ups = [min(1.0, p.upper) for p in per.values() if p.certified]
@@ -773,10 +720,9 @@ def _product_levels(
     walk stops before the level that would take the cumulative word
     count past opts.budget.
     """
-    linears = [m.linear for m in maps]
-    A = _letter_stack(linears)
-    letter_dets = np.array([a.det() if isinstance(a, Mat2) else 0.0 for a in linears])
-    P, dets = (A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]), letter_dets
+    a11, a12, a21, a22 = _map_table(maps)[:, :4].T
+    letter_dets = np.array([m.linear.det() if isinstance(m.linear, Mat2) else 0.0 for m in maps])
+    P, dets = (a11, a12, a21, a22), letter_dets
     total = 0
     for k in range(1, depth + 1):
         total += len(maps) ** k
@@ -786,10 +732,10 @@ def _product_levels(
             # letter-major: numpy's inner loop runs over the parent level
             p11, p12, p21, p22 = P
             P = (
-                _outer_sum(A[:, 0, 0], p11, A[:, 1, 0], p12),
-                _outer_sum(A[:, 0, 1], p11, A[:, 1, 1], p12),
-                _outer_sum(A[:, 0, 0], p21, A[:, 1, 0], p22),
-                _outer_sum(A[:, 0, 1], p21, A[:, 1, 1], p22),
+                _outer_sum(a11, p11, a21, p12),
+                _outer_sum(a12, p11, a22, p12),
+                _outer_sum(a11, p21, a21, p22),
+                _outer_sum(a12, p21, a22, p22),
             )
             dets = np.multiply.outer(letter_dets, dets).reshape(-1)
         yield k, P, dets
@@ -815,10 +761,10 @@ def _svf_sum(a1: np.ndarray, a2: np.ndarray, s: float) -> float:
     if s == 0.0:
         return float(a1.size)
     if s <= 1.0:
-        return _chunked_sum(a1 ** s)
+        return float(np.sum(a1 ** s))
     if s <= 2.0:
-        return _chunked_sum(a1 * a2 ** (s - 1.0))
-    return _chunked_sum((a1 * a2) ** (s / 2.0))
+        return float(np.sum(a1 * a2 ** (s - 1.0)))
+    return float(np.sum((a1 * a2) ** (s / 2.0)))
 
 
 def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float) -> float:
@@ -837,9 +783,9 @@ def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float) -> float:
     # at s = 2 and s = 1 the terms are the plain products a1 a2 and a1, so
     # these sums round only in the summation
     slack = 1.0 + _SUM_ULPS * _U
-    if _chunked_sum(a1 * a2) * slack >= 1.0:
+    if np.sum(a1 * a2) * slack >= 1.0:
         return 2.0
-    if _chunked_sum(a1) * slack < 1.0:
+    if np.sum(a1) * slack < 1.0:
         return _convex_root(_log_sum(a1), 0.0, tol, 1.0)[1]
     # a1 a2^(s-1) = exp(log a1 - log a2 + s log a2); a zero a2 adds nothing past 1
     keep = (a1 > 0.0) & (a2 > 0.0)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attractor import PointCloud, _map_table, _orbits
+from .attractor import PointCloud, _orbits
 from .dimension import (
     DimensionBracket,
     SolverOptions,
@@ -33,7 +33,7 @@ from .errors import (
     IdentityMismatchError,
     NoSignChangeError,
 )
-from .ifs import AffineMap2, IfsFamily, Word, compose_word
+from .ifs import AffineMap2, IfsFamily, Word, _map_table, compose_word
 from .linalg import unit_vector
 
 Letters = Tuple[int, ...]

@@ -106,6 +106,16 @@ def compose_word(maps: Sequence[AffineMap2], word: Word) -> AffineMap2:
     return out
 
 
+def _map_table(maps: Sequence[AffineMap2]) -> np.ndarray:
+    """(n_maps, 6) rows [a11 a12 a21 a22 t1 t2]; a rank-one linear part
+    enters as its dense matrix rho v w^T."""
+    rows = []
+    for m in maps:
+        a = m.linear.as_mat2() if isinstance(m.linear, RankOneFactor) else m.linear
+        rows.append((a.a11, a.a12, a.a21, a.a22, m.translation[0], m.translation[1]))
+    return np.array(rows, dtype=float).reshape(-1, 6)
+
+
 def attractor_bound(maps: Sequence[AffineMap2]) -> float:
     """Radius of an origin-centered ball mapped into itself by every map."""
     norm = max(m.linear.operator_norm() for m in maps)

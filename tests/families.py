@@ -11,7 +11,15 @@ import math
 
 import numpy as np
 
-from affdim import AffineMap2, IfsFamily, LineDir, Mat2, RankOneSite
+from affdim import (
+    SCHEMA_VERSION,
+    AffineMap2,
+    IfsFamily,
+    LineDir,
+    Mat2,
+    RankOneSite,
+    parse_config,
+)
 
 
 def scalar_family() -> IfsFamily:
@@ -95,6 +103,26 @@ def cantor_similarities() -> IfsFamily:
         ),
         singular=(),
     )
+
+
+# three rank-one sites with rho = 0.99 and no regular maps: the letter
+# norms of any anchor sum to theta(s) = 2 * 0.99^s >= 1 for every s <= 8,
+# so no tail bound applies and every anchored upper end is extrapolated
+HEAVY_SITES_CONFIG = {
+    "schema_version": SCHEMA_VERSION,
+    "regular": [],
+    "singular": [
+        {"rho": 0.99, "v_angle": 0.0, "c": 0.3, "beta": 1.0, "t": [0.0, 0.0]},
+        {"rho": 0.99, "v_angle": 1.0, "c": 1.7, "beta": 1.0, "t": [0.5, 0.0]},
+        {"rho": 0.99, "v_angle": 2.0, "c": 2.5, "beta": 1.0, "t": [0.0, 0.5]},
+    ],
+    "region_U": {"kind": "disk64", "center": [0.0, 0.0], "radius": 1.0},
+    "solver": {"depth": 8},
+}
+
+
+def heavy_sites_family() -> IfsFamily:
+    return parse_config(HEAVY_SITES_CONFIG).family
 
 
 def random_admissible(seed: int) -> IfsFamily:

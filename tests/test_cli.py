@@ -22,6 +22,8 @@ from affdim.cli import main
 from affdim.config import _config_dict, _serialize_config
 from affdim.errors import ConfigError
 
+from families import HEAVY_SITES_CONFIG
+
 SCALAR_CONFIG = {
     "schema_version": SCHEMA_VERSION,
     "regular": [{"matrix": [[1 / 3, 0.0], [0.0, 1 / 3]], "t": [0.0, 0.0]}],
@@ -266,6 +268,15 @@ class TestDimCommand:
         assert report["config_digest"] == config_digest(parse_config(SCALAR_CONFIG))
         assert report["outputs"]["csv"] == "dim.csv"
         assert report["wall_time_s"] >= 0.0
+
+    def test_uncertified_upper_exits_zero(self, tmp_path):
+        cfg = write_config(tmp_path, HEAVY_SITES_CONFIG)
+        out = tmp_path / "out"
+        assert main(["dim", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "dim.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["affinity", "anchor_0", "anchor_1", "anchor_2"]
+        assert rows[0][1:] == ["1", "1", "8", "false"]
+        assert all(row[4] == "false" for row in rows)
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path, SCALAR_CONFIG)

@@ -27,6 +27,7 @@ from affdim.ifs import compose_word
 from families import (
     brute_svf,
     cantor_similarities,
+    heavy_sites_family,
     random_admissible,
     rotation_family,
     scalar_family,
@@ -205,14 +206,18 @@ def exact_terms(fam, alpha, spec):
     return levels
 
 
-@pytest.mark.parametrize("start, end, allowed", [(0, 0, {1, 2}), (0, 2, {1})])
+@pytest.mark.parametrize(
+    "start, end, allowed", [(0, 0, {1, 2}), (0, 2, {1}), (0, 0, set()), (0, 2, set())]
+)
 def test_site_sums_within_the_stated_bound(start, end, allowed):
     # F and F' of every truncation against 120-bit sums over the words; the
     # bases' own rounding, a few ulps each, is not part of the bound and
-    # stays far inside it
+    # stays far inside it. Without sites inside the words the sums are a
+    # plain _LogSum, with them a _SiteSums
     fam = three_site_family()
     spec = AnchoredSumSpec(start=start, end=end, max_len=5, allowed=allowed)
     sums = _anchored_sums(fam, 0.6, spec, SolverOptions())
+    assert isinstance(sums, dimension._LogSum) == (not allowed)
     levels = exact_terms(fam, 0.6, spec)
     with mpmath.workprec(120):
         for s in (0.3, 0.81, 1.0, 1.7):
@@ -226,21 +231,6 @@ def test_site_sums_within_the_stated_bound(start, end, allowed):
                 F, dF, err, slope_err = sums(s, n)
                 assert abs(mpmath.mpf(F) - F_exact) <= err, (s, n)
                 assert abs(mpmath.mpf(dF) - dF_exact) <= slope_err, (s, n)
-
-
-def test_groups_cut_by_blocks_keep_their_sums(monkeypatch):
-    # blocks of 7 terms cut most groups, whose parts are then combined
-    fam = three_site_family()
-    spec = AnchoredSumSpec(start=0, end=0, max_len=5, allowed={1, 2})
-    sums = _anchored_sums(fam, 0.6, spec, SolverOptions())
-    whole = [(sums(0.0, n), sums(0.8, n)) for n in range(6)]
-    monkeypatch.setattr(dimension, "_CHUNK", 7)
-    cut = _anchored_sums(fam, 0.6, spec, SolverOptions())
-    assert cut.terms.logs.size > 20 * 7
-    for n, (at_0, at_s) in enumerate(whole):
-        assert cut(0.0, n)[0] == at_0[0]
-        assert cut(0.0, n) == pytest.approx(at_0, rel=1e-14)
-        assert cut(0.8, n) == pytest.approx(at_s, rel=1e-14)
 
 
 class TestAnchoredNormSum:
@@ -312,6 +302,20 @@ class TestUpper:
         assert certified
         assert SCALAR_LIMIT <= upper + 1e-12
         assert upper == pytest.approx(SCALAR_LIMIT, abs=5e-3)
+
+    def test_upper_falls_back_to_the_extrapolated_profile(self):
+        # theta(8) >= 1, so the tail bound never applies: each anchor's
+        # upper end is the Aitken guess from its last three profile
+        # entries, flagged uncertified, and the clamped intersection is 1
+        fam = heavy_sites_family()
+        bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=8))
+        assert (bracket.lower, bracket.upper) == (1.0, 1.0)
+        assert not bracket.certified_upper
+        for j, anchor in bracket.per_anchor.items():
+            profile = anchor_exponent_profile(fam, 0.0, j, max_len=8)
+            assert not anchor.certified
+            assert anchor.lower == profile[-1] <= anchor.upper
+            assert anchor.upper == max(dimension._aitken(*profile[-3:]), profile[-1])
 
 
 class TestAffinityDimension:
