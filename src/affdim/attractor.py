@@ -49,18 +49,21 @@ def _orbit(table: np.ndarray, picks: np.ndarray, burn_in: int) -> np.ndarray:
     padded = np.zeros(n_blocks * _SCAN_BLOCK, dtype=np.intp)
     padded[:n] = picks
     # coef[c, j, b]: column c of the map picked at step j of block b
-    coef = table.T[:, padded.reshape(n_blocks, _SCAN_BLOCK).T]
+    coef = np.take(np.ascontiguousarray(table.T), padded.reshape(n_blocks, _SCAN_BLOCK).T, axis=1)
     # prefix[r, :, j, b]: row r of the 2x3 affine matrix [M | y] of steps 0..j
     prefix = np.empty((2, 3, _SCAN_BLOCK, n_blocks))
     prefix[:, :2, 0] = coef[:4, 0].reshape(2, 2, n_blocks)
     prefix[:, 2, 0] = coef[4:, 0]
+    # every step writes in place: row = a * top + b * bottom, then + t
+    tmp = np.empty((3, n_blocks))
     for j in range(1, _SCAN_BLOCK):
         a11, a12, a21, a22, t1, t2 = coef[:, j]
         top, bottom = prefix[0, :, j - 1], prefix[1, :, j - 1]
-        prefix[0, :, j] = a11 * top + a12 * bottom
-        prefix[1, :, j] = a21 * top + a22 * bottom
-        prefix[0, 2, j] += t1
-        prefix[1, 2, j] += t2
+        for row, a, b, t in ((prefix[0, :, j], a11, a12, t1), (prefix[1, :, j], a21, a22, t2)):
+            np.multiply(a, top, out=row)
+            np.multiply(b, bottom, out=tmp)
+            row += tmp
+            row[2] += t
 
     x = y = 0.0
     xs, ys = [x], [y]
@@ -161,33 +164,64 @@ def _checked_points(cloud) -> np.ndarray:
     return pts
 
 
-def _distinct_points(cloud) -> np.ndarray:
-    """The distinct points of a _checked_points cloud."""
-    # checked before the dedupe, which would merge every NaN-bearing row
-    # into one; each row viewed as one complex number: a 1-d sort, not a
-    # structured one
+_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _keyed_points(cloud) -> Tuple[np.ndarray, np.ndarray]:
+    """The points of a _checked_points cloud, each viewed as one complex
+    number, sorted by a key mixed from their bits with repeats dropped;
+    and those keys.
+
+    Points with equal bits have equal keys, so they end up adjacent and
+    all but the first are dropped. Points that differ but share a key can
+    interleave, and points that differ only in the sign of a zero have
+    different keys; either leaves a repeat behind, which costs only work.
+    """
     pts = _checked_points(cloud)
-    return np.unique(pts.view(np.complex128)).view(np.float64).reshape(-1, 2)
+    bits = pts.view(np.uint64)
+    keys = bits[:, 0] * _KEY_MIX
+    keys ^= bits[:, 1]
+    order = np.argsort(keys)
+    keys, z = keys[order], np.take(pts.view(np.complex128).ravel(), order)
+    keep = np.ones(len(z), dtype=bool)
+    keep[1:] = z[1:] != z[:-1]
+    return keys[keep], z[keep]
+
+
+def _directed_distance(keys, z, other_keys, other_z) -> float:
+    """max over z of the distance to the nearest of other_z, both from
+    _keyed_points.
+
+    A point the other cloud holds too is at distance exactly 0: it is
+    found by its key and confirmed by its coordinates, and only the rest
+    are queried. One the lookup misses (its key collides, or it differs
+    only in the sign of a zero) is queried and gives that 0 all the same.
+    """
+    # imported here: scipy.spatial would take most of every CLI start-up
+    from scipy.spatial import cKDTree
+
+    rest = z[np.take(other_z, np.searchsorted(other_keys, keys), mode="clip") != z]
+    if len(rest) == 0:
+        return 0.0
+    tree = cKDTree(other_z.view(np.float64).reshape(-1, 2))
+    return float(np.max(tree.query(rest.view(np.float64).reshape(-1, 2))[0]))
 
 
 def hausdorff_distance(a, b) -> float:
     """Exact symmetric Hausdorff distance between two point sets.
 
-    Each cloud is deduplicated before its KD-tree is built and queried: a
-    repeated point has the same nearest neighbour, and each pair distance
-    is computed the same way whatever the tree shape, so the result is
-    the one the full clouds give, bit for bit (chaos-game clouds of the
-    coupled orbits repeat most of their points, which KD-trees build and
-    query slowly). Raises ConfigError for an empty cloud, a shape other
-    than (n, 2), or a NaN or infinite coordinate.
+    Only the distinct points of each cloud that the other cloud lacks
+    are queried against a KD-tree of the other cloud's distinct points
+    (chaos-game clouds of the coupled orbits repeat most of their points
+    and share most of the rest). A dropped point adds an exact 0, and
+    each pair distance is computed the same way whatever the tree shape,
+    so the result is the one the full clouds give, bit for bit. Raises
+    ConfigError for an empty cloud, a shape other than (n, 2), or a NaN
+    or infinite coordinate.
     """
-    # imported here: scipy.spatial would take most of every CLI start-up
-    from scipy.spatial import cKDTree
-
-    pa, pb = _distinct_points(a), _distinct_points(b)
-    d_ab = float(np.max(cKDTree(pb).query(pa)[0]))
-    d_ba = float(np.max(cKDTree(pa).query(pb)[0]))
-    return max(d_ab, d_ba)
+    ka, za = _keyed_points(a)
+    kb, zb = _keyed_points(b)
+    return max(_directed_distance(ka, za, kb, zb), _directed_distance(kb, zb, ka, za))
 
 
 @dataclass(frozen=True, eq=False)

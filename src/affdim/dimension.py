@@ -93,7 +93,8 @@ class DimensionBracket:
     """Certified enclosure [lower, upper] computed at a truncation depth.
 
     certified_upper records whether the upper end carries a proved tail
-    bound; per_anchor (when present) stores the raw per-anchor brackets
+    bound or is 1, where the reported exponent is clamped and so always
+    an upper end; per_anchor (when present) stores the raw per-anchor brackets
     that were intersected, and regular the invertible sub-system's
     bracket that was checked against 1, when the family has regular maps.
     """
@@ -693,7 +694,8 @@ def affinity_dimension(
         certified = True
     else:
         upper = min(min(1.0, p.upper) for p in per.values())
-        certified = False
+        # the clamped exponent never exceeds 1, so 1 is always an upper end
+        certified = upper == 1.0
     if certified and lower > upper + 1e-9:
         raise BracketInconsistencyError(
             "anchored brackets do not intersect (lower %.9f > upper %.9f); "

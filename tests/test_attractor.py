@@ -20,7 +20,7 @@ from affdim import (
     invariance_clouds,
     render_levels,
 )
-from affdim.attractor import _cell_counts, _level_bodies, apply_body
+from affdim.attractor import _KEY_MIX, _cell_counts, _keyed_points, _level_bodies, apply_body
 from affdim.errors import BudgetError, ConfigError
 from affdim.ifs import attractor_bound, compose_word
 from affdim.linalg import RankOneFactor
@@ -254,6 +254,52 @@ class TestHausdorff:
         a, b = ([draw(row, flip) for row, flip in side] for side in picks)
         assert hausdorff_distance(a, b) == self.all_pairs(a, b)
         assert hausdorff_distance(b, a) == self.all_pairs(a, b)
+
+    @staticmethod
+    def colliding_pair(rng):
+        """Two distinct finite points with the same dedupe key: y2's bits
+        are y1 ^ x1*K ^ x2*K, redrawn until y2 is finite and its squared
+        distances cannot overflow."""
+        mix = int(_KEY_MIX)
+        while True:
+            x1, y1, x2 = rng.uniform(-1.0, 1.0, 3)
+            bits = np.array([x1, y1, x2]).view(np.uint64).tolist()
+            y2_bits = bits[1] ^ ((bits[0] * mix) % 2**64) ^ ((bits[2] * mix) % 2**64)
+            y2 = float(np.array([y2_bits], dtype=np.uint64).view(np.float64)[0])
+            if math.isfinite(y2) and abs(y2) < 1e100:
+                return (x1, y1), (x2, y2)
+
+    def test_key_collision(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p1, p2 = self.colliding_pair(rng)
+            keys, distinct = _keyed_points([p1, p2])
+            assert len(distinct) == 2 and keys[0] == keys[1]
+            q = tuple(rng.uniform(-1.0, 1.0, 2))
+            for a, b in [
+                ([p1, p2, p1, p2], [p2]),
+                ([p1], [p2, p1, p2]),
+                ([p2, q, p1], [p1, p2, p2]),
+                ([p1, p2, p2, p1, q], [q, p2]),
+            ]:
+                assert hausdorff_distance(a, b) == self.all_pairs(a, b)
+                assert hausdorff_distance(b, a) == self.all_pairs(a, b)
+
+    def test_shuffled_copy_is_at_distance_zero(self):
+        rng = np.random.default_rng(11)
+        cloud = rng.normal(size=(300, 2))
+        cloud = cloud[rng.integers(0, len(cloud), size=1000)]
+        assert hausdorff_distance(cloud, rng.permutation(cloud)) == 0.0
+
+    def test_all_points_shared_but_one(self):
+        rng = np.random.default_rng(3)
+        shared = rng.normal(size=(200, 2))
+        extra = np.array([[4.0, -3.0]])
+        a = np.concatenate([shared, shared[:50]])
+        b = np.concatenate([rng.permutation(shared), extra])
+        assert hausdorff_distance(a, b) == self.all_pairs(a, b)
+        assert hausdorff_distance(b, a) == self.all_pairs(a, b)
+        assert hausdorff_distance(a, b) > 0.0
 
     @pytest.mark.parametrize("bad", BAD_CLOUDS)
     def test_bad_clouds_rejected(self, bad):

@@ -306,11 +306,12 @@ class TestUpper:
     def test_upper_falls_back_to_the_extrapolated_profile(self):
         # theta(8) >= 1, so the tail bound never applies: each anchor's
         # upper end is the Aitken guess from its last three profile
-        # entries, flagged uncertified, and the clamped intersection is 1
+        # entries, flagged uncertified, and the clamped intersection is 1,
+        # which is certified because no clamped exponent exceeds it
         fam = heavy_sites_family()
         bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=8))
         assert (bracket.lower, bracket.upper) == (1.0, 1.0)
-        assert not bracket.certified_upper
+        assert bracket.certified_upper
         for j, anchor in bracket.per_anchor.items():
             profile = anchor_exponent_profile(fam, 0.0, j, max_len=8)
             assert not anchor.certified
