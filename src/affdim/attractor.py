@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, _check_count
 from .ifs import AffineMap2, IfsFamily, _map_table
 from .separation import ConvexBody, family_bodies, image_body
 
@@ -89,10 +89,8 @@ def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
     starts a fresh orbit at the origin, so the clouds do not depend on
     how chunks are scheduled.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    if burn_in < 0:
-        raise ConfigError("burn-in must be nonnegative")
+    _check_count(seed, 0, "seed must be a nonnegative integer")
+    _check_count(burn_in, 0, "burn-in must be a nonnegative integer")
     clouds = [np.empty((n_points, 2)) for _ in tables]
     starts = range(0, n_points, _CHAOS_CHUNK)
     for start, child in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Tuple, Union
 
 from .dimension import SolverOptions
-from .errors import ConfigError, ContractionError
+from .errors import ConfigError, ContractionError, _check_count
 from .ifs import AffineMap2, IfsFamily, RankOneSite
 from .linalg import Mat2
 from .separation import ConvexBody, disk_polygon
@@ -163,8 +163,7 @@ def parse_config(source: Union[str, dict]) -> FamilyConfig:
     solver = SolverOptions(**solver_spec)
 
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    _check_count(seed, 0, "seed must be a nonnegative integer")
 
     return FamilyConfig(
         family=family,

@@ -5,10 +5,12 @@ Three families of quantities live here:
 * partition sums of the singular value function over all words of a fixed
   length, and the root that upper-bounds the critical exponent
   (submultiplicativity of the singular value function);
-* truncated conditional-norm sums anchored at a rank-one map, whose roots
-  squeeze the critical exponent of the mixed system from both sides; a
-  word through rank-one letters has a product of scalar factors as its
-  term, so these sums are built from one table of factor logs;
+* truncated conditional-norm sums anchored at a rank-one map: the root of
+  the sum over words of length at most the depth bounds the critical
+  exponent of the mixed system from below, and the root of that sum plus
+  a geometric tail bound bounds it from above; a word through rank-one
+  letters has a product of scalar factors as its term, so these sums are
+  built from one table of factor logs;
 * the bracket for the invertible sub-system alone, lower-bounded through
   smallest singular values (supermultiplicative, so fixed-depth roots are
   certified) and upper-bounded through the pressure root.
@@ -27,7 +29,6 @@ setting.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import numbers
@@ -40,6 +41,7 @@ from .errors import (
     BracketInconsistencyError,
     BudgetError,
     ConfigError,
+    _check_count,
 )
 from .ifs import AffineMap2, IfsFamily, _map_table
 from .linalg import Mat2, batch_singular_values, unit_vector
@@ -64,16 +66,10 @@ class SolverOptions:
     threads: int = 1
 
     def __post_init__(self):
-        counts = (self.depth, self.budget, self.threads)
-        if (
-            any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in counts)
-            or isinstance(self.tol, bool)
-            or not isinstance(self.tol, numbers.Real)
-            or self.depth < 0
-            or self.budget < 1
-            or self.threads < 1
-            or not 0.0 < self.tol < math.inf
-        ):
+        for count, least in ((self.depth, 0), (self.budget, 1), (self.threads, 1)):
+            _check_count(count, least, "solver settings out of range")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
             raise ConfigError("solver settings out of range")
         object.__setattr__(self, "tol", float(self.tol))
 
@@ -94,9 +90,10 @@ class DimensionBracket:
 
     certified_upper records whether the upper end carries a proved tail
     bound or is 1, where the reported exponent is clamped and so always
-    an upper end; per_anchor (when present) stores the raw per-anchor brackets
-    that were intersected, and regular the invertible sub-system's
-    bracket that was checked against 1, when the family has regular maps.
+    an upper end; per_anchor (when present) stores the raw per-anchor
+    brackets that were intersected, with upper end inf where no tail
+    bound applies, and regular the invertible sub-system's bracket that
+    was checked against 1, when the family has regular maps.
     """
 
     lower: float
@@ -144,34 +141,30 @@ class _LogSum:
     """F(s) = sum of exp(C + s*L), for logs L of positive bases and
     optional offsets C = log a - L taken once.
 
-    Evaluation n sums the prefix ends[n] of L (by default all of it) in
-    one pass through one reused buffer, and returns (F, F', err,
-    slope_err). Each term passes through fl(log b), a product, an add
-    and exp, each within a few ulp of its argument, so it is off by at
-    most _ARG_ULPS * (s max|L| + max|C| + 1) ulp, an offset counting as
-    max|C| + 2 max|L| to cover the logs it came from. numpy sums a
-    contiguous float64 array pairwise: a leaf of at most 128 terms puts
-    each term through at most 25 roundings (15 in its accumulator, 3 in
-    the combine, 7 for the remainder), and each halving above 128 terms
-    adds one more, so even the default budget of 2^22 words stays at 40;
-    with the comparisons with 1 that is inside _SUM_ULPS (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3). So err
-    bounds the rounding of F, and slope_err = max|L| err that of F',
-    whose terms are value terms times logs. Underflowed terms lose less
-    than the smallest normal float each, far inside err where F is near 1.
+    Evaluation sums every term in one pass through one reused buffer,
+    and returns (F, F', err, slope_err). Each term passes through fl(log
+    b), a product, an add and exp, each within a few ulp of its
+    argument, so it is off by at most _ARG_ULPS * (s max|L| + max|C| +
+    1) ulp, an offset counting as max|C| + 2 max|L| to cover the logs it
+    came from. numpy sums a contiguous float64 array pairwise: a leaf of
+    at most 128 terms puts each term through at most 25 roundings (15 in
+    its accumulator, 3 in the combine, 7 for the remainder), and each
+    halving above 128 terms adds one more, so even the default budget of
+    2^22 words stays at 40; with the comparisons with 1 that is inside
+    _SUM_ULPS (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3). So err bounds the rounding of F, and slope_err = max|L| err
+    that of F', whose terms are value terms times logs. Underflowed terms
+    lose less than the smallest normal float each, far inside err where
+    F is near 1.
 
-    Given group bounds, groups(s, n) returns instead the sums of terms
-    and of slopes of every group, one np.add.reduceat over the same
-    prefix, so the number of numpy calls does not grow with the number
-    of groups.
+    Given group bounds, groups(s) returns instead the sums of terms and
+    of slopes of every group, one np.add.reduceat over the same terms, so
+    the number of numpy calls does not grow with the number of groups.
     """
 
-    def __init__(
-        self, logs: np.ndarray, offsets: Optional[np.ndarray] = None, ends=None, bounds=None
-    ):
+    def __init__(self, logs: np.ndarray, offsets: Optional[np.ndarray] = None, bounds=None):
         self.logs = logs
         self.offsets = offsets
-        self.ends = [logs.size] if ends is None else ends
         self._buf = np.empty(logs.size)
         self._log_max = max(-float(logs.min(initial=0.0)), float(logs.max(initial=0.0)))
         self._offset_max = 0.0
@@ -179,43 +172,34 @@ class _LogSum:
             self._offset_max = float(np.max(np.abs(offsets), initial=0.0)) + 2.0 * self._log_max
         if bounds is not None:
             self._groups = len(bounds) - 1
-            # truncation ends are group bounds, so a prefix holds whole groups
-            live = np.flatnonzero(np.diff(bounds) > 0)
-            starts = np.asarray(bounds)[live]
-            cuts = np.searchsorted(starts, self.ends)
-            self._cuts = [(starts[:k], live[:k]) for k in cuts.tolist()]
+            self._live = np.flatnonzero(np.diff(bounds) > 0)
+            self._starts = np.asarray(bounds)[self._live]
 
-    def _terms(self, s: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The terms of evaluation n's prefix in the reused buffer, and their logs."""
-        end = int(self.ends[n])
-        logs = self.logs[:end]
-        buf = self._buf[:end]
-        np.multiply(logs, s, out=buf)
+    def _terms(self, s: float) -> np.ndarray:
+        """The terms in the reused buffer."""
+        buf = np.multiply(self.logs, s, out=self._buf)
         if self.offsets is not None:
-            buf += self.offsets[:end]
-        np.exp(buf, out=buf)
-        return buf, logs
+            buf += self.offsets
+        return np.exp(buf, out=buf)
 
-    def __call__(self, s: float, n: int = -1) -> Tuple[float, float, float, float]:
-        buf, logs = self._terms(s, n)
+    def __call__(self, s: float) -> Tuple[float, float, float, float]:
+        buf = self._terms(s)
         F = float(np.sum(buf))
-        buf *= logs
+        buf *= self.logs
         dF = float(np.sum(buf))
         rel = (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
         return F, dF, rel * F, rel * self._log_max * F
 
-    def groups(self, s: float, n: int = -1) -> Tuple[np.ndarray, np.ndarray]:
+    def groups(self, s: float) -> np.ndarray:
         """Sums of the terms and of their slopes in each group, the logs
-        between consecutive bounds given at construction; groups past
-        evaluation n's prefix sum to 0."""
-        cuts, live = self._cuts[n]
+        between consecutive bounds given at construction, as two rows."""
         sums = np.zeros((2, self._groups))
-        if live.size:
-            buf, logs = self._terms(s, n)
-            sums[0, live] = np.add.reduceat(buf, cuts)
-            buf *= logs
-            sums[1, live] = np.add.reduceat(buf, cuts)
-        return sums[0], sums[1]
+        if self._live.size:
+            buf = self._terms(s)
+            sums[0, self._live] = np.add.reduceat(buf, self._starts)
+            buf *= self.logs
+            sums[1, self._live] = np.add.reduceat(buf, self._starts)
+        return sums
 
 
 def _log_sum(bases) -> _LogSum:
@@ -309,14 +293,6 @@ def _convex_root(
     return lo, hi
 
 
-def _aitken(x0: float, x1: float, x2: float) -> float:
-    d1, d2 = x1 - x0, x2 - x1
-    den = d2 - d1
-    if abs(den) < 1e-15:
-        return x2
-    return x2 - d2 * d2 / den
-
-
 # --- site-factored anchored sums -------------------------------------------
 
 
@@ -394,21 +370,21 @@ def _site_table(
 
 
 def _site_sums(rows, off, spec: AnchoredSumSpec):
-    """Truncated anchored sums F_n(s), n = 0..spec.max_len, factored at
-    the rank-one letters, from the factor logs of a _site_table.
+    """The anchored sum F(s) over the words of length at most
+    spec.max_len, factored at the rank-one letters, from the factor logs
+    of a _site_table.
 
     A word from spec.start to spec.end whose site letters are b_1..b_r
     splits into regular segments u_0..u_r, and its term rho |w^T A_word
     v| is the product c[start, b_1, u_0] c[b_1, b_2, u_1] ...
-    c[b_r, end, u_r] of factors. So F_n(s) combines the group sums
+    c[b_r, end, u_r] of factors. So F(s) combines the group sums
     S[a, b, m](s) of c[a, b, u]^s over the words u of length m up to
     the _segment_caps of spec. The logs of the positive factors go into
-    one flat array, groups ordered by m, so that truncation n is a
-    prefix. Without sites inside the words every term is one factor,
-    and a plain _LogSum over that array is the sum; otherwise a
-    _SiteSums multiplies the group sums out. Either way ends[n] is the
-    number of nonzero terms of truncation n, and evaluation returns (F,
-    F', err, slope_err).
+    one flat array, one group after another. Without sites inside the
+    words every term is one factor, and a plain _LogSum over that array
+    is the sum; otherwise a _SiteSums multiplies the group sums out.
+    Either way evaluation returns (F, F', err, slope_err), and F(0)
+    counts the nonzero terms exactly.
     """
     n = spec.max_len
     inner = sorted(spec.allowed)
@@ -422,10 +398,9 @@ def _site_sums(rows, off, spec: AnchoredSumSpec):
     if not keep.all():
         bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
         logs = logs[keep]
-    ends = bounds[np.searchsorted([m for m, _, _ in groups], np.arange(1, n + 2))]
     if not q:
-        return _LogSum(logs, ends=ends)
-    return _SiteSums(_LogSum(logs, ends=ends, bounds=bounds), groups, np.diff(bounds), e, q)
+        return _LogSum(logs)
+    return _SiteSums(_LogSum(logs, bounds=bounds), groups, e, q)
 
 
 class _SiteSums:
@@ -448,17 +423,16 @@ class _SiteSums:
     most twice as often, so slope_err = 2 (n + 1) M err.
     """
 
-    def __init__(self, terms: _LogSum, groups, sizes: np.ndarray, e: int, q: int):
+    def __init__(self, terms: _LogSum, groups, e: int, q: int):
         self.terms, self._e, self._q = terms, e, q
         self.max_len = groups[-1][0]
         self._width = width = q + 1 + (e > 0)
         self._keys = np.array([(m * width + i) * width + k for m, i, k in groups], dtype=np.intp)
-        counts = self._by_length(sizes.astype(float), np.zeros(len(groups)), self.max_len)[0]
-        self.ends = list(itertools.accumulate(counts))
 
-    def _by_length(self, values, slopes, n) -> Tuple[List[float], List[float]]:
-        """Sums and slopes of the terms of each word length 0..n."""
-        size = (self.max_len + 1) * self._width ** 2
+    def _by_length(self, values, slopes) -> Tuple[List[float], List[float]]:
+        """Sums and slopes of the terms of each word length 0..max_len."""
+        n = self.max_len
+        size = (n + 1) * self._width ** 2
         S, D = np.zeros(size), np.zeros(size)
         S[self._keys], D[self._keys] = values, slopes
         S = S.reshape(-1, self._width, self._width).tolist()
@@ -488,24 +462,24 @@ class _SiteSums:
                 dP.append([dx for _, dx in ends])
         return E, dE
 
-    def __call__(self, s: float, n: int = -1) -> Tuple[float, float, float, float]:
-        n = range(self.max_len + 1)[n]
-        E, dE = self._by_length(*self.terms.groups(s, n), n)
+    def __call__(self, s: float) -> Tuple[float, float, float, float]:
+        E, dE = self._by_length(*self.terms.groups(s))
         F, dF = math.fsum(E), math.fsum(dE)
-        M = self.terms._log_max
+        n, M = self.max_len, self.terms._log_max
         group = _ARG_ULPS * (abs(s) * M + 1.0) + _SUM_ULPS
         err = ((n + 1) * (group + self._q * n) + n + 2) * _U * F
         return F, dF, err, 2.0 * (n + 1) * M * err
 
 
-def _anchored_sums(fam: IfsFamily, alpha, spec: AnchoredSumSpec, opts: SolverOptions):
-    """_site_sums of one spec, over a table walked for that spec alone."""
+def _anchored_table(fam: IfsFamily, alpha, spec: AnchoredSumSpec, opts: SolverOptions):
+    """_site_table over a walk for one spec alone; it serves every spec
+    that differs from it only in a shorter max_len."""
     for j in (spec.start, spec.end, *spec.allowed):
         fam.site(j)
     n = spec.max_len
     _check_word_budget(fam.n_regular + len(spec.allowed), n, opts)
     levels = [P for _, P, _ in _product_levels(fam.regular, n, opts)]
-    return _site_sums(*_site_table(fam, alpha, _segment_caps(spec), levels), spec)
+    return _site_table(fam, alpha, _segment_caps(spec), levels)
 
 
 def anchored_norm_sum(
@@ -524,70 +498,53 @@ def anchored_norm_sum(
     """
     if not s >= 0.0:
         raise ValueError("exponent must be nonnegative")
-    return _anchored_sums(fam, alpha, sum_spec, opts or DEFAULT_OPTIONS)(s)[0]
+    table = _anchored_table(fam, alpha, sum_spec, opts or DEFAULT_OPTIONS)
+    return _site_sums(*table, sum_spec)(s)[0]
 
 
 # --- anchored exponent solvers ----------------------------------------------
 
 
-def _profile_from_levels(sums: _LogSum, tol: float) -> List[float]:
-    """Certified left ends of the roots of the cumulative sums = 1, one
-    for each truncation 0..max_len.
-
-    The root at length n starts from the entry for n-1, and the profile
-    keeps the running maximum: a lower bound at n-1 stays one at n,
-    since the deeper sum dominates pointwise. So the sequence is
-    nondecreasing without any numerical slack.
-    """
-    max_len = len(sums.ends) - 1
-    if sums.ends[-1] == 0:
-        logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
-        return [0.0] * (max_len + 1)
-
-    out = []
-    lo = 0.0
-    for n in range(max_len + 1):
-        if sums.ends[n] > 1:
-            root = _convex_root(lambda s: sums(s, n), lo, tol)
-            if root is None:
-                # terms are products of norms < 1, so this cannot trigger; guard anyway
-                raise ConfigError("anchored sum does not decay; family is not contracting")
-            lo = max(lo, root[0])
-        out.append(lo)
-    return out
+def _anchor_lower(sums, tol: float) -> float:
+    """Certified left end of the root of the anchored sum = 1, solved from 0."""
+    count = sums(0.0)[0]
+    if count <= 1.0:
+        # F(0) counts the nonzero terms, each below 1, so the root is 0
+        if count == 0.0:
+            logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
+        return 0.0
+    root = _convex_root(sums, 0.0, tol)
+    if root is None:
+        # terms are products of norms < 1, so this cannot trigger; guard anyway
+        raise ConfigError("anchored sum does not decay; family is not contracting")
+    return root[0]
 
 
-def _upper_from_levels(
-    sums: _LogSum,
+def _anchor_upper(
+    sums,
+    max_len: int,
     letter_norms: Sequence[float],
     rho_anchor: float,
     tol: float,
-    fallback_profile: List[float],
-) -> Tuple[float, bool]:
-    """Certified upper end via the geometric tail bound, when available.
+    lower: float,
+) -> float:
+    """Certified upper end via the geometric tail bound, or inf.
 
-    The tail of the full series past length n is at most
-    rho^s * theta(s)^(n+1) / (1 - theta(s)) with theta the sum of letter
-    norms to the s; any s making truncation + tail <= 1 upper-bounds the
-    true exponent. Past the theta root this sum is log-convex, so its
-    root is solved like the others, with the derivative in closed form.
-    When theta stays >= 1 over the whole candidate range the bound never
-    applies and an extrapolated value is returned, flagged uncertified.
+    The tail of the full series past length max_len is at most
+    rho^s * theta(s)^(max_len+1) / (1 - theta(s)) with theta the sum of
+    letter norms to the s; any s making truncation + tail <= 1
+    upper-bounds the true exponent. Past the theta root this sum is
+    log-convex, so its root is solved like the others, with the
+    derivative in closed form. When theta stays >= 1 over the whole
+    candidate range the bound never applies, and the end is inf.
     """
-    max_len = len(sums.ends) - 1
     s_cap = 8.0
     theta = _log_sum(letter_norms)
     log_rho = math.log(rho_anchor)
-    lower = fallback_profile[-1]
-
-    def extrapolated() -> Tuple[float, bool]:
-        tail = fallback_profile[-3:]
-        guess = _aitken(*tail) if len(tail) == 3 else lower
-        return max(guess, lower), False
 
     th, _, th_err, _ = theta(s_cap)
     if th + th_err >= 1.0:
-        return extrapolated()
+        return math.inf
 
     # first find where the tail bound becomes valid
     s_theta = _convex_root(theta, 0.0, tol, s_cap)[1] if letter_norms else 0.0
@@ -608,7 +565,7 @@ def _upper_from_levels(
         return value, slope, rel * value, -rel * slope
 
     def total(s):
-        return tuple(x + y for x, y in zip(sums(s, max_len), tail(s)))
+        return tuple(x + y for x, y in zip(sums(s), tail(s)))
 
     # the sum is at least its tail and at least 1 at lower, so a point
     # where the tail alone still reaches 1 is a left point too; it is cheap
@@ -618,9 +575,7 @@ def _upper_from_levels(
     if tail_root is not None:
         start = tail_root[0]
     root = _convex_root(total, start, tol)
-    if root is None:
-        return extrapolated()
-    return max(root[1], lower), True
+    return math.inf if root is None else max(root[1], lower)
 
 
 def _anchor_spec(fam: IfsFamily, j: int, max_len: int) -> AnchoredSumSpec:
@@ -637,20 +592,29 @@ def anchor_exponent_profile(
 ) -> List[float]:
     """Lower exponent bounds for every truncation length 0..max_len.
 
-    Entry n is the root of the length-<=n conditional-norm sum anchored
-    at site j; the sequence is nondecreasing and converges to the
-    critical exponent of the anchored series from below.
+    Entry n is the running maximum of the certified left ends of the
+    roots of the length-<=n conditional-norm sums anchored at site j,
+    each solved from 0 and all cut from one factor table. A lower bound
+    at n - 1 stays one at n, since the deeper sum dominates pointwise,
+    so the sequence is nondecreasing without any numerical slack and
+    converges to the critical exponent of the anchored series from below.
     """
     opts = opts or DEFAULT_OPTIONS
-    return _profile_from_levels(_anchored_sums(fam, alpha, _anchor_spec(fam, j, max_len), opts), opts.tol)
+    spec = _anchor_spec(fam, j, max_len)
+    rows, off = _anchored_table(fam, alpha, spec, opts)
+    out, lo = [], 0.0
+    for k in range(max_len + 1):
+        lo = max(lo, _anchor_lower(_site_sums(rows, off, replace(spec, max_len=k)), opts.tol))
+        out.append(lo)
+    return out
 
 
-def _anchor_bracket(fam: IfsFamily, sums, j: int, tol: float) -> AnchorBracket:
+def _anchor_bracket(fam: IfsFamily, sums, j: int, max_len: int, tol: float) -> AnchorBracket:
     letter_norms = [m.linear.operator_norm() for m in fam.regular]
     letter_norms += [fam.singular[k].rho for k in range(fam.n_singular) if k != j]
-    profile = _profile_from_levels(sums, tol)
-    up, cert = _upper_from_levels(sums, letter_norms, fam.singular[j].rho, tol, profile)
-    return AnchorBracket(profile[-1], up, cert)
+    lower = _anchor_lower(sums, tol)
+    upper = _anchor_upper(sums, max_len, letter_norms, fam.singular[j].rho, tol, lower)
+    return AnchorBracket(lower, upper, upper < math.inf)
 
 
 def affinity_dimension(
@@ -660,10 +624,12 @@ def affinity_dimension(
 ) -> DimensionBracket:
     """Bracket for the critical exponent of the mixed system.
 
-    Every rank-one site yields its own anchored bracket; the exponents
-    agree across anchors, so the brackets are clamped at 1 and
-    intersected, and a certified non-overlap signals that the truncation
-    is too shallow to trust.
+    Every rank-one site yields its own anchored bracket, with upper end
+    inf where its tail bound never applies; the exponents agree across
+    anchors, so the brackets are clamped at 1 and intersected, and a
+    non-overlap signals that the truncation is too shallow to trust.
+    The clamped exponent never exceeds 1, so the upper end is always
+    certified.
     """
     opts = opts or DEFAULT_OPTIONS
     if fam.n_singular < 1:
@@ -684,24 +650,17 @@ def affinity_dimension(
     caps = np.max([_segment_caps(spec) for spec in specs], axis=0)
     rows, off = _site_table(fam, alpha, caps, levels)
     per = {
-        j: _anchor_bracket(fam, _site_sums(rows, off, spec), j, opts.tol)
+        j: _anchor_bracket(fam, _site_sums(rows, off, spec), j, n, opts.tol)
         for j, spec in enumerate(specs)
     }
     lower = max(min(1.0, p.lower) for p in per.values())
-    certified_ups = [min(1.0, p.upper) for p in per.values() if p.certified]
-    if certified_ups:
-        upper = min(certified_ups)
-        certified = True
-    else:
-        upper = min(min(1.0, p.upper) for p in per.values())
-        # the clamped exponent never exceeds 1, so 1 is always an upper end
-        certified = upper == 1.0
-    if certified and lower > upper + 1e-9:
+    upper = min(min(1.0, p.upper) for p in per.values())
+    if lower > upper + 1e-9:
         raise BracketInconsistencyError(
             "anchored brackets do not intersect (lower %.9f > upper %.9f); "
             "increase the truncation depth" % (lower, upper)
         )
-    return DimensionBracket(lower, max(upper, lower), opts.depth, certified, per, reg)
+    return DimensionBracket(lower, max(upper, lower), opts.depth, True, per, reg)
 
 
 # --- partition sums over full words -----------------------------------------

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of
+integer counts that raises them."""
+
+import numbers
 
 
 class AffdimError(Exception):
@@ -31,3 +34,10 @@ class ExcludedParameterError(AffdimError):
 
 class BracketInconsistencyError(AffdimError):
     """A certified lower bound exceeds a certified upper bound."""
+
+
+def _check_count(value, least: int, message: str) -> None:
+    """ConfigError(message) unless value is an integer >= least; a bool
+    or an integral float such as 256.0 is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(message)

@@ -32,6 +32,7 @@ from .errors import (
     ExcludedParameterError,
     IdentityMismatchError,
     NoSignChangeError,
+    _check_count,
 )
 from .ifs import AffineMap2, IfsFamily, Word, _map_table, compose_word
 from .linalg import unit_vector
@@ -128,8 +129,7 @@ def find_common_fixed_point_angle(
     angle must reproduce the word coincidence with coefficient residual
     at most residual_tol.
     """
-    if grid_size < 2:
-        raise ConfigError("grid must have at least two points")
+    _check_count(grid_size, 2, "grid_size must be an integer >= 2")
     _anchor_letter(fam, j, i)
     period = fam.site(j).period
 
@@ -310,8 +310,7 @@ def translation_series_gap(
     coded point of a sequence is offset_0 + lam_0 * offset_1 + ...; the
     bound covers the discarded tails of both series.
     """
-    if terms < 1:
-        raise ConfigError("need at least one term")
+    _check_count(terms, 1, "terms must be an integer >= 1")
     if not word_a or not word_b:
         raise ConfigError("words must be nonempty")
     if not system:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
-from .errors import AffdimError, ConfigError
+from .errors import AffdimError, ConfigError, _check_count
 from .ifs import AffineMap2, IfsFamily, Word
 from .linalg import LineDir, Mat2, RankOneFactor, unit_vector
 
@@ -449,8 +448,7 @@ def projection_witness(
     """
     if fam.letter(k1) == fam.letter(k2):
         raise ConfigError("need two distinct letters to separate")
-    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 1:
-        raise ConfigError("witness grid must be an integer >= 1")
+    _check_count(grid, 1, "witness grid must be an integer >= 1")
     site = fam.site(j)
     bodies = family_bodies(fam, U)
     admissible = admissible_projections(bodies[k1], bodies[k2])

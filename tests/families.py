@@ -107,7 +107,7 @@ def cantor_similarities() -> IfsFamily:
 
 # three rank-one sites with rho = 0.99 and no regular maps: the letter
 # norms of any anchor sum to theta(s) = 2 * 0.99^s >= 1 for every s <= 8,
-# so no tail bound applies and every anchored upper end is extrapolated
+# so no tail bound applies and every anchored upper end is inf
 HEAVY_SITES_CONFIG = {
     "schema_version": SCHEMA_VERSION,
     "regular": [],

@@ -114,6 +114,9 @@ class TestChaosGame:
         # -5 raised a numpy broadcast ValueError
         with pytest.raises(ConfigError, match="burn-in"):
             chaos_game(drop_family(), 0.0, 10, 1, burn_in=-5)
+        # 2.5 raised a bare TypeError from numpy
+        with pytest.raises(ConfigError, match="burn-in must be a nonnegative integer"):
+            chaos_game(drop_family(), 0.0, 10, 1, burn_in=2.5)
 
     def test_numpy_integer_seed_accepted(self):
         a = chaos_game(drop_family(), 0.0, 50, np.int64(3))

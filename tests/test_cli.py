@@ -277,7 +277,7 @@ class TestDimCommand:
         assert [row[0] for row in rows] == ["affinity", "anchor_0", "anchor_1", "anchor_2"]
         # the clamp at 1 certifies the affinity row; no anchor is certified
         assert rows[0][1:] == ["1", "1", "8", "true"]
-        assert all(row[4] == "false" for row in rows[1:])
+        assert all(row[2:] == ["inf", "8", "false"] for row in rows[1:])
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path, SCALAR_CONFIG)

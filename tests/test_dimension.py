@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath  # a declared test dependency: missing, it fails the module
 import numpy as np
@@ -20,7 +21,7 @@ from affdim import (
     regular_dimension_bracket,
 )
 import affdim.dimension as dimension
-from affdim.dimension import _anchored_sums
+from affdim.dimension import _anchored_table, _site_sums
 from affdim.errors import BudgetError, ConfigError
 from affdim.ifs import compose_word
 
@@ -42,6 +43,13 @@ def anchor_spec(fam, j, max_len):
     # start/end and allowed use site indices, not global letters
     allowed = frozenset(range(fam.n_singular)) - {j}
     return AnchoredSumSpec(start=j, end=j, max_len=max_len, allowed=allowed)
+
+
+def truncations(fam, alpha, spec):
+    """One anchored sum per truncation n = 0..spec.max_len, all cut from
+    the table walked for spec."""
+    rows, off = _anchored_table(fam, alpha, spec, SolverOptions())
+    return [_site_sums(rows, off, replace(spec, max_len=n)) for n in range(spec.max_len + 1)]
 
 
 def antidiagonal_family():
@@ -133,16 +141,14 @@ class TestLevelWalk:
         make, alpha, start, end, allowed = case
         fam = make()
         spec = AnchoredSumSpec(start=start, end=end, max_len=max_len, allowed=allowed)
-        sums = _anchored_sums(fam, alpha, spec, SolverOptions())
         want = brute_levels(fam, alpha, spec)
         # exact collapses stay exact zeros, so the nonzero terms count exactly
         counts = np.cumsum([np.count_nonzero(w) for w in want]).tolist()
-        assert list(sums.ends) == counts
-        for n in range(max_len + 1):
-            assert sums(0.0, n)[0] == counts[n]
+        for n, sums in enumerate(truncations(fam, alpha, spec)):
+            assert sums(0.0)[0] == counts[n]
             for s in (0.5, 1.0, 1.7):
                 exact = math.fsum(float(np.sum(w[w > 0.0] ** s)) for w in want[: n + 1])
-                assert sums(s, n)[0] == pytest.approx(exact, rel=1e-12, abs=0.0), (n, s)
+                assert sums(s)[0] == pytest.approx(exact, rel=1e-12, abs=0.0), (n, s)
 
     def test_budget_trips_at_the_level_that_passes_it(self):
         # four letters and no collapsed column: a walk to length n costs
@@ -216,8 +222,8 @@ def test_site_sums_within_the_stated_bound(start, end, allowed):
     # plain _LogSum, with them a _SiteSums
     fam = three_site_family()
     spec = AnchoredSumSpec(start=start, end=end, max_len=5, allowed=allowed)
-    sums = _anchored_sums(fam, 0.6, spec, SolverOptions())
-    assert isinstance(sums, dimension._LogSum) == (not allowed)
+    truncated = truncations(fam, 0.6, spec)
+    assert all(isinstance(sums, dimension._LogSum) == (not allowed) for sums in truncated)
     levels = exact_terms(fam, 0.6, spec)
     with mpmath.workprec(120):
         for s in (0.3, 0.81, 1.0, 1.7):
@@ -228,7 +234,7 @@ def test_site_sums_within_the_stated_bound(start, end, allowed):
                         power = t ** s
                         F_exact += power
                         dF_exact += power * mpmath.log(t)
-                F, dF, err, slope_err = sums(s, n)
+                F, dF, err, slope_err = truncated[n](s)
                 assert abs(mpmath.mpf(F) - F_exact) <= err, (s, n)
                 assert abs(mpmath.mpf(dF) - dF_exact) <= slope_err, (s, n)
 
@@ -288,10 +294,13 @@ class TestProfile:
         assert all(f - 1e-3 <= c <= f + 1e-9 for c, f in zip(coarse, fine))
 
     def test_lower_is_last_profile_entry(self):
-        fam = scalar_family()
-        prof = anchor_exponent_profile(fam, 0.0, 0, max_len=8)
-        bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=8))
-        assert bracket.per_anchor[0].lower == prof[-1]
+        # with two and three sites the other sites occur inside the words
+        cases = [(scalar_family(), 0.0), (two_anchor_family(), 0.3), (three_site_family(), 0.6)]
+        for fam, alpha in cases:
+            bracket = affinity_dimension(fam, alpha, SolverOptions(depth=8))
+            for j in range(fam.n_singular):
+                prof = anchor_exponent_profile(fam, alpha, j, max_len=8)
+                assert bracket.per_anchor[j].lower == prof[-1], (fam, j)
 
 
 class TestUpper:
@@ -303,20 +312,19 @@ class TestUpper:
         assert SCALAR_LIMIT <= upper + 1e-12
         assert upper == pytest.approx(SCALAR_LIMIT, abs=5e-3)
 
-    def test_upper_falls_back_to_the_extrapolated_profile(self):
+    def test_upper_is_inf_without_a_tail_bound(self):
         # theta(8) >= 1, so the tail bound never applies: each anchor's
-        # upper end is the Aitken guess from its last three profile
-        # entries, flagged uncertified, and the clamped intersection is 1,
-        # which is certified because no clamped exponent exceeds it
+        # upper end is inf, flagged uncertified, and the clamped
+        # intersection is 1, which is certified because no clamped
+        # exponent exceeds it
         fam = heavy_sites_family()
         bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=8))
         assert (bracket.lower, bracket.upper) == (1.0, 1.0)
         assert bracket.certified_upper
         for j, anchor in bracket.per_anchor.items():
             profile = anchor_exponent_profile(fam, 0.0, j, max_len=8)
-            assert not anchor.certified
-            assert anchor.lower == profile[-1] <= anchor.upper
-            assert anchor.upper == max(dimension._aitken(*profile[-3:]), profile[-1])
+            assert anchor.lower == profile[-1] > 1.0
+            assert anchor.upper == math.inf and not anchor.certified
 
 
 class TestAffinityDimension:

@@ -113,6 +113,12 @@ class TestFindAngle:
         with pytest.raises(ConfigError):
             find_common_fixed_point_angle(fam, 0, fam.singular_letter(0))
 
+    @pytest.mark.parametrize("grid_size", [2.5, 256.0, True, 1])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        # 2.5 and 256.0 raised a bare TypeError from range
+        with pytest.raises(ConfigError, match="grid_size must be an integer >= 2"):
+            find_common_fixed_point_angle(scalar_family(), 0, 0, grid_size=grid_size)
+
 
 class TestExceptionalFamily:
     def test_structure(self):
@@ -250,6 +256,12 @@ class TestTranslationSeriesGap:
             translation_series_gap((), (0,), (0,), 5)
         with pytest.raises(ConfigError):
             translation_series_gap((LineMap(1.0, 0.5),), (0,), (0,), 5)
+
+    @pytest.mark.parametrize("terms", [2.5, 256.0, True, 0])
+    def test_terms_must_be_an_integer(self, terms):
+        # 2.5 and 256.0 raised a bare TypeError from range
+        with pytest.raises(ConfigError, match="terms must be an integer >= 1"):
+            translation_series_gap(self.SYSTEM, (0,), (1,), terms)
 
     @pytest.mark.parametrize("word", [(3,), (-1,), (0, 1, 3)])
     def test_words_must_index_the_system(self, word):

@@ -19,7 +19,7 @@ import affdim.dimension as dimension
 from affdim import SolverOptions, affinity_dimension, pressure_upper_root
 from affdim.dimension import _ARG_ULPS, _U, _convex_root, _log_sum
 
-from families import rotation_family
+from families import rotation_family, two_anchor_family
 
 bases = st.floats(min_value=1e-6, max_value=0.99)
 level_sets = st.lists(
@@ -188,42 +188,62 @@ def calls_per_call(monkeypatch, outer, counted, keep=lambda *args: True):
 
 
 def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
+    # in one affinity_dimension call each anchor's sum is evaluated once
+    # at 0 to count its terms, then by one root from 0 for the lower end
+    # and by one root of the sum plus its tail bound for the upper end;
+    # two sites put the other site inside the words
     depth = 8
-    roots, deep_sums = [], []
-    real_root, real_sums = dimension._convex_root, dimension._LogSum.__call__
+    real_sums, real_root = dimension._site_sums, dimension._convex_root
+    evaluations, roots = {}, []
+
+    def site_sums(*args):
+        sums = real_sums(*args)
+        evaluations[sums] = []
+        return sums
+
+    def counted(call):
+        def wrapped(self, s, *args):
+            if self in evaluations:
+                evaluations[self].append(s)
+            return call(self, s, *args)
+
+        return wrapped
 
     def root(evaluate, *args):
         calls = []
         roots.append(calls)
 
         def recorded(s):
-            before = len(deep_sums)
+            before = sum(map(len, evaluations.values()))
             values = evaluate(s)
-            calls.append((s, values, len(deep_sums) > before))
+            calls.append((s, values, sum(map(len, evaluations.values())) > before))
             return values
 
         return real_root(recorded, *args)
 
-    def sums(self, s, n=-1):
-        if len(self.ends) == depth + 1 and n == depth:
-            deep_sums.append(s)
-        return real_sums(self, s, n)
-
+    monkeypatch.setattr(dimension, "_site_sums", site_sums)
     monkeypatch.setattr(dimension, "_convex_root", root)
-    monkeypatch.setattr(dimension._LogSum, "__call__", sums)
-    bracket = affinity_dimension(rotation_family(), 0.0, SolverOptions(depth=depth))
-    assert bracket.certified_upper
-    deep = [calls for calls in roots if any(hit for _, _, hit in calls)]
-    # the last profile entry and the upper end
-    assert len(deep) == 2, roots
-    for calls in deep:
-        assert all(hit for _, _, hit in calls)
-        # every evaluation but the last is a Newton step from the one
-        # before it, so the last is the only one made to certify an end:
-        # the right one, the left end coming from the last tangent
-        for (s, (F, dF, _, _), _), (t, _, _) in zip(calls, calls[1:-1]):
-            assert t == s - math.log(F) * F / dF
-        assert len(calls) <= 4, calls
+    for cls in (dimension._LogSum, dimension._SiteSums):
+        monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
+    for fam in (rotation_family(), two_anchor_family()):
+        evaluations.clear()
+        roots.clear()
+        bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=depth))
+        assert all(anchor.certified for anchor in bracket.per_anchor.values())
+        assert len(evaluations) == fam.n_singular
+        deep = [calls for calls in roots if any(hit for _, _, hit in calls)]
+        # one root for each end of each anchor
+        assert len(deep) == 2 * fam.n_singular, roots
+        for calls in deep:
+            assert all(hit for _, _, hit in calls)
+            # every evaluation but the last is a Newton step from the one
+            # before it, so the last is the only one made to certify an end:
+            # the right one, the left end coming from the last tangent
+            for (s, (F, dF, _, _), _), (t, _, _) in zip(calls, calls[1:-1]):
+                assert t == s - math.log(F) * F / dF
+            assert len(calls) <= 7, calls
+        # at most 1 + 7 + 4 on these families
+        assert all(len(points) <= 12 for points in evaluations.values()), evaluations
 
 
 def test_pressure_root_costs_few_sums(monkeypatch):
