@@ -4,7 +4,9 @@ Three families of quantities live here:
 
 * partition sums of the singular value function over all words of a fixed
   length, and the root that upper-bounds the critical exponent
-  (submultiplicativity of the singular value function);
+  (submultiplicativity of the singular value function); a word through
+  rank-one letters has a product of scalar factors as its a1, so only
+  the words over the invertible letters are multiplied out;
 * truncated conditional-norm sums anchored at a rank-one map: the root of
   the sum over words of length at most the depth bounds the critical
   exponent of the mixed system from below, and the root of that sum plus
@@ -44,7 +46,7 @@ from .errors import (
     _check_count,
 )
 from .ifs import AffineMap2, IfsFamily, _map_table
-from .linalg import Mat2, batch_singular_values, unit_vector
+from .linalg import Mat2, batch_singular_values
 
 logger = logging.getLogger("affdim.dimension")
 
@@ -293,7 +295,7 @@ def _convex_root(
     return lo, hi
 
 
-# --- site-factored anchored sums -------------------------------------------
+# --- site-factored sums -----------------------------------------------------
 
 
 def _outer_sum(x0, y0, x1, y1) -> np.ndarray:
@@ -304,17 +306,25 @@ def _outer_sum(x0, y0, x1, y1) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _affordable_depth(letters: int, depth: int, budget: int) -> int:
+    """Deepest word length k <= depth such that the words of lengths 1..k
+    over an alphabet of that many letters number at most budget."""
+    k = total = 0
+    while k < depth and total + letters ** (k + 1) <= budget:
+        k += 1
+        total += letters ** k
+    return k
+
+
 def _check_word_budget(n_letters: int, max_len: int, opts: SolverOptions) -> None:
-    """An anchored sum covers n_letters**k words at each length k <= max_len;
-    BudgetError at the first length that takes the running count past
-    opts.budget."""
-    covered = 0
-    for k in range(max_len + 1):
-        covered += n_letters ** k
-        if covered > opts.budget:
-            raise BudgetError(
-                "anchored enumeration exceeded %d words at length %d" % (opts.budget, k)
-            )
+    """An anchored sum covers n_letters**k words at each length k <= max_len,
+    the empty word included; BudgetError at the first length that takes
+    the running count past opts.budget."""
+    k = _affordable_depth(n_letters, max_len, opts.budget - 1)
+    if k < max_len:
+        raise BudgetError(
+            "anchored enumeration exceeded %d words at length %d" % (opts.budget, k + 1)
+        )
 
 
 def _segment_caps(spec: AnchoredSumSpec) -> np.ndarray:
@@ -331,45 +341,68 @@ def _segment_caps(spec: AnchoredSumSpec) -> np.ndarray:
     return caps
 
 
-def _site_table(
-    fam: IfsFamily, alpha, caps: np.ndarray, walked: Sequence[Tuple[np.ndarray, ...]]
-) -> Tuple[Dict[Tuple[int, int], np.ndarray], List[int]]:
-    """Logs of the factors c[a, b, u] = rho_a |w_a^T A_u v_b| over regular words u.
+def _site_vectors(maps: Sequence[AffineMap2]) -> Tuple[np.ndarray, np.ndarray]:
+    """Columns v and rows rho w of rank-one maps, as (count, 2) arrays."""
+    v = np.reshape([m.linear.v() for m in maps], (-1, 2))
+    return v, np.reshape([m.linear.rho * m.linear.w() for m in maps], (-1, 2))
 
-    walked holds the entries that _product_levels yields over fam.regular
-    for the lengths 1..caps.max() at least. Row (a, b) holds the logs for
+
+def _images(P, v: np.ndarray, end: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y) = A_u v_b as (len(v), end) arrays, for the first end words u
+    of the entry arrays P and the columns v_b."""
+    p11, p12, p21, p22 = (p[:end] for p in P)
+    x = _outer_sum(v[:, 0], p11, v[:, 1], p12).reshape(len(v), end)
+    y = _outer_sum(v[:, 0], p21, v[:, 1], p22).reshape(len(v), end)
+    return x, y
+
+
+def _logs(c: np.ndarray) -> np.ndarray:
+    """log c, with log 0 = -inf."""
+    return np.log(c, out=np.full_like(c, -np.inf), where=c > 0.0)
+
+
+def _site_table(
+    v: np.ndarray, w: np.ndarray, caps: np.ndarray, walked: Sequence, open_cap: int = -1
+) -> Tuple[Dict[Tuple[int, int], np.ndarray], List[int]]:
+    """Logs of the factors c[a, b, u] = |w_a^T A_u v_b| over the words u
+    of the dense letters, for site columns v[b] and rows w[a], rho folded in.
+
+    walked holds the entries that _product_levels yields for the lengths
+    1..max(caps.max(), open_cap) at least. Row (a, b) holds the logs for
     every word of length m <= caps[a, b], level m spanning off[m]:off[m +
     1] in the walk's order, after the empty word; an exactly zero factor
-    has log -inf. So one walk serves every row.
+    has log -inf. So one walk serves every row. With open_cap >= 0 and
+    K sites, rows (K, b) and (a, K + 1) hold, up to that length, the
+    factors of a word's open ends, numbered after the sites: |A_u v_b|
+    before its first site letter and |A_u^T w_a| after its last.
     """
-    alphas = fam.angles(alpha)
+    depth = max(int(caps.max()), open_cap)
     empty = (np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
-    depth = int(caps.max())
     levels = [empty, *walked[:depth]]
     off = np.cumsum([0] + [P[0].size for P in levels]).tolist()
-    # without regular maps nothing is walked: every level past 0 is empty
+    # without dense letters nothing is walked: every level past 0 is empty
     off += off[-1:] * (depth + 2 - len(off))
-    p11, p12, p21, p22 = (np.concatenate(e) for e in zip(*levels))
-    v = np.array([unit_vector(site.v_angle) for site in fam.singular])
-    w = np.array([
-        site.rho * unit_vector(site.w_angle(a)) for site, a in zip(fam.singular, alphas)
-    ])
+    P = tuple(np.concatenate(e) for e in zip(*levels))
     rows = {}
     for cap in np.unique(caps[caps >= 0]).tolist():
         a, b = np.nonzero(caps == cap)
-        end = off[cap + 1]
         # (x, y) = A_u v_b, then c = |rho_a w_a . (x, y)|
-        x = _outer_sum(v[b, 0], p11[:end], v[b, 1], p12[:end]).reshape(a.size, end)
-        y = _outer_sum(v[b, 0], p21[:end], v[b, 1], p22[:end]).reshape(a.size, end)
+        x, y = _images(P, v[b], off[cap + 1])
         x *= w[a, 0, None]
         y *= w[a, 1, None]
         c = np.abs(np.add(x, y, out=x), out=x)
-        logs = np.log(c, out=np.full_like(c, -np.inf), where=c > 0.0)
-        rows.update(zip(zip(a.tolist(), b.tolist()), logs))
+        rows.update(zip(zip(a.tolist(), b.tolist()), _logs(c)))
+    if open_cap >= 0:
+        end = off[open_cap + 1]
+        # A_u^T w_a from the transposed entries
+        starts = _logs(np.hypot(*_images(P, v, end)))
+        ends = _logs(np.hypot(*_images((P[0], P[2], P[1], P[3]), w, end)))
+        rows.update(((len(v), b), r) for b, r in enumerate(starts))
+        rows.update(((a, len(v) + 1), r) for a, r in enumerate(ends))
     return rows, off
 
 
-def _site_sums(rows, off, spec: AnchoredSumSpec):
+def _site_sums(rows, off, spec: AnchoredSumSpec, exact: bool = False):
     """The anchored sum F(s) over the words of length at most
     spec.max_len, factored at the rank-one letters, from the factor logs
     of a _site_table.
@@ -379,17 +412,17 @@ def _site_sums(rows, off, spec: AnchoredSumSpec):
     v| is the product c[start, b_1, u_0] c[b_1, b_2, u_1] ...
     c[b_r, end, u_r] of factors. So F(s) combines the group sums
     S[a, b, m](s) of c[a, b, u]^s over the words u of length m up to
-    the _segment_caps of spec. The logs of the positive factors go into
-    one flat array, one group after another. Without sites inside the
-    words every term is one factor, and a plain _LogSum over that array
-    is the sum; otherwise a _SiteSums multiplies the group sums out.
-    Either way evaluation returns (F, F', err, slope_err), and F(0)
-    counts the nonzero terms exactly.
+    the _segment_caps of spec, or of length max_len alone when exact.
+    The logs of the positive factors go into one flat array, one group
+    after another. Without sites inside the words every term is one
+    factor, and a plain _LogSum over that array is the sum; otherwise a
+    _SiteSums multiplies the group sums out. Either way evaluation
+    returns (F, F', err, slope_err), and F(0) counts the nonzero terms
+    exactly.
     """
     n = spec.max_len
     inner = sorted(spec.allowed)
     sites = [spec.start, *inner] + ([spec.end] if spec.end != spec.start else [])
-    q, e = len(inner), sites.index(spec.end)
     caps = _segment_caps(spec)[np.ix_(sites, sites)]
     groups = [(m, i, k) for m in range(n + 1) for (i, k), cap in np.ndenumerate(caps) if m <= cap]
     logs = np.concatenate([rows[sites[i], sites[k]][off[m] : off[m + 1]] for m, i, k in groups])
@@ -398,19 +431,20 @@ def _site_sums(rows, off, spec: AnchoredSumSpec):
     if not keep.all():
         bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
         logs = logs[keep]
-    if not q:
+    if not inner:
         return _LogSum(logs)
-    return _SiteSums(_LogSum(logs, bounds=bounds), groups, e, q)
+    return _SiteSums(_LogSum(logs, bounds=bounds), groups, sites.index(spec.end), len(inner), exact)
 
 
 class _SiteSums:
-    """The anchored sums of _site_sums for words through q >= 1 other sites.
+    """The sums of _site_sums for words through q >= 1 other sites.
 
-    The site letters are numbered 0 (start), 1..q (the sites allowed
-    inside the words) and e (end: 0 when it is start, else q + 1). Each
-    evaluation takes every group sum and its slope from terms.groups,
-    and a dynamic program over word length and next site multiplies
-    them out, carrying slopes by the product rule.
+    The nodes are numbered 0 (start), 1..q (the sites allowed inside the
+    words) and e (end: 0 when it is start, else q + 1). Each evaluation
+    takes every group sum and its slope from terms.groups, and a dynamic
+    program over word length and next site multiplies them out, carrying
+    slopes by the product rule, and sums the lengths, or takes the last
+    alone when exact.
 
     A term with r site letters is a product of r + 1 <= n + 1 group
     sums, each within the _LogSum bound with max|L| = M taken over the
@@ -423,8 +457,8 @@ class _SiteSums:
     most twice as often, so slope_err = 2 (n + 1) M err.
     """
 
-    def __init__(self, terms: _LogSum, groups, e: int, q: int):
-        self.terms, self._e, self._q = terms, e, q
+    def __init__(self, terms: _LogSum, groups, e: int, q: int, exact: bool = False):
+        self.terms, self._e, self._q, self._exact = terms, e, q, exact
         self.max_len = groups[-1][0]
         self._width = width = q + 1 + (e > 0)
         self._keys = np.array([(m * width + i) * width + k for m, i, k in groups], dtype=np.intp)
@@ -464,7 +498,7 @@ class _SiteSums:
 
     def __call__(self, s: float) -> Tuple[float, float, float, float]:
         E, dE = self._by_length(*self.terms.groups(s))
-        F, dF = math.fsum(E), math.fsum(dE)
+        F, dF = (E[-1], dE[-1]) if self._exact else (math.fsum(E), math.fsum(dE))
         n, M = self.max_len, self.terms._log_max
         group = _ARG_ULPS * (abs(s) * M + 1.0) + _SUM_ULPS
         err = ((n + 1) * (group + self._q * n) + n + 2) * _U * F
@@ -479,7 +513,7 @@ def _anchored_table(fam: IfsFamily, alpha, spec: AnchoredSumSpec, opts: SolverOp
     n = spec.max_len
     _check_word_budget(fam.n_regular + len(spec.allowed), n, opts)
     levels = [P for _, P, _ in _product_levels(fam.regular, n, opts)]
-    return _site_table(fam, alpha, _segment_caps(spec), levels)
+    return _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), _segment_caps(spec), levels)
 
 
 def anchored_norm_sum(
@@ -505,19 +539,20 @@ def anchored_norm_sum(
 # --- anchored exponent solvers ----------------------------------------------
 
 
-def _anchor_lower(sums, tol: float) -> float:
-    """Certified left end of the root of the anchored sum = 1, solved from 0."""
-    count = sums(0.0)[0]
-    if count <= 1.0:
-        # F(0) counts the nonzero terms, each below 1, so the root is 0
-        if count == 0.0:
-            logger.warning("anchored sum has no nonzero terms; exponent degenerates to 0")
-        return 0.0
-    root = _convex_root(sums, 0.0, tol)
+def _root_from_zero(sums, tol: float, hi: float = math.inf) -> Tuple[float, float]:
+    """_convex_root of sums = 1 from 0, or (0, 0) when F(0), which counts
+    the nonzero terms, each below 1, is at most 1. The evaluation at 0
+    that decides this is handed to the solver as its first iterate."""
+    at_zero = sums(0.0)
+    if at_zero[0] <= 1.0:
+        if at_zero[0] == 0.0:
+            logger.warning("sum has no nonzero terms; its root degenerates to 0")
+        return 0.0, 0.0
+    root = _convex_root(lambda s: at_zero if s == 0.0 else sums(s), 0.0, tol, hi)
     if root is None:
         # terms are products of norms < 1, so this cannot trigger; guard anyway
-        raise ConfigError("anchored sum does not decay; family is not contracting")
-    return root[0]
+        raise ConfigError("sum does not decay; family is not contracting")
+    return root
 
 
 def _anchor_upper(
@@ -604,7 +639,7 @@ def anchor_exponent_profile(
     rows, off = _anchored_table(fam, alpha, spec, opts)
     out, lo = [], 0.0
     for k in range(max_len + 1):
-        lo = max(lo, _anchor_lower(_site_sums(rows, off, replace(spec, max_len=k)), opts.tol))
+        lo = max(lo, _root_from_zero(_site_sums(rows, off, replace(spec, max_len=k)), opts.tol)[0])
         out.append(lo)
     return out
 
@@ -612,7 +647,7 @@ def anchor_exponent_profile(
 def _anchor_bracket(fam: IfsFamily, sums, j: int, max_len: int, tol: float) -> AnchorBracket:
     letter_norms = [m.linear.operator_norm() for m in fam.regular]
     letter_norms += [fam.singular[k].rho for k in range(fam.n_singular) if k != j]
-    lower = _anchor_lower(sums, tol)
+    lower = _root_from_zero(sums, tol)[0]
     upper = _anchor_upper(sums, max_len, letter_norms, fam.singular[j].rho, tol, lower)
     return AnchorBracket(lower, upper, upper < math.inf)
 
@@ -648,7 +683,7 @@ def affinity_dimension(
     _check_word_budget(fam.n_maps - 1, n, opts)
     specs = [_anchor_spec(fam, j, n) for j in range(K)]
     caps = np.max([_segment_caps(spec) for spec in specs], axis=0)
-    rows, off = _site_table(fam, alpha, caps, levels)
+    rows, off = _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), caps, levels)
     per = {
         j: _anchor_bracket(fam, _site_sums(rows, off, spec), j, n, opts.tol)
         for j, spec in enumerate(specs)
@@ -669,26 +704,19 @@ def affinity_dimension(
 def _product_levels(
     maps: Sequence[AffineMap2], depth: int, opts: SolverOptions
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, ...], np.ndarray]]:
-    """Products of all words of lengths 1..depth over a mixed alphabet.
+    """Products of all words of lengths 1..depth over dense letters.
 
     Yields (length, entries, dets) per level: the entry arrays (a11, a12,
-    a21, a22) of every word's dense product, with the last-appended
-    letter most significant, and the words' determinants. A word's
-    determinant is the product of its letters' determinants, which keeps
-    the smaller singular value |det| / a1 accurate where a1 - a2 would
-    cancel; a rank-one letter's is exactly 0, so every word through one
-    has smaller singular value exactly 0 rather than rounding noise. The
-    walk stops before the level that would take the cumulative word
-    count past opts.budget.
+    a21, a22) of every word's product, with the last-appended letter most
+    significant, and the words' determinants. A word's determinant is the
+    product of its letters' determinants, which keeps the smaller
+    singular value |det| / a1 accurate where a1 - a2 would cancel. The
+    walk stops at the deepest level _affordable_depth allows.
     """
     a11, a12, a21, a22 = _map_table(maps)[:, :4].T
-    letter_dets = np.array([m.linear.det() if isinstance(m.linear, Mat2) else 0.0 for m in maps])
+    letter_dets = np.array([m.linear.det() for m in maps])
     P, dets = (a11, a12, a21, a22), letter_dets
-    total = 0
-    for k in range(1, depth + 1):
-        total += len(maps) ** k
-        if total > opts.budget:
-            return
+    for k in range(1, _affordable_depth(len(maps), depth, opts.budget) + 1):
         if k > 1:
             # letter-major: numpy's inner loop runs over the parent level
             p11, p12, p21, p22 = P
@@ -702,52 +730,56 @@ def _product_levels(
         yield k, P, dets
 
 
-def _deepest_level(
-    maps: Sequence[AffineMap2], depth: int, opts: SolverOptions, need: int = 1
-) -> Tuple[int, Tuple[np.ndarray, np.ndarray]]:
-    """Length and singular values (a1, a2) of the deepest level the walk
-    reaches; BudgetError if it stops short of need."""
-    k = 0
-    for k, P, dets in _product_levels(maps, depth, opts):
-        pass
-    if k < need:
-        raise BudgetError(
-            "word budget %d exceeded before word length %d" % (opts.budget, need)
-        )
-    return k, batch_singular_values(*P, dets)
+def _level_sums(maps: Sequence[AffineMap2], n: int, opts: SolverOptions):
+    """(a1, a2, sums) for the words of length n over maps; BudgetError
+    when the words of lengths 1..n exceed opts.budget.
+
+    a1 and a2 are the singular values of the words over the dense
+    letters, the only ones multiplied out. A word U_0 S_1 U_1 ... S_r U_r
+    through rank-one letters S_i = rho_i v_i w_i^T has a2 = 0 and a1 =
+    |A_U_0 v_1| rho_1 |w_1^T A_U_1 v_2| ... rho_r |A_U_r^T w_r|. So
+    sums, None without rank-one letters, is the sum of a1^s on [0, 1] as
+    an exact-length _site_sums between two open ends, with the dense
+    words' a1 joining them directly.
+    """
+    if _affordable_depth(len(maps), n, opts.budget) < n:
+        raise BudgetError("word budget %d exceeded before word length %d" % (opts.budget, n))
+    dense = [m for m in maps if isinstance(m.linear, Mat2)]
+    sites = [m for m in maps if not isinstance(m.linear, Mat2)]
+    walked = []
+    for _, P, dets in _product_levels(dense, n, opts):
+        walked = walked + [P] if sites else [P]
+    a1, a2 = batch_singular_values(*walked.pop(), dets)
+    if not sites:
+        return a1, a2, None
+    q = len(sites)
+    rows, off = _site_table(*_site_vectors(sites), np.full((q, q), n - 2), walked, n - 1)
+    # the open ends meet directly only in the dense words of length n
+    rows[q, q + 1] = np.concatenate((np.full(off[n], -np.inf), _logs(a1)))
+    off.append(off[n] + a1.size)
+    spec = AnchoredSumSpec(start=q, end=q + 1, max_len=n, allowed=range(q))
+    return a1, a2, _site_sums(rows, off, spec, exact=True)
 
 
-def _svf_sum(a1: np.ndarray, a2: np.ndarray, s: float) -> float:
-    """Partition sum from cached singular values."""
-    if s == 0.0:
-        return float(a1.size)
-    if s <= 1.0:
-        return float(np.sum(a1 ** s))
-    if s <= 2.0:
-        return float(np.sum(a1 * a2 ** (s - 1.0)))
-    return float(np.sum((a1 * a2) ** (s / 2.0)))
-
-
-def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float) -> float:
+def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float, sums=None) -> float:
     """Root of the partition sum = 1 over cached singular values, clamped
-    to [0, 2]; the certified right end of its bracket is returned.
+    to [0, 2]; the certified right end of its bracket is returned. On
+    [0, 1] sums, by default the log sum of a1, evaluates the sum.
 
     The sum is convex on [0, 1] and on [1, 2], but at s = 1 it has a
     concave kink, where the exponent moves from a1 to a2, and a drop,
     where the words with a2 = 0 stop counting; so the breakpoints are
     checked first and the root is solved inside one piece.
     """
-
-    if a1.size <= 1:
-        # the sum is a1.size at s = 0, so its root is 0
-        return 0.0
-    # at s = 2 and s = 1 the terms are the plain products a1 a2 and a1, so
-    # these sums round only in the summation
-    slack = 1.0 + _SUM_ULPS * _U
-    if np.sum(a1 * a2) * slack >= 1.0:
+    # at s = 2 the terms are the plain products a1 a2, so this sum rounds
+    # only in the summation
+    if np.sum(a1 * a2) * (1.0 + _SUM_ULPS * _U) >= 1.0:
         return 2.0
-    if np.sum(a1) * slack < 1.0:
-        return _convex_root(_log_sum(a1), 0.0, tol, 1.0)[1]
+    if sums is None:
+        sums = _log_sum(a1)
+    F, _, err, _ = sums(1.0)
+    if F + err < 1.0:
+        return _root_from_zero(sums, tol, 1.0)[1]
     # a1 a2^(s-1) = exp(log a1 - log a2 + s log a2); a zero a2 adds nothing past 1
     keep = (a1 > 0.0) & (a2 > 0.0)
     log_a2 = np.log(a2[keep])
@@ -766,9 +798,14 @@ def partition_sum(
         raise ValueError("partition sums need word length n >= 1")
     if not s >= 0.0:
         raise ValueError("exponent must be nonnegative")
-    opts = opts or DEFAULT_OPTIONS
-    _, data = _deepest_level(maps, n, opts, need=n)
-    return _svf_sum(*data, s)
+    a1, a2, sums = _level_sums(maps, n, opts or DEFAULT_OPTIONS)
+    if s == 0.0:
+        return float(len(maps) ** n)
+    if s <= 1.0:
+        return float(np.sum(a1 ** s)) if sums is None else sums(s)[0]
+    if s <= 2.0:
+        return float(np.sum(a1 * a2 ** (s - 1.0)))
+    return float(np.sum((a1 * a2) ** (s / 2.0)))
 
 
 def pressure_upper_root(
@@ -786,8 +823,8 @@ def pressure_upper_root(
     if n < 1:
         raise ValueError("partition sums need word length n >= 1")
     opts = replace(opts or DEFAULT_OPTIONS, tol=tol)
-    _, data = _deepest_level(maps, n, opts, need=n)
-    return _svf_root(*data, opts.tol)
+    a1, a2, sums = _level_sums(maps, n, opts)
+    return _svf_root(a1, a2, opts.tol, sums)
 
 
 def regular_dimension_bracket(
@@ -820,10 +857,7 @@ def _regular_bracket(
         if walked is not None:
             walked.append(P)
         a1, a2 = batch_singular_values(*P, dets)
-        root = _convex_root(_log_sum(a2), 0.0, opts.tol)
-        if root is None:
-            raise ConfigError("smallest singular values do not decay")
-        lower = max(lower, root[0])
+        lower = max(lower, _root_from_zero(_log_sum(a2), opts.tol)[0])
     if depth == 0:
         raise BudgetError(
             "word budget %d exceeded before word length 1" % opts.budget

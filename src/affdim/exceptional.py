@@ -23,9 +23,9 @@ from .attractor import PointCloud, _orbits
 from .dimension import (
     DimensionBracket,
     SolverOptions,
-    _deepest_level,
-    _svf_root,
+    _affordable_depth,
     affinity_dimension,
+    pressure_upper_root,
 )
 from .errors import (
     ConfigError,
@@ -283,8 +283,9 @@ def dimension_drop(
             "(upper end %.6g)" % original.upper
         )
     reduced_maps = exceptional_family(fam, alpha_star, j, i).maps
-    depth, data = _deepest_level(reduced_maps, opts.depth, opts)
-    upper = _svf_root(*data, opts.tol)
+    # the deepest level within the budget; BudgetError when level 1 is not
+    depth = max(1, _affordable_depth(len(reduced_maps), opts.depth, opts.budget))
+    upper = pressure_upper_root(reduced_maps, depth, opts.tol, opts)
     reduced = DimensionBracket(0.0, upper, depth, True)
     margin = original.lower - upper
     return ExceptionalReport(

@@ -11,11 +11,14 @@ from affdim import (
     AnchoredSumSpec,
     IfsFamily,
     Mat2,
+    RankOneFactor,
     RankOneSite,
     SolverOptions,
     affinity_dimension,
     anchor_exponent_profile,
     anchored_norm_sum,
+    exceptional_family,
+    find_common_fixed_point_angle,
     partition_sum,
     pressure_upper_root,
     regular_dimension_bracket,
@@ -28,6 +31,7 @@ from affdim.ifs import compose_word
 from families import (
     brute_svf,
     cantor_similarities,
+    drop_family,
     heavy_sites_family,
     random_admissible,
     rotation_family,
@@ -434,9 +438,48 @@ def test_budget_rule_shared_by_the_product_walk():
             assert regular_dimension_bracket(fam, opts).depth == max(fits)
 
 
+def collapse_alphabet():
+    # an invertible map, a generic rank-one map and two composites of the
+    # invertible map A and a rank-one map S whose row is perpendicular to
+    # its column: A S A, and S S, which collapses to compose_linear's
+    # dense zero map
+    base = [
+        AffineMap2(Mat2(0.3, 0.1, -0.05, 0.25), (0.1, 0.0)),
+        AffineMap2(RankOneFactor(0.45, 0.3 + math.pi / 2, 0.3), (0.0, 0.2)),
+        AffineMap2(RankOneFactor(0.35, 2.6, 0.9), (0.0, 0.5)),
+    ]
+    maps = [base[0], compose_word(base, (1, 1)), compose_word(base, (0, 1, 0)), base[2]]
+    assert maps[1].linear == Mat2(0.0, 0.0, 0.0, 0.0)
+    return maps, 4
+
+
+def sites_alphabet():
+    return [
+        AffineMap2(RankOneFactor(0.4, 0.4, 0.7), (0.0, 0.0)),
+        AffineMap2(RankOneFactor(0.3, 1.1, 2.0), (0.5, 0.2)),
+        AffineMap2(RankOneFactor(0.35, 2.6, 0.9), (0.0, 0.5)),
+    ], 4
+
+
+def grouping_alphabet():
+    # the demo family's reduced three-letter grouping: one invertible
+    # composite and six rank-one ones
+    fam = drop_family()
+    maps = exceptional_family(fam, find_common_fixed_point_angle(fam, 0, 0), 0, 0).maps
+    assert sum(isinstance(m.linear, Mat2) for m in maps) == 1
+    return maps, 3
+
+
+FACTORED_ALPHABETS = {
+    "collapse": collapse_alphabet,
+    "sites": sites_alphabet,
+    "grouping": grouping_alphabet,
+}
+
+
 class TestPartitionSum:
-    def brute(self, maps, n, s, n_regular):
-        # words touching a rank-one letter are exactly rank deficient;
+    def brute(self, maps, n, s):
+        # words through a rank-one letter are exactly rank deficient;
         # numpy's SVD of the composed matrix cannot see that, so the
         # small singular value is forced to zero for those words
         total = 0.0
@@ -447,7 +490,7 @@ class TestPartitionSum:
                 if isinstance(linear, Mat2)
                 else linear.as_mat2().as_array()
             )
-            if any(letter >= n_regular for letter in word):
+            if any(isinstance(maps[letter].linear, RankOneFactor) for letter in word):
                 a1 = float(np.linalg.norm(arr, 2))
                 if s <= 0.0:
                     total += 1.0
@@ -471,11 +514,12 @@ class TestPartitionSum:
         for n in (1, 2, 4):
             for s in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
                 got = partition_sum(maps, n, s)
-                want = self.brute(maps, n, s, fam.n_regular)
+                want = self.brute(maps, n, s)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
-        # the dense rho v w^T of these sites has a rounding-noise det, so
-        # a rank-one letter's det must be taken as exactly 0 instead
+        # the dense rho v w^T of these sites has a rounding-noise det, but
+        # a rank-one letter is never multiplied out, so no word through
+        # one counts past s = 1
         sites = IfsFamily(
             regular=(),
             singular=(
@@ -487,8 +531,19 @@ class TestPartitionSum:
         assert all(m.linear.as_mat2().det() != 0.0 for m in maps)
         for n in (1, 2, 3, 4):
             assert partition_sum(maps, n, 1.5) == 0.0
-            want = self.brute(maps, n, 0.5, 0)
+            want = self.brute(maps, n, 0.5)
             assert partition_sum(maps, n, 0.5) == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("alphabet", sorted(FACTORED_ALPHABETS))
+    def test_matches_brute_force_on_factored_alphabets(self, alphabet):
+        maps, depth = FACTORED_ALPHABETS[alphabet]()
+        for n in range(1, depth + 1):
+            # s = 0 counts every word, the exactly collapsed ones too
+            assert partition_sum(maps, n, 0.0) == len(maps) ** n
+            for s in (0.0, 0.3, 0.7, 1.0, 1.5, 2.0, 2.5):
+                want = self.brute(maps, n, s)
+                got = partition_sum(maps, n, s)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (n, s)
 
     def test_smallest_singular_value_does_not_cancel(self):
         # diagonal words: a2 is the product of the second entries, about
@@ -521,6 +576,50 @@ class TestPartitionSum:
         fam = scalar_family()
         with pytest.raises(ValueError):
             anchored_norm_sum(fam, 0.0, anchor_spec(fam, 0, 2), math.nan)
+
+
+def exact_a1(maps, n):
+    """a1 of every word of length n over maps with a nonzero product, in
+    120-bit arithmetic: each letter's float entries, or its float rho and
+    unit vectors, taken as exact and multiplied out."""
+    out = []
+    with mpmath.workprec(120):
+        letters = []
+        for m in maps:
+            if isinstance(m.linear, Mat2):
+                letters.append(mpmath.matrix(m.linear.as_array().tolist()))
+            else:
+                v, w = (mpmath.matrix(x.tolist()) for x in (m.linear.v(), m.linear.w()))
+                letters.append(mpmath.mpf(m.linear.rho) * v * w.T)
+        for word in itertools.product(range(len(maps)), repeat=n):
+            M = letters[word[0]]
+            for letter in word[1:]:
+                M = M * letters[letter]
+            frob = sum(x * x for x in M)
+            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            a1 = mpmath.sqrt((frob + mpmath.sqrt(max(frob * frob - 4 * det * det, 0))) / 2)
+            if a1:
+                out.append(a1)
+    return out
+
+
+@pytest.mark.parametrize("alphabet", sorted(FACTORED_ALPHABETS))
+def test_level_sums_within_the_stated_bound(alphabet):
+    # F and F' of the factored level sum on [0, 1] against 120-bit sums of
+    # a1^s over the words; the bases' own rounding, a few ulps each, is
+    # not part of the bound and stays far inside it
+    maps, depth = FACTORED_ALPHABETS[alphabet]()
+    for n in range(1, min(depth, 3) + 1):
+        sums = dimension._level_sums(maps, n, SolverOptions())[2]
+        assert isinstance(sums, dimension._SiteSums)
+        bases = exact_a1(maps, n)
+        with mpmath.workprec(120):
+            for s in (0.0, 0.3, 0.5, 0.81, 1.0):
+                F_exact = mpmath.fsum(b ** s for b in bases)
+                dF_exact = mpmath.fsum(b ** s * mpmath.log(b) for b in bases)
+                F, dF, err, slope_err = sums(s)
+                assert abs(mpmath.mpf(F) - F_exact) <= err, (n, s)
+                assert abs(mpmath.mpf(dF) - dF_exact) <= slope_err, (n, s)
 
 
 class TestPressureRoot:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from affdim import (
     hausdorff_distance,
     invariance_clouds,
     line_map,
+    pressure_upper_root,
     translation_series_gap,
 )
 from affdim.errors import (
+    BudgetError,
     ConfigError,
     ExcludedParameterError,
     IdentityMismatchError,
@@ -223,6 +226,40 @@ class TestDimensionDrop:
         # wide maps push the affinity bracket to the cap
         with pytest.raises(ConfigError):
             dimension_drop(wide_family(), 0, 0)
+
+    def test_reduced_depth_is_the_deepest_level_within_budget(self):
+        # the reduced family has 7 letters, so its level k costs 7^k more
+        # words; the original bracket needs depth + 1 words, so the depth
+        # is kept below the budget
+        fam = drop_family()
+        totals = list(itertools.accumulate(7 ** k for k in range(1, 8)))
+        for budget in sorted({total + d for total in totals for d in (-1, 0, 1)}):
+            opts = SolverOptions(depth=min(12, budget - 1), budget=budget)
+            fits = [k for k, total in enumerate(totals, 1) if total <= budget]
+            if not fits:
+                with pytest.raises(BudgetError, match="before word length 1"):
+                    dimension_drop(fam, 0, 0, opts)
+                continue
+            rep = dimension_drop(fam, 0, 0, opts)
+            assert rep.reduced.depth == min(max(fits), opts.depth), budget
+        assert dimension_drop(fam, 0, 0, SolverOptions(depth=3)).reduced.depth == 3
+
+    def test_reduced_root_stays_small_in_memory(self):
+        # the reduced family's level 7 has 823,543 words, nearly all rank
+        # one; multiplied out, they held 51 MB under tracemalloc
+        fam = drop_family()
+        tracemalloc.start()
+        try:
+            rep = dimension_drop(fam, 0, 0)
+            drop_peak = tracemalloc.get_traced_memory()[1]
+            reduced = exceptional_family(fam, rep.alpha_star, 0, 0).maps
+            tracemalloc.reset_peak()
+            pressure_upper_root(reduced, 7)
+            root_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.reduced.depth == 7
+        assert drop_peak < 4 << 20 and root_peak < 4 << 20, (drop_peak, root_peak)
 
 
 class TestTranslationSeriesGap:

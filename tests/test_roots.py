@@ -189,9 +189,10 @@ def calls_per_call(monkeypatch, outer, counted, keep=lambda *args: True):
 
 def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
     # in one affinity_dimension call each anchor's sum is evaluated once
-    # at 0 to count its terms, then by one root from 0 for the lower end
-    # and by one root of the sum plus its tail bound for the upper end;
-    # two sites put the other site inside the words
+    # at 0 to count its terms, then by one root from 0 for the lower end,
+    # which takes that count as its first iterate, and by one root of the
+    # sum plus its tail bound for the upper end; two sites put the other
+    # site inside the words
     depth = 8
     real_sums, real_root = dimension._site_sums, dimension._convex_root
     evaluations, roots = {}, []
@@ -235,15 +236,18 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
         # one root for each end of each anchor
         assert len(deep) == 2 * fam.n_singular, roots
         for calls in deep:
-            assert all(hit for _, _, hit in calls)
+            # only the lower root's first iterate, at 0, is not evaluated anew
+            assert all(hit or s == 0.0 for s, _, hit in calls[:1])
+            assert all(hit for _, _, hit in calls[1:])
             # every evaluation but the last is a Newton step from the one
             # before it, so the last is the only one made to certify an end:
             # the right one, the left end coming from the last tangent
             for (s, (F, dF, _, _), _), (t, _, _) in zip(calls, calls[1:-1]):
                 assert t == s - math.log(F) * F / dF
             assert len(calls) <= 7, calls
-        # at most 1 + 7 + 4 on these families
-        assert all(len(points) <= 12 for points in evaluations.values()), evaluations
+        # at most 1 + 6 + 4 on these families, s = 0 among them once
+        assert all(len(points) <= 11 for points in evaluations.values()), evaluations
+        assert all(points.count(0.0) == 1 for points in evaluations.values()), evaluations
 
 
 def test_pressure_root_costs_few_sums(monkeypatch):
