@@ -50,20 +50,18 @@ def _orbit(table: np.ndarray, picks: np.ndarray, burn_in: int) -> np.ndarray:
     padded[:n] = picks
     # coef[c, j, b]: column c of the map picked at step j of block b
     coef = np.take(np.ascontiguousarray(table.T), padded.reshape(n_blocks, _SCAN_BLOCK).T, axis=1)
+    lin = coef[:4].reshape(2, 2, _SCAN_BLOCK, n_blocks)
     # prefix[r, :, j, b]: row r of the 2x3 affine matrix [M | y] of steps 0..j
     prefix = np.empty((2, 3, _SCAN_BLOCK, n_blocks))
-    prefix[:, :2, 0] = coef[:4, 0].reshape(2, 2, n_blocks)
+    prefix[:, :2, 0] = lin[:, :, 0]
     prefix[:, 2, 0] = coef[4:, 0]
-    # every step writes in place: row = a * top + b * bottom, then + t
-    tmp = np.empty((3, n_blocks))
+    # each step composes every block's 2x2 linear part onto its 2x3
+    # prefix in place: row r = a_r0 * top + a_r1 * bottom, then + t_r
+    terms = np.empty((2, 2, 3, n_blocks))
     for j in range(1, _SCAN_BLOCK):
-        a11, a12, a21, a22, t1, t2 = coef[:, j]
-        top, bottom = prefix[0, :, j - 1], prefix[1, :, j - 1]
-        for row, a, b, t in ((prefix[0, :, j], a11, a12, t1), (prefix[1, :, j], a21, a22, t2)):
-            np.multiply(a, top, out=row)
-            np.multiply(b, bottom, out=tmp)
-            row += tmp
-            row[2] += t
+        np.multiply(lin[:, :, j, None], prefix[None, :, :, j - 1], out=terms)
+        np.add(terms[:, 0], terms[:, 1], out=prefix[:, :, j])
+        prefix[:, 2, j] += coef[4:, j]
 
     x = y = 0.0
     xs, ys = [x], [y]

@@ -5,7 +5,8 @@ Every subcommand reads a JSON config, writes its artifacts under the
 config digest, the tool version, and the headline numbers. CSV floats
 use 12 significant digits and no locale formatting, so rerunning a
 command reproduces the files byte for byte (timing in report.json
-excepted).
+excepted). Each handler imports the modules its subcommand runs, so a
+process compiles only those.
 
 Exit codes: 0 success, 1 input, configuration or usage error (such as
 a flag the subcommand does not read), 2 certificate or verification
@@ -24,17 +25,13 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .attractor import box_dim_estimate, chaos_game, render_levels
-from .config import FamilyConfig, config_digest, parse_config
-from .dimension import SolverOptions, affinity_dimension
+from .config import FamilyConfig, SolverOptions, config_digest, parse_config
 from .errors import (
     AffdimError,
     BudgetError,
     ConfigError,
     ContractionError,
 )
-from .exceptional import dimension_drop, line_map, translation_series_gap
-from .separation import check_convex_separation, projection_witness
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -89,6 +86,8 @@ def _bracket_row(name: str, b) -> str:
 
 
 def cmd_dim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
+    from .dimension import affinity_dimension
+
     opts = _solver(cfg, args)
     bracket = affinity_dimension(cfg.family, args.alpha, opts)
     rows = [_bracket_row("affinity", bracket)]
@@ -113,6 +112,8 @@ def cmd_dim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_sweep(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
+    from .dimension import affinity_dimension
+
     opts = _solver(cfg, args)
     period = cfg.family.site(args.param).period
     if args.steps < 1:
@@ -127,6 +128,8 @@ def cmd_sweep(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_check_sep(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
+    from .separation import check_convex_separation
+
     cert = check_convex_separation(cfg.family, cfg.region)
     with open(out / "certificate.json", "w") as fh:
         fh.write(cert.to_json())
@@ -138,6 +141,8 @@ def cmd_check_sep(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_render(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
+    from .attractor import render_levels
+
     svg = render_levels(cfg.family, args.alpha, cfg.region, args.levels)
     path = out / "levels.svg"
     with open(path, "w") as fh:
@@ -147,6 +152,8 @@ def cmd_render(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_boxdim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
+    from .attractor import box_dim_estimate, chaos_game
+
     seed = args.seed if args.seed is not None else cfg.seed
     cloud = chaos_game(cfg.family, args.alpha, args.points, seed)
     series = box_dim_estimate(cloud, args.kmin, args.kmax)
@@ -166,6 +173,8 @@ def cmd_boxdim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_exceptional(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
+    from .exceptional import dimension_drop
+
     opts = _solver(cfg, args)
     report = dimension_drop(cfg.family, args.j, args.i, opts)
     with open(out / "exceptional.json", "w") as fh:
@@ -177,6 +186,8 @@ def cmd_exceptional(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_delta(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
+    from .exceptional import line_map, translation_series_gap
+
     anchor = cfg.family.singular_letter(args.j)
     letters = [k for k in range(cfg.family.n_maps) if k != anchor]
     system = [line_map(cfg.family, args.j, (letter,), args.alpha) for letter in letters]
@@ -189,6 +200,8 @@ def cmd_delta(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_witness(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
+    from .separation import projection_witness
+
     iword = _parse_word(args.iword)
     angle = projection_witness(
         cfg.family, cfg.region, iword, args.j, args.k1, args.k2

@@ -11,16 +11,42 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Tuple, Union
 
-from .dimension import SolverOptions
 from .errors import ConfigError, ContractionError, _check_count
 from .ifs import AffineMap2, IfsFamily, RankOneSite
 from .linalg import Mat2
 from .separation import ConvexBody, disk_polygon
 
 SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Knobs shared by the dimension solvers.
+
+    depth is the truncation word length; tol the largest width of a
+    certified root bracket in the exponent; budget caps the total number
+    of enumerated words per computation, every word counted. threads is
+    accepted and validated for compatibility; every walk runs in the
+    calling thread, so it changes neither results nor speed.
+    """
+
+    depth: int = 12
+    tol: float = 1e-9
+    budget: int = 1 << 22
+    threads: int = 1
+
+    def __post_init__(self):
+        for count, least in ((self.depth, 0), (self.budget, 1), (self.threads, 1)):
+            _check_count(count, least, "solver settings out of range")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise ConfigError("solver settings out of range")
+        object.__setattr__(self, "tol", float(self.tol))
 
 
 @dataclass(frozen=True, eq=False)

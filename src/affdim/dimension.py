@@ -33,47 +33,21 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import SolverOptions
 from .errors import (
     BracketInconsistencyError,
     BudgetError,
     ConfigError,
-    _check_count,
 )
 from .ifs import AffineMap2, IfsFamily, _map_table
 from .linalg import Mat2, batch_singular_values
 
 logger = logging.getLogger("affdim.dimension")
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs shared by the dimension solvers.
-
-    depth is the truncation word length; tol the largest width of a
-    certified root bracket in the exponent; budget caps the total number
-    of enumerated words per computation, every word counted. threads is
-    accepted and validated for compatibility; every walk runs in the
-    calling thread, so it changes neither results nor speed.
-    """
-
-    depth: int = 12
-    tol: float = 1e-9
-    budget: int = 1 << 22
-    threads: int = 1
-
-    def __post_init__(self):
-        for count, least in ((self.depth, 0), (self.budget, 1), (self.threads, 1)):
-            _check_count(count, least, "solver settings out of range")
-        tol = self.tol
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-            raise ConfigError("solver settings out of range")
-        object.__setattr__(self, "tol", float(self.tol))
 
 
 DEFAULT_OPTIONS = SolverOptions()

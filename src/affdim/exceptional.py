@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attractor import PointCloud, _orbits
 from .dimension import (
     DimensionBracket,
     SolverOptions,
@@ -36,6 +35,9 @@ from .errors import (
 )
 from .ifs import AffineMap2, IfsFamily, Word, _map_table, compose_word
 from .linalg import unit_vector
+
+if TYPE_CHECKING:
+    from .attractor import PointCloud
 
 Letters = Tuple[int, ...]
 
@@ -351,6 +353,9 @@ def invariance_clouds(
     the removed word to its duplicate, so at an exact coincidence the
     clouds agree to the residual of the word identity.
     """
+    # imported here: the drop report and the line maps never sample
+    from .attractor import PointCloud, _orbits
+
     if n_points < 1:
         raise ConfigError("need at least one point")
     reduced = exceptional_family(fam, alpha_star, j, i)

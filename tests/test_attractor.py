@@ -20,9 +20,18 @@ from affdim import (
     invariance_clouds,
     render_levels,
 )
-from affdim.attractor import _KEY_MIX, _cell_counts, _keyed_points, _level_bodies, apply_body
+from affdim.attractor import (
+    _CHAOS_CHUNK,
+    _KEY_MIX,
+    _SCAN_BLOCK,
+    _cell_counts,
+    _keyed_points,
+    _level_bodies,
+    _orbits,
+    apply_body,
+)
 from affdim.errors import BudgetError, ConfigError
-from affdim.ifs import attractor_bound, compose_word
+from affdim.ifs import _map_table, attractor_bound, compose_word
 from affdim.linalg import RankOneFactor
 from affdim.separation import _containment_margin
 
@@ -61,6 +70,42 @@ def loop_cloud(maps, n_points, seed, burn_in=64, chunk=1 << 15):
             if step >= burn_in:
                 out.append((x, y))
     return np.array(out)
+
+
+def blocked_scan_clouds(tables, n_points, seed, burn_in):
+    """Plain-float reference of the blocked scan behind _orbits: per block
+    of _SCAN_BLOCK picks, each map is composed onto the block's prefix map
+    row by row (a * top + b * bottom, then + t), every point is the prefix
+    applied to the block's start ((m1 * sx + m2 * sy) + t), and the next
+    block starts at the last point; each chunk restarts at the origin."""
+    rows = [table.tolist() for table in tables]
+    clouds = [[] for _ in tables]
+    sizes = [min(_CHAOS_CHUNK, n_points - i) for i in range(0, n_points, _CHAOS_CHUNK)]
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        picks = np.random.default_rng(child).integers(0, len(rows[0]), size=burn_in + size)
+        for table, cloud in zip(rows, clouds):
+            orbit = []
+            sx = sy = 0.0
+            for b in range(0, len(picks), _SCAN_BLOCK):
+                top = None
+                for pick in picks[b : b + _SCAN_BLOCK].tolist():
+                    a11, a12, a21, a22, t1, t2 = table[pick]
+                    if top is None:
+                        top, bottom = [a11, a12, t1], [a21, a22, t2]
+                    else:
+                        top, bottom = (
+                            [a11 * u + a12 * w for u, w in zip(top, bottom)],
+                            [a21 * u + a22 * w for u, w in zip(top, bottom)],
+                        )
+                        top[2] += t1
+                        bottom[2] += t2
+                    orbit.append((
+                        (top[0] * sx + top[1] * sy) + top[2],
+                        (bottom[0] * sx + bottom[1] * sy) + bottom[2],
+                    ))
+                sx, sy = orbit[-1]
+            cloud.extend(orbit[burn_in:])
+    return [np.array(cloud) for cloud in clouds]
 
 
 class TestChaosGame:
@@ -139,6 +184,17 @@ class TestOrbitKernel:
         want = loop_cloud(maps, 40000, seed=6)
         assert cloud.points.shape == want.shape
         assert np.max(np.abs(cloud.points - want)) <= 1e-12 * attractor_bound(maps)
+
+    @pytest.mark.parametrize("burn_in", [0, 64])
+    def test_orbits_are_the_blocked_scan_bit_for_bit(self, burn_in):
+        # two chunks, the second ending in a partial block
+        fam = wide_family()
+        tables = [_map_table(fam.instantiate(alpha)) for alpha in (0.4, 1.1)]
+        n_points = _CHAOS_CHUNK + 100
+        for group in (tables[:1], tables):
+            got = _orbits(group, n_points, 9, burn_in)
+            want = blocked_scan_clouds(group, n_points, 9, burn_in)
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
     @pytest.mark.parametrize("fam", [drop_family(), wide_family()])
     def test_coupled_clouds_match_the_plain_loop(self, fam):

@@ -644,3 +644,24 @@ class TestStartup:
             check=True, timeout=60,
         )
         assert out.stdout.strip() == "False"
+
+    def test_check_sep_and_witness_load_no_solver_or_sampler(self, tmp_path):
+        # each subcommand imports only the modules it runs, and the lazy
+        # package still lists every export
+        src = str(Path(affdim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        demo = str(Path(src).parent / "demos" / "demo_family.json")
+        code = "\n".join([
+            "import sys, affdim, affdim.cli",
+            "base = ['--config', sys.argv[1], '--out', sys.argv[2]]",
+            "assert affdim.cli.main(['check-sep'] + base) == 0",
+            "assert affdim.cli.main(['witness', '--k1', '0', '--k2', '1'] + base) == 0",
+            "heavy = ('affdim.dimension', 'affdim.attractor', 'affdim.exceptional')",
+            "print(sorted(set(heavy) & set(sys.modules)))",
+            "print(len(set(affdim.__all__) & set(sorted(dir(affdim)))))",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code, demo, str(tmp_path / "out")], env=env,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.splitlines()[-2:] == ["[]", "62"]

@@ -9,18 +9,14 @@ public API and should be deleted together with those tests.
 import ast
 from pathlib import Path
 
+import affdim
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "affdim"
 
 
 def exported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    return set(affdim._EXPORTS)
 
 
 def used_names(paths):
@@ -47,3 +43,9 @@ def test_every_export_has_a_caller():
     assert {"affinity_dimension", "parse_config", "AffdimError"} <= names
     unused = names - used_names(caller_files())
     assert not unused, "exported but unused outside unit tests: %s" % sorted(unused)
+
+
+def test_every_export_resolves_from_its_module():
+    for name in affdim.__all__:
+        module = __import__("affdim." + affdim._EXPORTS[name], fromlist=[name])
+        assert getattr(affdim, name) is getattr(module, name)
