@@ -89,7 +89,11 @@ def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
     """
     _check_count(seed, 0, "seed must be a nonnegative integer")
     _check_count(burn_in, 0, "burn-in must be a nonnegative integer")
-    clouds = [np.empty((n_points, 2)) for _ in tables]
+    try:
+        clouds = [np.empty((n_points, 2)) for _ in tables]
+    except (MemoryError, ValueError):
+        # MemoryError past the host's memory, ValueError past numpy's sizes
+        raise BudgetError("cannot allocate a cloud of %d points" % n_points) from None
     starts = range(0, n_points, _CHAOS_CHUNK)
     for start, child in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
         size = min(_CHAOS_CHUNK, n_points - start)
@@ -111,7 +115,8 @@ def chaos_game(
     Map choices are uniform; the orbit starts at the origin and the
     first burn_in iterates are discarded. Points are generated in
     independent chunks whose sub-seeds derive from the master seed, so
-    the cloud does not depend on how the chunks are scheduled.
+    the cloud does not depend on how the chunks are scheduled. Raises
+    BudgetError for a point count whose cloud cannot be allocated.
     """
     if n_points < 1:
         raise ConfigError("need at least one point")
@@ -242,9 +247,13 @@ _SPREAD = (
 
 
 def _spread_bits(cells: np.ndarray) -> np.ndarray:
-    v = cells.astype(np.uint64)
+    """The Morton spread of nonnegative 31-bit int64 indices, computed in
+    place in their buffer viewed as uint64."""
+    v = cells.view(np.uint64)
+    shifted = np.empty_like(v)
     for shift, mask in _SPREAD:
-        v |= v << np.uint64(shift)
+        np.left_shift(v, np.uint64(shift), out=shifted)
+        v |= shifted
         v &= np.uint64(mask)
     return v
 
@@ -259,35 +268,49 @@ def _cell_counts(points: np.ndarray, k_min: int, k_max: int) -> List[int]:
     per-axis offset that is a multiple of 2^min(k_max - k_min, 31), which
     keeps the coarse edges in place (a level 31 or more above k_max holds
     the whole span of fewer than 2^31 cells from such an offset in one
-    cell), and the two axes are interleaved into one Morton key: one sort
-    gives every level, since a coarser cell is the key shifted right by
-    two bits per level. The 31-bit span per axis is counted from that
-    offset, which can lie up to 2^min(k_max - k_min, 31) cells below the
-    cloud.
+    cell). The 31-bit span per axis is counted from that offset, which
+    can lie up to 2^min(k_max - k_min, 31) cells below the cloud.
+
+    Repeated cells are dropped before any Morton key is built: the two
+    indices are packed into one int64 key x << 31 | y, sorted once and
+    deduplicated. Only the distinct cells of level k_max are interleaved
+    into Morton keys, and one sort of those gives every level: a coarser
+    cell is the key shifted right by two bits per level, so two adjacent
+    keys share a cell d levels up iff they agree above their low 2d bits.
     """
     coarsest = 2.0 ** min(k_max - k_min, 31)
-    spread = []
+    cells = packed = None
     for axis in range(2):
         # a huge level overflows to inf (and inf - inf to NaN), which the
         # span test below rejects, so numpy need not warn about it
         with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.ceil(np.ldexp(points[:, axis], k_max))
+            cells = np.ldexp(points[:, axis], k_max, out=cells)
+            np.ceil(cells, out=cells)
             cells -= 1.0
             cells -= np.floor(cells.min() / coarsest) * coarsest
         if not cells.max() < 2.0 ** 31:
             raise ConfigError(
                 "point cloud spans more than 2^31 cells per axis at level %d" % k_max
             )
-        spread.append(_spread_bits(cells))
-    keys = spread[0]
+        if packed is None:
+            packed = cells.astype(np.int64)
+        else:
+            packed <<= 31
+            packed |= cells.astype(np.int64)
+    packed.sort()
+    packed = packed[np.r_[True, packed[1:] != packed[:-1]]]
+    rows = packed & (2 ** 31 - 1)
+    packed >>= 31
+    keys = _spread_bits(packed)
     keys <<= np.uint64(1)
-    keys |= spread[1]
+    keys |= _spread_bits(rows)
     keys.sort()
-    counts = []
-    for _ in range(k_min, k_max + 1):
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        counts.append(keys.size)
-        keys >>= np.uint64(2)
+    # 31 or more levels up the whole cloud is one cell (see above)
+    apart = keys[1:] ^ keys[:-1]
+    counts = [
+        1 + int(np.count_nonzero(apart >= np.uint64(1 << 2 * d))) if d < 31 else 1
+        for d in range(k_max - k_min + 1)
+    ]
     return counts[::-1]
 
 

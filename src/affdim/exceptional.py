@@ -19,13 +19,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dimension import (
-    DimensionBracket,
-    SolverOptions,
-    _affordable_depth,
-    affinity_dimension,
-    pressure_upper_root,
-)
+from .config import SolverOptions
 from .errors import (
     ConfigError,
     ExcludedParameterError,
@@ -38,6 +32,7 @@ from .linalg import unit_vector
 
 if TYPE_CHECKING:
     from .attractor import PointCloud
+    from .dimension import DimensionBracket
 
 Letters = Tuple[int, ...]
 
@@ -275,6 +270,14 @@ def dimension_drop(
     overlap is reported as-is rather than raised. A site or letter index
     out of range is a ConfigError, raised before any work.
     """
+    # imported here: the line maps and the sampler never solve
+    from .dimension import (
+        DimensionBracket,
+        _affordable_depth,
+        affinity_dimension,
+        pressure_upper_root,
+    )
+
     opts = opts or SolverOptions()
     alpha_star = find_common_fixed_point_angle(fam, j, i)
     residual = commutation_residual(fam, alpha_star, j, i)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,15 @@ class TestChaosGame:
         a = chaos_game(drop_family(), 0.0, 50, np.int64(3))
         b = chaos_game(drop_family(), 0.0, 50, 3)
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("n_points", [2 ** 62, 10 ** 20])
+    def test_unallocatable_count_is_a_budget_error(self, n_points):
+        # numpy refuses both counts whatever the host's memory: "array is
+        # too big" and "Maximum allowed dimension exceeded"
+        with pytest.raises(BudgetError, match="%d points" % n_points):
+            chaos_game(drop_family(), 0.0, n_points, 1)
+        with pytest.raises(BudgetError, match="%d points" % n_points):
+            invariance_clouds(drop_family(), 0, 0, 1.0, n_points, 1)
 
 
 class TestOrbitKernel:
@@ -368,6 +378,15 @@ class TestHausdorff:
             hausdorff_distance([(0.0, 0.0)], bad)
 
 
+def _unique_counts(pts, k_min, k_max):
+    """Occupied cells per level by np.unique of each level's index pairs,
+    each pair viewed as one complex number (the indices are exact floats)."""
+    return [
+        len(np.unique((np.ceil(np.ldexp(pts, k)) - 1).view(np.complex128)))
+        for k in range(k_min, k_max + 1)
+    ]
+
+
 class TestBoxCounting:
     @pytest.mark.parametrize("bad", BAD_CLOUDS)
     def test_bad_clouds_rejected(self, bad):
@@ -439,14 +458,59 @@ class TestBoxCounting:
     def test_counts_match_per_level_unique(self, coords, offset, k_min, n_levels):
         pts = np.array(coords[: len(coords) // 2 * 2]).reshape(-1, 2) + offset
         k_max = k_min + n_levels - 1
-        want = [
-            len(np.unique((np.ceil(np.ldexp(pts, k)) - 1).astype(np.int64), axis=0))
-            for k in range(k_min, k_max + 1)
-        ]
+        want = _unique_counts(pts, k_min, k_max)
         got = box_dim_estimate(pts, k_min, k_max).counts
         # saturated trailing levels are trimmed, never changed
         assert list(got) == want[: len(got)]
         assert all(c == got[-1] for c in want[len(got):])
+
+    def test_repeated_cells_match_per_level_unique(self):
+        # the demo cloud repeats its few cells thousands of times each
+        pts = chaos_game(drop_family(), 0.0, 200_000, seed=12).points
+        assert _cell_counts(pts, 2, 14) == _unique_counts(pts, 2, 14)
+
+    def test_distinct_cells_match_per_level_unique(self):
+        # nearly every point has a cell of its own at the finest level
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(200_000, 2))
+        got = _cell_counts(pts, 0, 14)
+        assert got == _unique_counts(pts, 0, 14)
+        assert got[-1] > 199_000
+        # plain ints, so a count prints the same as before, not as np.int64(...)
+        assert all(type(c) is int for c in got)
+
+    def test_cells_at_the_edge_of_the_packed_fields(self):
+        # cells 0 and 2^31 - 1 on each axis, the extremes of the 31-bit
+        # fields of the packed key x << 31 | y, and cells 2^30 apart, which
+        # only the top bit of a field tells apart
+        lo, hi, mid = 2.0 ** -12, 2.0 ** 19, 2.0 ** 18 + 2.0 ** -12
+        pts = np.array([(lo, lo), (hi, hi), (lo, hi), (hi, lo), (hi - lo, hi),
+                        (hi, hi - lo), (0.5, 0.5), (lo, mid), (mid, lo)])
+        assert (np.ceil(np.ldexp(pts, 12)) - 1).max() == 2 ** 31 - 1
+        assert _cell_counts(pts, 0, 12) == _unique_counts(pts, 0, 12)
+        assert _cell_counts(pts, 0, 12)[-1] == 9
+
+    def test_level_range_wider_than_31(self):
+        # 41 levels: the finest cells are 2^-40 wide; the cloud straddles
+        # an edge of level 10, 30 levels up, and fits one cell of level 9
+        edge = 0.5 + 2.0 ** -10
+        rng = np.random.default_rng(5)
+        pts = edge + rng.uniform(-(2.0 ** -12), 2.0 ** -12, size=(5000, 2))
+        pts = np.concatenate([pts, pts[:100]])
+        got = _cell_counts(pts, 0, 40)
+        assert got == _unique_counts(pts, 0, 40)
+        assert got[9:11] == [1, 4] and got[-1] == 5000
+
+    def test_memory_peak(self):
+        # the distinct cells are few, so after the per-axis indices only
+        # small arrays are built; 2^20 points take 8 MiB per array
+        pts = chaos_game(drop_family(), 0.0, 1 << 20, seed=3).points
+        tracemalloc.start()
+        try:
+            box_dim_estimate(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * 2 ** 20
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wide_level_range(self):

@@ -358,6 +358,21 @@ class TestBoxdimCommand:
         rows = ["x,y"] + ["%s,%s" % ("%.12g" % p[0], "%.12g" % p[1]) for p in cloud.points]
         assert (out / "points.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
+    @pytest.mark.parametrize("n_points", [2 ** 62, 10 ** 20])
+    def test_unallocatable_point_count_exits_1(self, tmp_path, n_points):
+        # numpy refuses both counts whatever the host's memory; the run
+        # must end with one error line, not a numpy traceback
+        src = str(Path(affdim.__file__).resolve().parents[1])
+        cfg = write_config(tmp_path, DROP_CONFIG)
+        out = subprocess.run(
+            [sys.executable, "-m", "affdim.cli", "boxdim", "--config", cfg,
+             "--out", str(tmp_path / "o"), "--points", str(n_points)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert out.returncode == 1
+        assert out.stderr == "error: cannot allocate a cloud of %d points\n" % n_points
+
 
 class TestExceptionalCommand:
     def test_certified_drop(self, tmp_path):
@@ -665,3 +680,24 @@ class TestStartup:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.splitlines()[-2:] == ["[]", "62"]
+
+    def test_delta_loads_no_solver_or_sampler(self, tmp_path):
+        # delta runs only the line maps of exceptional.py, which imports
+        # the solver inside dimension_drop and the sampler inside
+        # invariance_clouds
+        src = str(Path(affdim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        demo = str(Path(src).parent / "demos" / "demo_family.json")
+        code = "\n".join([
+            "import sys, affdim.cli",
+            "argv = ['delta', '--config', sys.argv[1], '--out', sys.argv[2],",
+            "        '--word-a', '0', '--word-b', '0,0']",
+            "assert affdim.cli.main(argv) == 0",
+            "heavy = ('affdim.dimension', 'affdim.attractor', 'affdim.exceptional')",
+            "print(sorted(set(heavy) & set(sys.modules)))",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code, demo, str(tmp_path / "out")], env=env,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.splitlines()[-1] == "['affdim.exceptional']"
