@@ -112,17 +112,22 @@ def cmd_dim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
 
 
 def cmd_sweep(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
-    from .dimension import affinity_dimension
+    from .dimension import _affinity_brackets
 
     opts = _solver(cfg, args)
     period = cfg.family.site(args.param).period
     if args.steps < 1:
         raise ConfigError("sweep needs at least one step")
-    rows = []
-    for k in range(args.steps + 1):
-        alpha = k * period / args.steps
-        bracket = affinity_dimension(cfg.family, alpha, opts)
-        rows.append(",".join([_fmt(alpha), _fmt(bracket.lower), str(bracket.depth)]))
+
+    def alphas():
+        # drawn one at a time: a huge --steps runs long but allocates nothing
+        for k in range(args.steps + 1):
+            yield k * period / args.steps
+
+    # the regular walk is made once for the whole sweep
+    brackets = _affinity_brackets(cfg.family, alphas(), opts)
+    rows = [",".join([_fmt(alpha), _fmt(bracket.lower), str(bracket.depth)])
+            for alpha, bracket in zip(alphas(), brackets)]
     _write_csv(out / "sweep.csv", "alpha,s_lower,depth", rows)
     return EXIT_OK, {"csv": "sweep.csv", "rows": args.steps + 1}
 

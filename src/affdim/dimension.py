@@ -31,10 +31,9 @@ setting.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +45,6 @@ from .errors import (
 )
 from .ifs import AffineMap2, IfsFamily, _map_table
 from .linalg import Mat2, batch_singular_values
-
-logger = logging.getLogger("affdim.dimension")
-
 
 DEFAULT_OPTIONS = SolverOptions()
 
@@ -358,7 +354,8 @@ def _site_table(
     off += off[-1:] * (depth + 2 - len(off))
     P = tuple(np.concatenate(e) for e in zip(*levels))
     rows = {}
-    for cap in np.unique(caps[caps >= 0]).tolist():
+    # a set, not np.unique, whose first call imports numpy.ma
+    for cap in sorted(set(caps[caps >= 0].tolist())):
         a, b = np.nonzero(caps == cap)
         # (x, y) = A_u v_b, then c = |rho_a w_a . (x, y)|
         x, y = _images(P, v[b], off[cap + 1])
@@ -520,7 +517,13 @@ def _root_from_zero(sums, tol: float, hi: float = math.inf) -> Tuple[float, floa
     at_zero = sums(0.0)
     if at_zero[0] <= 1.0:
         if at_zero[0] == 0.0:
-            logger.warning("sum has no nonzero terms; its root degenerates to 0")
+            # imported here: almost no run logs, and the import costs more
+            # than many solves
+            import logging
+
+            logging.getLogger("affdim.dimension").warning(
+                "sum has no nonzero terms; its root degenerates to 0"
+            )
         return 0.0, 0.0
     root = _convex_root(lambda s: at_zero if s == 0.0 else sums(s), 0.0, tol, hi)
     if root is None:
@@ -640,7 +643,19 @@ def affinity_dimension(
     The clamped exponent never exceeds 1, so the upper end is always
     certified.
     """
-    opts = opts or DEFAULT_OPTIONS
+    return next(_affinity_brackets(fam, (alpha,), opts or DEFAULT_OPTIONS))
+
+
+def _affinity_brackets(
+    fam: IfsFamily, alphas: Iterable, opts: SolverOptions
+) -> Iterator[DimensionBracket]:
+    """affinity_dimension at each alpha, drawn from alphas one at a time.
+
+    The invertible-part bracket, the walk of the regular products and
+    the segment caps do not depend on alpha, so they are made once,
+    before the first alpha is drawn; each alpha then costs one factor
+    table and the anchors' roots.
+    """
     if fam.n_singular < 1:
         raise ConfigError("affinity bracket needs at least one rank-one site")
     reg, levels = None, []
@@ -657,19 +672,20 @@ def affinity_dimension(
     _check_word_budget(fam.n_maps - 1, n, opts)
     specs = [_anchor_spec(fam, j, n) for j in range(K)]
     caps = np.max([_segment_caps(spec) for spec in specs], axis=0)
-    rows, off = _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), caps, levels)
-    per = {
-        j: _anchor_bracket(fam, _site_sums(rows, off, spec), j, n, opts.tol)
-        for j, spec in enumerate(specs)
-    }
-    lower = max(min(1.0, p.lower) for p in per.values())
-    upper = min(min(1.0, p.upper) for p in per.values())
-    if lower > upper + 1e-9:
-        raise BracketInconsistencyError(
-            "anchored brackets do not intersect (lower %.9f > upper %.9f); "
-            "increase the truncation depth" % (lower, upper)
-        )
-    return DimensionBracket(lower, max(upper, lower), opts.depth, True, per, reg)
+    for alpha in alphas:
+        rows, off = _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), caps, levels)
+        per = {
+            j: _anchor_bracket(fam, _site_sums(rows, off, spec), j, n, opts.tol)
+            for j, spec in enumerate(specs)
+        }
+        lower = max(min(1.0, p.lower) for p in per.values())
+        upper = min(min(1.0, p.upper) for p in per.values())
+        if lower > upper + 1e-9:
+            raise BracketInconsistencyError(
+                "anchored brackets do not intersect (lower %.9f > upper %.9f); "
+                "increase the truncation depth" % (lower, upper)
+            )
+        yield DimensionBracket(lower, max(upper, lower), opts.depth, True, per, reg)
 
 
 # --- partition sums over full words -----------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -85,6 +86,41 @@ def fixed_point_gap(fam: IfsFamily, j: int, i: int, alpha: float) -> float:
     return g_empty.fixed_point() - g_i.fixed_point()
 
 
+def _gap_grid(fam: IfsFamily, j: int, i: int, alphas: np.ndarray) -> np.ndarray:
+    """fixed_point_gap(fam, j, i, a) for every a in alphas, nan where a
+    line map has no attracting fixed point.
+
+    Only site j and letter i are evaluated, as arrays over alphas. The
+    two-term dot products are written out, where np.dot may fuse a
+    multiply-add, so an entry can differ from the scalar gap in its last
+    bits, never in sign unless the gap is within rounding of 0.
+    """
+    site = fam.site(j)
+    v, t = unit_vector(site.v_angle), site.translation
+    angle = site.w_angle(alphas)
+    w0, w1 = np.cos(angle), np.sin(angle)
+
+    def fixed_point(x, y):
+        # the coordinate of the line map with lam = rho w . x, offset = rho w . y
+        lam = site.rho * (w0 * x[0] + w1 * x[1])
+        offset = site.rho * (w0 * y[0] + w1 * y[1])
+        out = np.full(alphas.shape, np.nan)
+        return np.divide(offset, 1.0 - lam, out=out, where=np.abs(lam) < 1.0)
+
+    if i < fam.n_regular:
+        m = fam.regular[i]
+        image_v, image_t = m.linear.apply(v), m.apply(t)
+    else:
+        # x -> rho_k (w_k . x) v_k + t_k, w_k turning with alpha
+        other = fam.singular[i - fam.n_regular]
+        angle = other.w_angle(alphas)
+        k0, k1, vk = np.cos(angle), np.sin(angle), unit_vector(other.v_angle)
+        image_v = np.multiply.outer(vk, other.rho * (k0 * v[0] + k1 * v[1]))
+        image_t = np.multiply.outer(vk, other.rho * (k0 * t[0] + k1 * t[1]))
+        image_t += other.translation[:, None]
+    return fixed_point(v, t) - fixed_point(image_v, image_t)
+
+
 def commutation_residual(fam: IfsFamily, alpha: float, j: int, i: int) -> float:
     """Largest coefficient difference between f_j o f_j o f_i and
     f_j o f_i o f_j at the given angle."""
@@ -137,7 +173,8 @@ def find_common_fixed_point_angle(
             return None
 
     grid = [k * period / grid_size for k in range(grid_size + 1)]
-    values = [gap(a) for a in grid]
+    gaps = _gap_grid(fam, j, i, np.array(grid)).tolist()
+    values = [None if math.isnan(g) else g for g in gaps]
     candidates: List[float] = []
     for k in range(grid_size):
         lo, hi = grid[k], grid[k + 1]

@@ -28,9 +28,15 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Strict convex hull, counterclockwise, via the monotone chain.
 
     Collinear points are dropped; inputs with fewer than three distinct
-    points come back as they are (deduplicated, sorted).
+    points come back as they are (deduplicated, sorted). The sort is a
+    lexsort and the dedupe drops a row equal to the one before it, which
+    is np.unique(axis=0) without the numpy.ma import it makes.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[keep]
     if len(pts) <= 2:
         return pts
     scale = float(np.max(np.abs(pts))) or 1.0

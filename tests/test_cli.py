@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import affdim
 from affdim import (
     SCHEMA_VERSION,
+    affinity_dimension,
     config_digest,
     parse_config,
 )
@@ -22,7 +24,15 @@ from affdim.cli import main
 from affdim.config import _config_dict, _serialize_config
 from affdim.errors import ConfigError
 
-from families import HEAVY_SITES_CONFIG
+from families import (
+    HEAVY_SITES_CONFIG,
+    drop_family,
+    random_admissible,
+    rotation_family,
+    scalar_family,
+    two_anchor_family,
+    wide_family,
+)
 
 SCALAR_CONFIG = {
     "schema_version": SCHEMA_VERSION,
@@ -302,6 +312,50 @@ class TestSweepCommand:
         alphas = [float(line.split(",")[0]) for line in lines[1:]]
         assert alphas[0] == 0.0
         assert alphas[-1] == pytest.approx(2.0 * math.pi)
+
+    @pytest.mark.parametrize(
+        "make",
+        [None, scalar_family, rotation_family, two_anchor_family, drop_family,
+         wide_family, "heavy", lambda: random_admissible(5)],
+        ids=["demo", "scalar", "rotation", "two_anchor", "drop", "wide",
+             "no_regular_maps", "random5"],
+    )
+    def test_rows_equal_per_alpha_brackets(self, tmp_path, make):
+        # the sweep walks the regular products once; every row must still
+        # be what a call of affinity_dimension at its alpha gives
+        if make is None:
+            data = json.loads((Path(__file__).parents[1] / "demos" / "demo_family.json").read_text())
+        elif make == "heavy":
+            data = HEAVY_SITES_CONFIG
+        else:
+            data = _config_dict(replace(parse_config(DROP_CONFIG), family=make()))
+        cfg = parse_config(data)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, data), "--out", str(out),
+                "--steps", "6", "--depth", "6"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        opts = replace(cfg.solver, depth=6)
+        period = cfg.family.site(0).period
+        expected = []
+        for k in range(7):
+            alpha = k * period / 6
+            b = affinity_dimension(cfg.family, alpha, opts)
+            expected.append([float("%.12g" % alpha).hex(), float("%.12g" % b.lower).hex(), "6"])
+        assert [[float(a).hex(), float(s).hex(), d] for a, s, d in rows] == expected
+
+    def test_regular_part_at_one_exits_1(self, tmp_path, capsys):
+        data = variant(SCALAR_CONFIG, regular=[
+            {"matrix": [[0.6, 0.0], [0.0, 0.6]], "t": [x, y]} for x in (0.0, 0.4) for y in (0.0, 0.4)
+        ])
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, data), "--out", str(out), "--depth", "4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: invertible sub-system exponent not certified below 1 "
+            "(upper bound 2.000000)\n"
+        )
+        assert not (out / "sweep.csv").exists()
 
 
 class TestCheckSepCommand:
@@ -701,3 +755,30 @@ class TestStartup:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.splitlines()[-1] == "['affdim.exceptional']"
+
+    def test_no_subcommand_loads_numpy_ma_and_dim_skips_logging(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, and the solver's
+        # one warning imports logging only when it fires; all eight
+        # subcommands run in one process, so any of them would show
+        src = str(Path(affdim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        demo = str(Path(src).parent / "demos" / "demo_family.json")
+        code = "\n".join([
+            "import sys, affdim.cli",
+            "base = ['--config', sys.argv[1], '--out', sys.argv[2]]",
+            "runs = [['dim'], ['sweep', '--steps', '4'], ['check-sep'], ['render'],",
+            "        ['boxdim', '--points', '4096'], ['exceptional'],",
+            "        ['delta', '--word-a', '0', '--word-b', '0,0'],",
+            "        ['witness', '--k1', '0', '--k2', '1']]",
+            "for argv in runs:",
+            "    assert affdim.cli.main(argv + base) == 0, argv",
+            "    if argv == ['dim']:",
+            "        print('logging after dim', 'logging' in sys.modules)",
+            "print('numpy.ma after all', 'numpy.ma' in sys.modules)",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code, demo, str(tmp_path / "out")], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        lines = [line for line in out.stdout.splitlines() if " after " in line]
+        assert lines == ["logging after dim False", "numpy.ma after all False"]

@@ -24,7 +24,7 @@ from affdim import (
     regular_dimension_bracket,
 )
 import affdim.dimension as dimension
-from affdim.dimension import _anchored_table, _site_sums
+from affdim.dimension import _affinity_brackets, _anchored_table, _site_sums
 from affdim.errors import BudgetError, ConfigError
 from affdim.ifs import compose_word
 
@@ -38,6 +38,7 @@ from families import (
     scalar_family,
     two_anchor_family,
     weighted_root,
+    wide_family,
 )
 
 SCALAR_LIMIT = weighted_root((0.5, 1.0 / 3.0))  # root of 2^-s + 3^-s = 1
@@ -384,6 +385,66 @@ class TestAffinityDimension:
     def test_budget_is_enforced(self):
         with pytest.raises(BudgetError):
             affinity_dimension(scalar_family(), 0.0, SolverOptions(depth=12, budget=10))
+
+
+def _bracket_hex(b):
+    """Every number of a DimensionBracket, floats as float.hex."""
+    anchors = sorted((j, a.lower.hex(), a.upper.hex(), a.certified)
+                     for j, a in (b.per_anchor or {}).items())
+    reg = b.regular and (b.regular.lower.hex(), b.regular.upper.hex(), b.regular.depth)
+    return b.lower.hex(), b.upper.hex(), b.depth, b.certified_upper, anchors, reg
+
+
+class TestAffinityBrackets:
+    @pytest.mark.parametrize(
+        "make",
+        [scalar_family, rotation_family, two_anchor_family, drop_family, wide_family,
+         heavy_sites_family, lambda: random_admissible(3), lambda: random_admissible(8)],
+        ids=["scalar", "rotation", "two_anchor", "drop", "wide", "no_regular_maps",
+             "random3", "random8"],
+    )
+    def test_one_walk_gives_the_per_alpha_brackets(self, make):
+        fam = make()
+        opts = SolverOptions(depth=6)
+        alphas = [k * fam.site(0).period / 5 for k in range(6)]
+        got = list(_affinity_brackets(fam, iter(alphas), opts))
+        assert [_bracket_hex(b) for b in got] == [
+            _bracket_hex(affinity_dimension(fam, alpha, opts)) for alpha in alphas
+        ]
+
+    def test_walks_the_regular_products_once(self, monkeypatch):
+        calls = []
+        real = dimension._product_levels
+        monkeypatch.setattr(
+            dimension, "_product_levels", lambda *args: calls.append(args) or real(*args)
+        )
+        brackets = _affinity_brackets(rotation_family(), (0.0, 0.5, 1.0), SolverOptions(depth=6))
+        assert len(list(brackets)) == 3
+        assert len(calls) == 1
+
+    def test_draws_alphas_one_at_a_time(self):
+        def alphas():
+            yield 0.0
+            yield 0.5
+            raise RuntimeError("drew a third alpha")
+
+        brackets = _affinity_brackets(scalar_family(), alphas(), SolverOptions(depth=6))
+        first, second = next(brackets), next(brackets)
+        assert first.lower != second.lower
+        with pytest.raises(RuntimeError, match="third"):
+            next(brackets)
+
+
+def test_sum_without_terms_warns_on_the_dimension_logger(caplog):
+    # det = 2e-12 underflows to 0 by word length 28, so the smallest
+    # singular values of the deepest levels are all 0 and their sums empty
+    fam = IfsFamily(regular=(AffineMap2(Mat2.diagonal(0.5, 4e-12), (0.0, 0.0)),))
+    with caplog.at_level("WARNING", logger="affdim.dimension"):
+        bracket = regular_dimension_bracket(fam, SolverOptions(depth=30))
+    assert bracket.lower == 0.0
+    warned = [r for r in caplog.records if "no nonzero terms" in r.getMessage()]
+    assert warned and all(r.name == "affdim.dimension" for r in warned)
+    assert all(r.levelname == "WARNING" for r in warned)
 
 
 @pytest.mark.parametrize(

@@ -31,9 +31,17 @@ from affdim.errors import (
     IdentityMismatchError,
     NoSignChangeError,
 )
+from affdim.exceptional import _gap_grid
 from affdim.ifs import compose_word
 
-from families import drop_family, rotation_family, scalar_family, wide_family
+from families import (
+    drop_family,
+    random_admissible,
+    rotation_family,
+    scalar_family,
+    two_anchor_family,
+    wide_family,
+)
 
 
 class TestLineMap:
@@ -76,6 +84,30 @@ class TestFixedPointGap:
         fam = drop_family()
         alpha = find_common_fixed_point_angle(fam, 0, 0)
         assert abs(fixed_point_gap(fam, 0, 0, alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make",
+    [scalar_family, rotation_family, drop_family, wide_family, two_anchor_family,
+     lambda: random_admissible(2), lambda: random_admissible(11)],
+    ids=["scalar", "rotation", "drop", "wide", "two_anchor", "random2", "random11"],
+)
+def test_gap_grid_makes_the_scalar_grid_decisions(make):
+    # the scalar fixed_point_gap is the reference: written-out products
+    # may round differently from np.dot, but every exclusion, sign and
+    # <= tol test the angle search makes must come out the same
+    fam = make()
+    for j in range(fam.n_singular):
+        for i in set(range(fam.n_maps)) - {fam.singular_letter(j)}:
+            grid = [k * fam.site(j).period / 256 for k in range(257)]
+            for alpha, g in zip(grid, _gap_grid(fam, j, i, np.array(grid)).tolist()):
+                try:
+                    ref = fixed_point_gap(fam, j, i, alpha)
+                except ExcludedParameterError:
+                    assert math.isnan(g)
+                    continue
+                assert math.isclose(g, ref, rel_tol=1e-12, abs_tol=1e-14)
+                assert (g > 0, g < 0, abs(g) <= 1e-12) == (ref > 0, ref < 0, abs(ref) <= 1e-12)
 
 
 class TestFindAngle:

@@ -22,7 +22,12 @@ from affdim import (
 )
 from affdim.errors import AffdimError, ConfigError
 from affdim.linalg import unit_vector
-from affdim.separation import _body_distance, _containment_margin, _swept_segment
+from affdim.separation import (
+    _body_distance,
+    _containment_margin,
+    _convex_hull,
+    _swept_segment,
+)
 
 from families import cantor_similarities, drop_family, wide_family
 
@@ -85,6 +90,54 @@ class TestConvexBody:
             disk_polygon((0.0, bad), 1.0)
         with pytest.raises(ConfigError, match="positive finite radius"):
             disk_polygon((0.0, 0.0), bad)
+
+
+def _unique_hull(points):
+    """The monotone-chain hull over np.unique(axis=0): the reference for
+    _convex_hull's lexsort dedupe."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) <= 2:
+        return pts
+    scale = float(np.max(np.abs(pts))) or 1.0
+    eps = 1e-12 * scale * scale
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0]) <= eps
+            ):
+                out.pop()
+            out.append(p)
+        return out
+
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
+def _hull_clouds(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(12, 2))
+    # repeated rows, in shuffled order
+    yield base[rng.integers(0, 12, size=40)]
+    # collinear runs: integer points on a few lines, some repeated
+    t = rng.integers(-4, 5, size=30).astype(float)
+    yield np.stack([t, 2.0 * t + rng.integers(0, 3, size=30)], axis=1)
+    yield np.stack([t, 3.0 * t], axis=1)
+    # signed zeros next to their positive twins
+    yield rng.choice([-0.0, 0.0, 1.0, -1.0], size=(25, 2))
+    # one and two distinct points
+    yield np.repeat(base[:1], 5, axis=0)
+    yield np.concatenate([np.repeat(base[:1], 3, axis=0), np.repeat(base[1:2], 4, axis=0)])
+    yield np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hull_equals_the_unique_reference(seed):
+    for points in _hull_clouds(seed):
+        got, ref = _convex_hull(points), _unique_hull(points)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
 
 
 class TestBodyDistance:
