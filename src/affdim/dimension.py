@@ -817,6 +817,13 @@ def pressure_upper_root(
     return _svf_root(a1, a2, opts.tol, sums)
 
 
+def _pressure_bracket(maps: Sequence[AffineMap2], opts: SolverOptions) -> DimensionBracket:
+    """[0, pressure root] at the deepest level k <= opts.depth whose words
+    of lengths 1..k fit opts.budget; BudgetError when level 1 does not."""
+    depth = max(1, _affordable_depth(len(maps), opts.depth, opts.budget))
+    return DimensionBracket(0.0, pressure_upper_root(maps, depth, opts.tol, opts), depth, True)
+
+
 def regular_dimension_bracket(
     fam: IfsFamily, opts: Optional[SolverOptions] = None
 ) -> DimensionBracket:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     NoSignChangeError,
     _check_count,
 )
-from .ifs import AffineMap2, IfsFamily, Word, _map_table, compose_word
+from .ifs import AffineMap2, IfsFamily, RankOneSite, Word, _map_table, compose_word
 from .linalg import unit_vector
 
 if TYPE_CHECKING:
@@ -57,6 +56,39 @@ class LineMap:
         return self.offset / (1.0 - self.lam)
 
 
+def _row(site: RankOneSite, alpha, x, y) -> tuple:
+    """rho (w . x) and rho (w . y) for the site's row w at the angle(s)
+    alpha, the two-term products written out."""
+    angle = site.w_angle(alpha)
+    w0, w1 = np.cos(angle), np.sin(angle)
+    return site.rho * (w0 * x[0] + w1 * x[1]), site.rho * (w0 * y[0] + w1 * y[1])
+
+
+def _line_coefficients(fam: IfsFamily, j: int, word: Word, alpha) -> tuple:
+    """(lam, offset) of f_j o f_word on site j's line, as arrays over
+    alpha; site j and the letters are assumed checked.
+
+    The word's image of the line's direction v_j and point t_j is built
+    from the last letter out. Every two-term product is written out: a
+    BLAS dot product may fuse a multiply-add, which would tie the last
+    bits to the BLAS build.
+    """
+    site = fam.site(j)
+    x, y = unit_vector(site.v_angle), site.translation
+    for letter in reversed(word):
+        if letter < fam.n_regular:
+            a, t = fam.regular[letter].linear, fam.regular[letter].translation
+            x = (a.a11 * x[0] + a.a12 * x[1], a.a21 * x[0] + a.a22 * x[1])
+            y = (a.a11 * y[0] + a.a12 * y[1] + t[0], a.a21 * y[0] + a.a22 * y[1] + t[1])
+        else:
+            # x -> rho_k (w_k . x) v_k + t_k, w_k turning with alpha
+            other = fam.singular[letter - fam.n_regular]
+            sx, sy = _row(other, alpha, x, y)
+            v, t = unit_vector(other.v_angle), other.translation
+            x, y = (v[0] * sx, v[1] * sx), (v[0] * sy + t[0], v[1] * sy + t[1])
+    return _row(site, alpha, x, y)
+
+
 def line_map(fam: IfsFamily, j: int, word: Word, alpha: float) -> LineMap:
     """Action of f_j o f_word on the invariant line of site j.
 
@@ -64,18 +96,12 @@ def line_map(fam: IfsFamily, j: int, word: Word, alpha: float) -> LineMap:
     line by x -> x * v_j + t_j, the composition acts on the coordinate x
     by a 1-d affine map, returned here.
     """
-    site = fam.site(j)
     anchor = fam.singular_letter(j)
     if any(fam.letter(letter) == anchor for letter in word):
         raise ConfigError("word may not contain the anchor site itself")
-    maps = fam.instantiate(alpha)
-    f = compose_word(maps, tuple(word))
-    w = unit_vector(site.w_angle(alpha))
-    v = unit_vector(site.v_angle)
-    point = f.apply(np.asarray(site.translation, dtype=float))
-    lam = site.rho * float(np.dot(w, f.linear.apply(v)))
-    offset = site.rho * float(np.dot(w, point))
-    return LineMap(lam, offset)
+    fam.angles(float(alpha))  # ConfigError for a non-finite angle
+    lam, offset = _line_coefficients(fam, j, tuple(word), float(alpha))
+    return LineMap(float(lam), float(offset))
 
 
 def fixed_point_gap(fam: IfsFamily, j: int, i: int, alpha: float) -> float:
@@ -86,39 +112,15 @@ def fixed_point_gap(fam: IfsFamily, j: int, i: int, alpha: float) -> float:
     return g_empty.fixed_point() - g_i.fixed_point()
 
 
-def _gap_grid(fam: IfsFamily, j: int, i: int, alphas: np.ndarray) -> np.ndarray:
+def _gaps(fam: IfsFamily, j: int, i: int, alphas: np.ndarray) -> np.ndarray:
     """fixed_point_gap(fam, j, i, a) for every a in alphas, nan where a
-    line map has no attracting fixed point.
-
-    Only site j and letter i are evaluated, as arrays over alphas. The
-    two-term dot products are written out, where np.dot may fuse a
-    multiply-add, so an entry can differ from the scalar gap in its last
-    bits, never in sign unless the gap is within rounding of 0.
-    """
-    site = fam.site(j)
-    v, t = unit_vector(site.v_angle), site.translation
-    angle = site.w_angle(alphas)
-    w0, w1 = np.cos(angle), np.sin(angle)
-
-    def fixed_point(x, y):
-        # the coordinate of the line map with lam = rho w . x, offset = rho w . y
-        lam = site.rho * (w0 * x[0] + w1 * x[1])
-        offset = site.rho * (w0 * y[0] + w1 * y[1])
+    line map has no attracting fixed point; j and i are assumed checked."""
+    fixed = []
+    for word in ((), (i,)):
+        lam, offset = _line_coefficients(fam, j, word, alphas)
         out = np.full(alphas.shape, np.nan)
-        return np.divide(offset, 1.0 - lam, out=out, where=np.abs(lam) < 1.0)
-
-    if i < fam.n_regular:
-        m = fam.regular[i]
-        image_v, image_t = m.linear.apply(v), m.apply(t)
-    else:
-        # x -> rho_k (w_k . x) v_k + t_k, w_k turning with alpha
-        other = fam.singular[i - fam.n_regular]
-        angle = other.w_angle(alphas)
-        k0, k1, vk = np.cos(angle), np.sin(angle), unit_vector(other.v_angle)
-        image_v = np.multiply.outer(vk, other.rho * (k0 * v[0] + k1 * v[1]))
-        image_t = np.multiply.outer(vk, other.rho * (k0 * t[0] + k1 * t[1]))
-        image_t += other.translation[:, None]
-    return fixed_point(v, t) - fixed_point(image_v, image_t)
+        fixed.append(np.divide(offset, 1.0 - lam, out=out, where=np.abs(lam) < 1.0))
+    return fixed[0] - fixed[1]
 
 
 def commutation_residual(fam: IfsFamily, alpha: float, j: int, i: int) -> float:
@@ -133,7 +135,13 @@ def commutation_residual(fam: IfsFamily, alpha: float, j: int, i: int) -> float:
     return float(np.max(np.abs(table[0] - table[1])))
 
 
+# the angle search: grid cells over one period, the |gap| taken as a
+# root, the bisection steps per cell, and the largest coefficient
+# difference of a verified word coincidence
+_GRID_SIZE = 256
+_GAP_TOL = 1e-12
 _MAX_BISECT = 200
+_RESIDUAL_TOL = 1e-10
 
 
 def _anchor_letter(fam: IfsFamily, j: int, i: int) -> int:
@@ -144,81 +152,58 @@ def _anchor_letter(fam: IfsFamily, j: int, i: int) -> int:
     return anchor
 
 
-def find_common_fixed_point_angle(
-    fam: IfsFamily,
-    j: int,
-    i: int,
-    grid_size: int = 256,
-    tol: float = 1e-12,
-    residual_tol: float = 1e-10,
-) -> float:
+def find_common_fixed_point_angle(fam: IfsFamily, j: int, i: int) -> float:
     """Angle where the fixed-point gap of site j against letter i
     vanishes, verified down at the map level.
 
-    The gap is evaluated on a uniform grid over one period of the site
-    angle; every sign change between consecutive valid grid points is
-    bisected until |gap| <= tol, and parameters where a line map loses
-    its fixed point are skipped rather than bisected across. The found
-    angle must reproduce the word coincidence with coefficient residual
-    at most residual_tol.
+    The gap is evaluated at the _GRID_SIZE + 1 points of a uniform grid
+    over one period of the site angle. A grid point with |gap| <=
+    _GAP_TOL is a root; every other sign change between consecutive
+    valid points is bisected until |gap| <= _GAP_TOL, all cells in
+    lockstep, and a cell whose midpoint loses a fixed point is dropped
+    rather than bisected across. The first root in grid order whose
+    word coincidence has coefficient residual at most _RESIDUAL_TOL is
+    returned.
     """
-    _check_count(grid_size, 2, "grid_size must be an integer >= 2")
     _anchor_letter(fam, j, i)
-    period = fam.site(j).period
-
-    def gap(a: float) -> Optional[float]:
-        try:
-            return fixed_point_gap(fam, j, i, a)
-        except ExcludedParameterError:
-            return None
-
-    grid = [k * period / grid_size for k in range(grid_size + 1)]
-    gaps = _gap_grid(fam, j, i, np.array(grid)).tolist()
-    values = [None if math.isnan(g) else g for g in gaps]
-    candidates: List[float] = []
-    for k in range(grid_size):
-        lo, hi = grid[k], grid[k + 1]
-        glo, ghi = values[k], values[k + 1]
-        if glo is None or ghi is None:
-            continue
-        if abs(glo) <= tol:
-            candidates.append(lo)
-            continue
-        if glo * ghi >= 0.0:
-            continue
-        root = None
-        for _ in range(_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            gmid = gap(mid)
-            if gmid is None:
-                break
-            if abs(gmid) <= tol:
-                root = mid
-                break
-            if glo * gmid < 0.0:
-                hi = mid
-            else:
-                lo, glo = mid, gmid
-        if root is not None:
-            candidates.append(root)
+    grid = np.arange(_GRID_SIZE + 1) * fam.site(j).period / _GRID_SIZE
+    gaps = _gaps(fam, j, i, grid)
+    glo, ghi = gaps[:-1], gaps[1:]
+    # a grid root needs both cell ends valid; |glo| <= tol rules out nan
+    touch = (np.abs(glo) <= _GAP_TOL) & ~np.isnan(ghi)
+    roots = np.where(touch, grid[:-1], np.nan)
+    live = np.flatnonzero(~touch & (glo * ghi < 0.0))
+    lo, hi, glo = grid[live], grid[live + 1], glo[live]
+    for _ in range(_MAX_BISECT):
+        if not live.size:
+            break
+        mid = 0.5 * (lo + hi)
+        g = _gaps(fam, j, i, mid)
+        hit = np.abs(g) <= _GAP_TOL
+        roots[live[hit]] = mid[hit]
+        left = glo * g < 0.0
+        lo, hi, glo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, glo, g)
+        keep = ~hit & ~np.isnan(g)
+        live, lo, hi, glo = live[keep], lo[keep], hi[keep], glo[keep]
+    candidates = roots[~np.isnan(roots)].tolist()
     if not candidates:
-        finite = [abs(v) for v in values if v is not None]
+        finite = np.abs(gaps[~np.isnan(gaps)])
         raise NoSignChangeError(
             "no root of the fixed-point gap on a %d-point grid over one "
             "period (smallest |gap| %.3e, %d excluded points)"
-            % (grid_size + 1, min(finite) if finite else float("nan"),
-               sum(v is None for v in values))
+            % (grid.size, finite.min() if finite.size else float("nan"),
+               gaps.size - finite.size)
         )
     best = None
     for alpha_star in candidates:
         residual = commutation_residual(fam, alpha_star, j, i)
-        if residual <= residual_tol:
+        if residual <= _RESIDUAL_TOL:
             return alpha_star
         if best is None or residual < best[1]:
             best = (alpha_star, residual)
     raise IdentityMismatchError(
         "fixed-point gap vanishes at angle %.12g but the word coincidence "
-        "residual is %.3e (tolerance %.1e)" % (best[0], best[1], residual_tol)
+        "residual is %.3e (tolerance %.1e)" % (best[0], best[1], _RESIDUAL_TOL)
     )
 
 
@@ -308,12 +293,7 @@ def dimension_drop(
     out of range is a ConfigError, raised before any work.
     """
     # imported here: the line maps and the sampler never solve
-    from .dimension import (
-        DimensionBracket,
-        _affordable_depth,
-        affinity_dimension,
-        pressure_upper_root,
-    )
+    from .dimension import _pressure_bracket, affinity_dimension
 
     opts = opts or SolverOptions()
     alpha_star = find_common_fixed_point_angle(fam, j, i)
@@ -324,19 +304,14 @@ def dimension_drop(
             "dimension-drop certification needs the affinity bracket below 1 "
             "(upper end %.6g)" % original.upper
         )
-    reduced_maps = exceptional_family(fam, alpha_star, j, i).maps
-    # the deepest level within the budget; BudgetError when level 1 is not
-    depth = max(1, _affordable_depth(len(reduced_maps), opts.depth, opts.budget))
-    upper = pressure_upper_root(reduced_maps, depth, opts.tol, opts)
-    reduced = DimensionBracket(0.0, upper, depth, True)
-    margin = original.lower - upper
+    reduced = _pressure_bracket(exceptional_family(fam, alpha_star, j, i).maps, opts)
     return ExceptionalReport(
         alpha_star=alpha_star,
         identity_residual=residual,
         original=original,
         reduced=reduced,
-        strict_gap=bool(upper < original.lower),
-        margin=margin,
+        strict_gap=bool(reduced.upper < original.lower),
+        margin=original.lower - reduced.upper,
     )
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
-from .errors import AffdimError, ConfigError, _check_count
+from .errors import AffdimError, ConfigError
 from .ifs import AffineMap2, IfsFamily, Word
 from .linalg import LineDir, Mat2, RankOneFactor, unit_vector
 
@@ -435,6 +435,11 @@ def check_convex_separation(fam: IfsFamily, U: ConvexBody) -> SeparationCertific
     return SeparationCertificate(contained, min_dist, min(margins), passed)
 
 
+# the witness scan's first grid and its angular margin
+_WITNESS_GRID = 256
+_WITNESS_MARGIN = 1e-6
+
+
 def projection_witness(
     fam: IfsFamily,
     U: ConvexBody,
@@ -442,19 +447,17 @@ def projection_witness(
     j: int,
     k1: int,
     k2: int,
-    grid: int = 256,
-    margin: float = 1e-6,
 ) -> float:
     """Angle parameter whose induced direction separates two image bodies.
 
     Scans alpha over one full period of site j's row direction, mapping
     z(alpha) = (A_iword)^T w_j(alpha); returns the first alpha whose
-    direction falls in the admissible set with the requested angular
-    margin. The grid doubles up to 2^16 points before giving up.
+    direction falls in the admissible set with angular margin
+    _WITNESS_MARGIN. The grid starts at _WITNESS_GRID points and doubles
+    up to 2^16 points before giving up.
     """
     if fam.letter(k1) == fam.letter(k2):
         raise ConfigError("need two distinct letters to separate")
-    _check_count(grid, 1, "witness grid must be an integer >= 1")
     site = fam.site(j)
     bodies = family_bodies(fam, U)
     admissible = admissible_projections(bodies[k1], bodies[k2])
@@ -467,12 +470,12 @@ def projection_witness(
     pt = prod.transpose()
 
     period = site.period
-    n = grid
+    n = _WITNESS_GRID
     while n <= (1 << 16):
         for m_idx in range(n):
             alpha = m_idx * period / n
             z = pt.apply(unit_vector(site.w_angle(alpha)))
-            if admissible.contains(math.atan2(z[1], z[0]), margin=margin):
+            if admissible.contains(math.atan2(z[1], z[0]), margin=_WITNESS_MARGIN):
                 return alpha
         n *= 2
     raise AffdimError("no admissible direction found on the scan grid")

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,17 +26,20 @@ from affdim import (
     translation_series_gap,
 )
 from affdim.errors import (
+    AffdimError,
     BudgetError,
     ConfigError,
     ExcludedParameterError,
     IdentityMismatchError,
     NoSignChangeError,
 )
-from affdim.exceptional import _gap_grid
+from affdim import exceptional
+from affdim.exceptional import _gaps
 from affdim.ifs import compose_word
 
 from families import (
     drop_family,
+    heavy_sites_family,
     random_admissible,
     rotation_family,
     scalar_family,
@@ -74,6 +78,38 @@ class TestLineMap:
         # the word may not pass through the anchoring site
         with pytest.raises(ConfigError):
             line_map(fam, 0, (fam.singular_letter(0),), 0.0)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="angle parameters must be finite"):
+                line_map(fam, 0, (0,), alpha)
+
+    def test_plain_float_products(self):
+        # lam and offset are rho (w . x) written out in floats; np.dot
+        # fused a multiply-add and changed the last bits of about a
+        # quarter of these maps
+        rng = np.random.default_rng(2021)
+        regular = []
+        while len(regular) < 3000:
+            a = Mat2(*rng.uniform(-0.4, 0.4, 4).tolist())
+            if abs(a.det()) > 1e-6:
+                regular.append(AffineMap2(a, rng.uniform(-1.0, 1.0, 2)))
+        site = RankOneSite(rho=0.6, v_angle=0.7, c=0.2, beta=1.3, translation=(0.3, -0.4))
+        fam = IfsFamily(regular=tuple(regular), singular=(site,))
+        v0, v1 = math.cos(site.v_angle), math.sin(site.v_angle)
+        t0, t1 = site.translation.tolist()
+        mismatches = 0
+        for k, alpha in enumerate(rng.uniform(-3.0, 3.0, len(regular)).tolist()):
+            a, (b0, b1) = regular[k].linear, regular[k].translation.tolist()
+            x0, x1 = a.a11 * v0 + a.a12 * v1, a.a21 * v0 + a.a22 * v1
+            y0, y1 = a.a11 * t0 + a.a12 * t1 + b0, a.a21 * t0 + a.a22 * t1 + b1
+            w0, w1 = math.cos(site.w_angle(alpha)), math.sin(site.w_angle(alpha))
+            g, g_empty = line_map(fam, 0, (k,), alpha), line_map(fam, 0, (), alpha)
+            mismatches += (g.lam, g.offset) != (
+                site.rho * (w0 * x0 + w1 * x1), site.rho * (w0 * y0 + w1 * y1)
+            )
+            mismatches += (g_empty.lam, g_empty.offset) != (
+                site.rho * (w0 * v0 + w1 * v1), site.rho * (w0 * t0 + w1 * t1)
+            )
+        assert mismatches == 0
 
 
 class TestFixedPointGap:
@@ -86,6 +122,40 @@ class TestFixedPointGap:
         assert abs(fixed_point_gap(fam, 0, 0, alpha)) <= 1e-12
 
 
+def _reference_gap(fam, j, i, alpha):
+    """fixed_point_gap in 60-digit arithmetic from the same float inputs;
+    None where a line map has no attracting fixed point."""
+    mpf, cos, sin = mpmath.mpf, mpmath.cos, mpmath.sin
+
+    def row(site, x):
+        angle = mpf(site.c) + mpf(site.beta) * mpf(alpha)
+        return mpf(site.rho) * (cos(angle) * x[0] + sin(angle) * x[1])
+
+    def image(x, moved):
+        # letter i applied to x, with its translation when moved
+        if i < fam.n_regular:
+            m = fam.regular[i]
+            a = m.linear
+            out = (mpf(a.a11) * x[0] + mpf(a.a12) * x[1], mpf(a.a21) * x[0] + mpf(a.a22) * x[1])
+        else:
+            m = fam.singular[i - fam.n_regular]
+            s = row(m, x)
+            out = (s * cos(mpf(m.v_angle)), s * sin(mpf(m.v_angle)))
+        return tuple(c + mpf(t) for c, t in zip(out, m.translation)) if moved else out
+
+    with mpmath.workdps(60):
+        site = fam.site(j)
+        v = (cos(mpf(site.v_angle)), sin(mpf(site.v_angle)))
+        t = tuple(mpf(c) for c in site.translation)
+        fixed = []
+        for x, y in ((v, t), (image(v, False), image(t, True))):
+            lam, offset = row(site, x), row(site, y)
+            if abs(lam) >= 1:
+                return None
+            fixed.append(offset / (1 - lam))
+        return float(fixed[0] - fixed[1])
+
+
 @pytest.mark.parametrize(
     "make",
     [scalar_family, rotation_family, drop_family, wide_family, two_anchor_family,
@@ -93,21 +163,24 @@ class TestFixedPointGap:
     ids=["scalar", "rotation", "drop", "wide", "two_anchor", "random2", "random11"],
 )
 def test_gap_grid_makes_the_scalar_grid_decisions(make):
-    # the scalar fixed_point_gap is the reference: written-out products
-    # may round differently from np.dot, but every exclusion, sign and
-    # <= tol test the angle search makes must come out the same
+    # the reference is the gap in 60-digit arithmetic: the grid's values
+    # must match it, and every exclusion, sign and <= tol test the angle
+    # search makes must come out the same wherever the reference is not
+    # within 1e-14 of the test's threshold
     fam = make()
     for j in range(fam.n_singular):
         for i in set(range(fam.n_maps)) - {fam.singular_letter(j)}:
             grid = [k * fam.site(j).period / 256 for k in range(257)]
-            for alpha, g in zip(grid, _gap_grid(fam, j, i, np.array(grid)).tolist()):
-                try:
-                    ref = fixed_point_gap(fam, j, i, alpha)
-                except ExcludedParameterError:
+            for alpha, g in zip(grid, _gaps(fam, j, i, np.array(grid)).tolist()):
+                ref = _reference_gap(fam, j, i, alpha)
+                if ref is None:
                     assert math.isnan(g)
                     continue
                 assert math.isclose(g, ref, rel_tol=1e-12, abs_tol=1e-14)
-                assert (g > 0, g < 0, abs(g) <= 1e-12) == (ref > 0, ref < 0, abs(ref) <= 1e-12)
+                if abs(ref) > 1e-14:
+                    assert (g > 0) == (ref > 0)
+                if abs(abs(ref) - 1e-12) > 1e-14:
+                    assert (abs(g) <= 1e-12) == (abs(ref) <= 1e-12)
 
 
 class TestFindAngle:
@@ -144,15 +217,98 @@ class TestFindAngle:
     def test_validation(self):
         fam = scalar_family()
         with pytest.raises(ConfigError):
-            find_common_fixed_point_angle(fam, 0, 0, grid_size=1)
-        with pytest.raises(ConfigError):
             find_common_fixed_point_angle(fam, 0, fam.singular_letter(0))
 
-    @pytest.mark.parametrize("grid_size", [2.5, 256.0, True, 1])
-    def test_grid_size_must_be_an_integer(self, grid_size):
-        # 2.5 and 256.0 raised a bare TypeError from range
-        with pytest.raises(ConfigError, match="grid_size must be an integer >= 2"):
-            find_common_fixed_point_angle(scalar_family(), 0, 0, grid_size=grid_size)
+    def test_one_gap_evaluation_per_halving(self, monkeypatch):
+        # every live cell halves in the same array call, and the scalar
+        # line maps are never consulted
+        calls = []
+        gaps = exceptional._gaps
+
+        def counted(fam, j, i, alphas):
+            calls.append(alphas.size)
+            return gaps(fam, j, i, alphas)
+
+        def scalar(*args):
+            raise AssertionError("scalar line map called")
+
+        monkeypatch.setattr(exceptional, "_gaps", counted)
+        monkeypatch.setattr(exceptional, "line_map", scalar)
+        monkeypatch.setattr(exceptional, "fixed_point_gap", scalar)
+        find_common_fixed_point_angle(drop_family(), 0, 0)
+        assert calls[0] == exceptional._GRID_SIZE + 1
+        assert 2 <= len(calls) <= 1 + exceptional._MAX_BISECT
+        assert all(0 < n < exceptional._GRID_SIZE for n in calls[1:])
+
+
+def _reference_angle(fam, j, i):
+    """The per-cell scalar search the lockstep one replaced: scalar gaps
+    on the 257-point grid, then each sign-change cell bisected on its
+    own with 200 steps at most."""
+    period = fam.site(j).period
+
+    def gap(a):
+        try:
+            return fixed_point_gap(fam, j, i, a)
+        except ExcludedParameterError:
+            return None
+
+    grid = [k * period / 256 for k in range(257)]
+    values = [gap(a) for a in grid]
+    candidates = []
+    for k in range(256):
+        lo, hi = grid[k], grid[k + 1]
+        glo, ghi = values[k], values[k + 1]
+        if glo is None or ghi is None:
+            continue
+        if abs(glo) <= 1e-12:
+            candidates.append(lo)
+            continue
+        if glo * ghi >= 0.0:
+            continue
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            gmid = gap(mid)
+            if gmid is None:
+                break
+            if abs(gmid) <= 1e-12:
+                candidates.append(mid)
+                break
+            if glo * gmid < 0.0:
+                hi = mid
+            else:
+                lo, glo = mid, gmid
+    if not candidates:
+        raise NoSignChangeError("no root")
+    residuals = [commutation_residual(fam, a, j, i) for a in candidates]
+    for alpha, residual in zip(candidates, residuals):
+        if residual <= 1e-10:
+            return alpha
+    raise IdentityMismatchError("no coincidence")
+
+
+def _outcome(search, fam, j, i):
+    try:
+        return search(fam, j, i).hex()
+    except AffdimError as exc:
+        return type(exc).__name__
+
+
+SEARCH_FAMILIES = {
+    "scalar": scalar_family, "rotation": rotation_family, "drop": drop_family,
+    "wide": wide_family, "two_anchor": two_anchor_family, "heavy": heavy_sites_family,
+    **{"random%d" % seed: (lambda seed=seed: random_admissible(seed)) for seed in range(40)},
+}
+
+
+@pytest.mark.parametrize("make", SEARCH_FAMILIES.values(), ids=SEARCH_FAMILIES.keys())
+def test_lockstep_search_equals_the_per_cell_reference(make):
+    fam = make()
+    for j in range(fam.n_singular):
+        for i in range(fam.n_maps):
+            assert _outcome(find_common_fixed_point_angle, fam, j, i) == _outcome(
+                _reference_angle, fam, j, i
+            ), (j, i)
 
 
 class TestExceptionalFamily:

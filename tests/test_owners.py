@@ -4,6 +4,10 @@
 indices, and ``RankOneSite.period`` is the one place 2*pi/|beta| is
 computed. Any other module that writes out ``0 <= j < fam.n_singular``
 or ``abs(site.beta)`` again has grown a second copy of the idea.
+
+No module calls ``np.dot`` either: on 2-vectors it may fuse a
+multiply-add, so its last bits would depend on the BLAS build. Two-term
+products are written out instead.
 """
 
 import ast
@@ -59,3 +63,32 @@ def test_indices_and_periods_are_owned_by_ifs():
         p.name: hits for p in modules if (hits := violations(p.read_text()))
     }
     assert not found, "use IfsFamily.site/letter or RankOneSite.period: %s" % found
+
+
+def dot_calls(source):
+    """Lines of the np.dot and numpy.dot calls in the source, in order."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dot"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    )
+
+
+def test_dot_guard_flags_the_calls_it_forbids():
+    source = (
+        "lam = site.rho * float(np.dot(w, x))\n"
+        "offset = numpy.dot(w, y)\n"
+        "fine = w[0] * x[0] + w[1] * x[1]\n"
+    )
+    assert dot_calls(source) == [1, 2]
+
+
+def test_no_module_calls_np_dot():
+    modules = list(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = {p.name: hits for p in modules if (hits := dot_calls(p.read_text()))}
+    assert not found, "write the two-term products out: %s" % found

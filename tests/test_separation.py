@@ -422,13 +422,6 @@ class TestProjectionWitness:
         with pytest.raises(ConfigError, match="letter index out of range"):
             projection_witness(fam, disk_polygon((0.0, 0.0), 1.0), (0,), 0, k1, k2)
 
-    @pytest.mark.parametrize("grid", [0, -3, 2.5, 256.0, True])
-    def test_grid_must_be_a_positive_integer(self, grid):
-        # a grid of 0 or below never grew past the scan's limit
-        fam = drop_family()
-        with pytest.raises(ConfigError, match="witness grid"):
-            projection_witness(fam, disk_polygon((0.0, 0.0), 1.0), (0,), 0, 0, 1, grid=grid)
-
     def test_word_must_be_invertible_letters(self):
         fam = drop_family()
         with pytest.raises(ConfigError):
