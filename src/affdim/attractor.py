@@ -258,6 +258,38 @@ def _spread_bits(cells: np.ndarray) -> np.ndarray:
     return v
 
 
+def _packed_cells(points: np.ndarray, k_max: int, coarsest: float) -> np.ndarray:
+    """The int64 keys x << 32 | y of the points' level-k_max cells, their
+    indices counted from per-axis offsets that are multiples of coarsest.
+
+    One 8-byte buffer per point serves both axes: it holds an axis's
+    float indices, which are cast in place to int64, and x, below 2^31,
+    waits in a 4-byte copy of its low half until it becomes the high
+    half of the key.
+    """
+    cells = np.empty(len(points))
+    packed = cells.view(np.int64)
+    halves = cells.view(np.int32).reshape(-1, 2)
+    high = int(np.little_endian)
+    for axis in range(2):
+        # a huge level overflows to inf (and inf - inf to NaN), which the
+        # span test below rejects, so numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.ldexp(points[:, axis], k_max, out=cells)
+            np.ceil(cells, out=cells)
+            cells -= 1.0
+            cells -= np.floor(cells.min() / coarsest) * coarsest
+        if not cells.max() < 2.0 ** 31:
+            raise ConfigError(
+                "point cloud spans more than 2^31 cells per axis at level %d" % k_max
+            )
+        np.copyto(packed, cells, casting="unsafe")
+        if axis == 0:
+            x = halves[:, 1 - high].copy()
+    halves[:, high] = x
+    return packed
+
+
 def _cell_counts(points: np.ndarray, k_min: int, k_max: int) -> List[int]:
     """Occupied cells of the dyadic grids of levels k_min..k_max.
 
@@ -272,35 +304,18 @@ def _cell_counts(points: np.ndarray, k_min: int, k_max: int) -> List[int]:
     can lie up to 2^min(k_max - k_min, 31) cells below the cloud.
 
     Repeated cells are dropped before any Morton key is built: the two
-    indices are packed into one int64 key x << 31 | y, sorted once and
-    deduplicated. Only the distinct cells of level k_max are interleaved
-    into Morton keys, and one sort of those gives every level: a coarser
-    cell is the key shifted right by two bits per level, so two adjacent
-    keys share a cell d levels up iff they agree above their low 2d bits.
+    indices are packed into one int64 key x << 32 | y (_packed_cells),
+    sorted once and deduplicated. Only the distinct cells of level k_max
+    are interleaved into Morton keys, and one sort of those gives every
+    level: a coarser cell is the key shifted right by two bits per level,
+    so two adjacent keys share a cell d levels up iff they agree above
+    their low 2d bits.
     """
-    coarsest = 2.0 ** min(k_max - k_min, 31)
-    cells = packed = None
-    for axis in range(2):
-        # a huge level overflows to inf (and inf - inf to NaN), which the
-        # span test below rejects, so numpy need not warn about it
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.ldexp(points[:, axis], k_max, out=cells)
-            np.ceil(cells, out=cells)
-            cells -= 1.0
-            cells -= np.floor(cells.min() / coarsest) * coarsest
-        if not cells.max() < 2.0 ** 31:
-            raise ConfigError(
-                "point cloud spans more than 2^31 cells per axis at level %d" % k_max
-            )
-        if packed is None:
-            packed = cells.astype(np.int64)
-        else:
-            packed <<= 31
-            packed |= cells.astype(np.int64)
+    packed = _packed_cells(points, k_max, 2.0 ** min(k_max - k_min, 31))
     packed.sort()
     packed = packed[np.r_[True, packed[1:] != packed[:-1]]]
-    rows = packed & (2 ** 31 - 1)
-    packed >>= 31
+    rows = packed & (2 ** 32 - 1)
+    packed >>= 32
     keys = _spread_bits(packed)
     keys <<= np.uint64(1)
     keys |= _spread_bits(rows)

@@ -38,6 +38,9 @@ EXIT_INPUT = 1
 EXIT_CERTIFICATE = 2
 EXIT_INCONCLUSIVE = 3
 
+# rows of points.csv formatted per write
+_CSV_BLOCK_ROWS = 4096
+
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
@@ -164,8 +167,10 @@ def cmd_boxdim(cfg: FamilyConfig, args, out: Path) -> Tuple[int, dict]:
     series = box_dim_estimate(cloud, args.kmin, args.kmax)
     with open(out / "points.csv", "w", newline="") as fh:
         fh.write("x,y\n")
-        coords = tuple(cloud.points.ravel().tolist())
-        fh.write(("%.12g,%.12g\n" * len(cloud.points)) % coords)
+        # in blocks of rows, so no string or tuple holds the whole cloud
+        for start in range(0, len(cloud.points), _CSV_BLOCK_ROWS):
+            block = cloud.points[start : start + _CSV_BLOCK_ROWS]
+            fh.write(("%.12g,%.12g\n" * len(block)) % tuple(block.ravel().tolist()))
     _write_csv(
         out / "boxcounts.csv", "k,count",
         ["%d,%d" % (round(-math.log2(eps)), c)

@@ -132,23 +132,35 @@ class _LogSum:
     Given group bounds, groups(s) returns instead the sums of terms and
     of slopes of every group, one np.add.reduceat over the same terms, so
     the number of numpy calls does not grow with the number of groups.
+
+    The exp buffer is buf, at least as long as logs, when given, so that
+    sums evaluated one after another can share it. At s = 0 without
+    offsets every term exp(0 L) is exactly 1, so the term counts and the
+    sums of the logs, in the same order, are the same values with no exp
+    pass.
     """
 
-    def __init__(self, logs: np.ndarray, offsets: Optional[np.ndarray] = None, bounds=None):
+    def __init__(
+        self, logs: np.ndarray, offsets: Optional[np.ndarray] = None, bounds=None, buf=None
+    ):
         self.logs = logs
         self.offsets = offsets
-        self._buf = np.empty(logs.size)
+        self._buf = np.empty(logs.size) if buf is None else buf[: logs.size]
         self._log_max = max(-float(logs.min(initial=0.0)), float(logs.max(initial=0.0)))
         self._offset_max = 0.0
         if offsets is not None:
             self._offset_max = float(np.max(np.abs(offsets), initial=0.0)) + 2.0 * self._log_max
         if bounds is not None:
+            sizes = np.diff(bounds)
             self._groups = len(bounds) - 1
-            self._live = np.flatnonzero(np.diff(bounds) > 0)
+            self._live = np.flatnonzero(sizes > 0)
+            self._sizes = sizes[self._live]
             self._starts = np.asarray(bounds)[self._live]
 
-    def _terms(self, s: float) -> np.ndarray:
-        """The terms in the reused buffer."""
+    def _terms(self, s: float) -> Optional[np.ndarray]:
+        """The terms in the reused buffer, or None when each is 1."""
+        if s == 0.0 and self.offsets is None:
+            return None
         buf = np.multiply(self.logs, s, out=self._buf)
         if self.offsets is not None:
             buf += self.offsets
@@ -156,9 +168,12 @@ class _LogSum:
 
     def __call__(self, s: float) -> Tuple[float, float, float, float]:
         buf = self._terms(s)
-        F = float(np.sum(buf))
-        buf *= self.logs
-        dF = float(np.sum(buf))
+        if buf is None:
+            F, dF = float(self.logs.size), float(np.sum(self.logs))
+        else:
+            F = float(np.sum(buf))
+            buf *= self.logs
+            dF = float(np.sum(buf))
         rel = (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
         return F, dF, rel * F, rel * self._log_max * F
 
@@ -168,17 +183,24 @@ class _LogSum:
         sums = np.zeros((2, self._groups))
         if self._live.size:
             buf = self._terms(s)
-            sums[0, self._live] = np.add.reduceat(buf, self._starts)
-            buf *= self.logs
-            sums[1, self._live] = np.add.reduceat(buf, self._starts)
+            if buf is None:
+                sums[0, self._live] = self._sizes
+                sums[1, self._live] = np.add.reduceat(self.logs, self._starts)
+            else:
+                sums[0, self._live] = np.add.reduceat(buf, self._starts)
+                buf *= self.logs
+                sums[1, self._live] = np.add.reduceat(buf, self._starts)
         return sums
 
 
-def _log_sum(bases) -> _LogSum:
-    """_LogSum over the positive entries of bases, logs taken once."""
+def _log_sum(bases, logs=None, buf=None) -> _LogSum:
+    """_LogSum over the positive entries of bases, logs taken once, into
+    logs and with exp buffer buf when given (each at least as long)."""
     bases = np.asarray(bases, dtype=float)
     keep = bases > 0.0
-    return _LogSum(np.log(bases if keep.all() else bases[keep]))
+    if not keep.all():
+        bases = bases[keep]
+    return _LogSum(np.log(bases, out=None if logs is None else logs[: bases.size]), buf=buf)
 
 
 def _convex_root(
@@ -268,14 +290,6 @@ def _convex_root(
 # --- site-factored sums -----------------------------------------------------
 
 
-def _outer_sum(x0, y0, x1, y1) -> np.ndarray:
-    """x0 (x) y0 + x1 (x) y1 flattened row-major: elementwise products
-    only, so no threaded BLAS path is ever taken."""
-    out = np.multiply.outer(x0, y0)
-    out += np.multiply.outer(x1, y1)
-    return out.reshape(-1)
-
-
 def _affordable_depth(letters: int, depth: int, budget: int) -> int:
     """Deepest word length k <= depth such that the words of lengths 1..k
     over an alphabet of that many letters number at most budget."""
@@ -317,63 +331,71 @@ def _site_vectors(maps: Sequence[AffineMap2]) -> Tuple[np.ndarray, np.ndarray]:
     return v, np.reshape([m.linear.rho * m.linear.w() for m in maps], (-1, 2))
 
 
-def _images(P, v: np.ndarray, end: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(x, y) = A_u v_b as (len(v), end) arrays, for the first end words u
-    of the entry arrays P and the columns v_b."""
-    p11, p12, p21, p22 = (p[:end] for p in P)
-    x = _outer_sum(v[:, 0], p11, v[:, 1], p12).reshape(len(v), end)
-    y = _outer_sum(v[:, 0], p21, v[:, 1], p22).reshape(len(v), end)
+def _images(P, v: np.ndarray, out: np.ndarray, work: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y) = A_u v_b as views of the rows of work shaped like out,
+    (len(v), end), for the first end words u of the entry rows P and the
+    columns v_b; out holds the second products of each sum meanwhile.
+    Elementwise products only, so no threaded BLAS path is ever taken."""
+    x, y = (row[: out.size].reshape(out.shape) for row in work)
+    end = out.shape[1]
+    for image, p, q in ((x, P[0], P[1]), (y, P[2], P[3])):
+        np.multiply.outer(v[:, 0], p[:end], out=image)
+        np.multiply.outer(v[:, 1], q[:end], out=out)
+        image += out
     return x, y
 
 
 def _logs(c: np.ndarray) -> np.ndarray:
-    """log c, with log 0 = -inf."""
-    return np.log(c, out=np.full_like(c, -np.inf), where=c > 0.0)
+    """log c in place, with log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(c, out=c)
 
 
 def _site_table(
-    v: np.ndarray, w: np.ndarray, caps: np.ndarray, walked: Sequence, open_cap: int = -1
+    v: np.ndarray, w: np.ndarray, caps: np.ndarray, walk, open_cap: int = -1
 ) -> Tuple[Dict[Tuple[int, int], np.ndarray], List[int]]:
     """Logs of the factors c[a, b, u] = |w_a^T A_u v_b| over the words u
     of the dense letters, for site columns v[b] and rows w[a], rho folded in.
 
-    walked holds the entries that _product_levels yields for the lengths
-    1..max(caps.max(), open_cap) at least. Row (a, b) holds the logs for
+    walk is the (P, dets, off) of _product_levels for the lengths
+    0..max(caps.max(), open_cap) at least. Row (a, b) holds the logs for
     every word of length m <= caps[a, b], level m spanning off[m]:off[m +
-    1] in the walk's order, after the empty word; an exactly zero factor
-    has log -inf. So one walk serves every row. With open_cap >= 0 and
-    K sites, rows (K, b) and (a, K + 1) hold, up to that length, the
-    factors of a word's open ends, numbered after the sites: |A_u v_b|
-    before its first site letter and |A_u^T w_a| after its last.
+    1] in the walk's order, the empty word first; an exactly zero factor
+    has log -inf. So one walk serves every row, read in place. The rows
+    of one cap are one array, built in one work pair that every cap
+    reuses. With open_cap >= 0 and K sites, rows (K, b) and (a, K + 1)
+    hold, up to that length, the factors of a word's open ends, numbered
+    after the sites: |A_u v_b| before its first site letter and |A_u^T
+    w_a| after its last.
     """
-    depth = max(int(caps.max()), open_cap)
-    empty = (np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
-    levels = [empty, *walked[:depth]]
-    off = np.cumsum([0] + [P[0].size for P in levels]).tolist()
-    # without dense letters nothing is walked: every level past 0 is empty
-    off += off[-1:] * (depth + 2 - len(off))
-    P = tuple(np.concatenate(e) for e in zip(*levels))
-    rows = {}
+    P, _, off = walk
     # a set, not np.unique, whose first call imports numpy.ma
-    for cap in sorted(set(caps[caps >= 0].tolist())):
-        a, b = np.nonzero(caps == cap)
+    pairs = [(cap, *np.nonzero(caps == cap)) for cap in sorted(set(caps[caps >= 0].tolist()))]
+    sizes = [a.size * off[cap + 1] for cap, a, _ in pairs]
+    if open_cap >= 0:
+        sizes.append(max(len(v), len(w)) * off[open_cap + 1])
+    work = np.empty((2, max(sizes, default=0)))
+    rows = {}
+    for cap, a, b in pairs:
         # (x, y) = A_u v_b, then c = |rho_a w_a . (x, y)|
-        x, y = _images(P, v[b], off[cap + 1])
+        c = np.empty((a.size, off[cap + 1]))
+        x, y = _images(P, v[b], c, work)
         x *= w[a, 0, None]
         y *= w[a, 1, None]
-        c = np.abs(np.add(x, y, out=x), out=x)
+        np.abs(np.add(x, y, out=c), out=c)
         rows.update(zip(zip(a.tolist(), b.tolist()), _logs(c)))
     if open_cap >= 0:
         end = off[open_cap + 1]
+        starts, ends = np.empty((len(v), end)), np.empty((len(w), end))
+        np.hypot(*_images(P, v, starts, work), out=starts)
         # A_u^T w_a from the transposed entries
-        starts = _logs(np.hypot(*_images(P, v, end)))
-        ends = _logs(np.hypot(*_images((P[0], P[2], P[1], P[3]), w, end)))
-        rows.update(((len(v), b), r) for b, r in enumerate(starts))
-        rows.update(((a, len(v) + 1), r) for a, r in enumerate(ends))
+        np.hypot(*_images((P[0], P[2], P[1], P[3]), w, ends, work), out=ends)
+        rows.update(((len(v), b), r) for b, r in enumerate(_logs(starts)))
+        rows.update(((a, len(v) + 1), r) for a, r in enumerate(_logs(ends)))
     return rows, off
 
 
-def _site_sums(rows, off, spec: AnchoredSumSpec, exact: bool = False):
+def _site_sums(rows, off, spec: AnchoredSumSpec, work=None, exact: bool = False):
     """The anchored sum F(s) over the words of length at most
     spec.max_len, factored at the rank-one letters, from the factor logs
     of a _site_table.
@@ -389,22 +411,27 @@ def _site_sums(rows, off, spec: AnchoredSumSpec, exact: bool = False):
     factor, and a plain _LogSum over that array is the sum; otherwise a
     _SiteSums multiplies the group sums out. Either way evaluation
     returns (F, F', err, slope_err), and F(0) counts the nonzero terms
-    exactly.
+    exactly. work, when given, holds the logs in its first row and is
+    the exp buffer in its second, each at least as long as the terms.
     """
     n = spec.max_len
     inner = sorted(spec.allowed)
     sites = [spec.start, *inner] + ([spec.end] if spec.end != spec.start else [])
     caps = _segment_caps(spec)[np.ix_(sites, sites)]
     groups = [(m, i, k) for m in range(n + 1) for (i, k), cap in np.ndenumerate(caps) if m <= cap]
-    logs = np.concatenate([rows[sites[i], sites[k]][off[m] : off[m + 1]] for m, i, k in groups])
     bounds = np.cumsum([0] + [off[m + 1] - off[m] for m, _, _ in groups])
-    keep = logs > -np.inf
-    if not keep.all():
+    logs, buf = (None, None) if work is None else work[:, : bounds[-1]]
+    logs = np.concatenate(
+        [rows[sites[i], sites[k]][off[m] : off[m + 1]] for m, i, k in groups], out=logs
+    )
+    if logs.min(initial=0.0) == -np.inf:
+        keep = logs > -np.inf
         bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
         logs = logs[keep]
     if not inner:
-        return _LogSum(logs)
-    return _SiteSums(_LogSum(logs, bounds=bounds), groups, sites.index(spec.end), len(inner), exact)
+        return _LogSum(logs, buf=buf)
+    terms = _LogSum(logs, bounds=bounds, buf=buf)
+    return _SiteSums(terms, groups, sites.index(spec.end), len(inner), exact)
 
 
 class _SiteSums:
@@ -483,8 +510,8 @@ def _anchored_table(fam: IfsFamily, alpha, spec: AnchoredSumSpec, opts: SolverOp
         fam.site(j)
     n = spec.max_len
     _check_word_budget(fam.n_regular + len(spec.allowed), n, opts)
-    levels = [P for _, P, _ in _product_levels(fam.regular, n, opts)]
-    return _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), _segment_caps(spec), levels)
+    walk = _product_levels(fam.regular, n, opts)
+    return _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), _segment_caps(spec), walk)
 
 
 def anchored_norm_sum(
@@ -654,13 +681,14 @@ def _affinity_brackets(
     The invertible-part bracket, the walk of the regular products and
     the segment caps do not depend on alpha, so they are made once,
     before the first alpha is drawn; each alpha then costs one factor
-    table and the anchors' roots.
+    table, one pair of log and exp buffers that the anchors take in turn,
+    and the anchors' roots.
     """
     if fam.n_singular < 1:
         raise ConfigError("affinity bracket needs at least one rank-one site")
-    reg, levels = None, []
+    reg, walk = None, _product_levels(fam.regular, opts.depth, opts)
     if fam.n_regular >= 1:
-        reg = _regular_bracket(fam, opts, levels)
+        reg = _regular_bracket(fam, opts, walk)
         if reg.upper >= 1.0:
             raise ConfigError(
                 "invertible sub-system exponent not certified below 1 "
@@ -671,11 +699,17 @@ def _affinity_brackets(
     n, K = opts.depth, fam.n_singular
     _check_word_budget(fam.n_maps - 1, n, opts)
     specs = [_anchor_spec(fam, j, n) for j in range(K)]
-    caps = np.max([_segment_caps(spec) for spec in specs], axis=0)
+    anchor_caps = [_segment_caps(spec) for spec in specs]
+    caps = np.max(anchor_caps, axis=0)
+    # an anchor has at most off[c + 1] terms per segment cap c
+    off = walk[2]
+    terms = max(sum(off[c + 1] for c in a[a >= 0].tolist()) for a in anchor_caps)
     for alpha in alphas:
-        rows, off = _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), caps, levels)
+        rows, _ = _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), caps, walk)
+        # the anchors take turns with one pair of log and exp buffers
+        work = np.empty((2, terms))
         per = {
-            j: _anchor_bracket(fam, _site_sums(rows, off, spec), j, n, opts.tol)
+            j: _anchor_bracket(fam, _site_sums(rows, off, spec, work), j, n, opts.tol)
             for j, spec in enumerate(specs)
         }
         lower = max(min(1.0, p.lower) for p in per.values())
@@ -693,31 +727,42 @@ def _affinity_brackets(
 
 def _product_levels(
     maps: Sequence[AffineMap2], depth: int, opts: SolverOptions
-) -> Iterator[Tuple[int, Tuple[np.ndarray, ...], np.ndarray]]:
-    """Products of all words of lengths 1..depth over dense letters.
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Products of all words of lengths 0..k over dense letters, for the
+    deepest k <= depth that _affordable_depth allows.
 
-    Yields (length, entries, dets) per level: the entry arrays (a11, a12,
-    a21, a22) of every word's product, with the last-appended letter most
-    significant, and the words' determinants. A word's determinant is the
-    product of its letters' determinants, which keeps the smaller
-    singular value |det| / a1 accurate where a1 - a2 would cancel. The
-    walk stops at the deepest level _affordable_depth allows.
+    Returns (P, dets, off): the rows of P are the entry arrays (a11, a12,
+    a21, a22) of every word's product and dets the words' determinants,
+    all in one buffer each. Column 0 holds the empty word, and level m is
+    the slice off[m]:off[m + 1], with the last-appended letter most
+    significant. A word's determinant is the product of its letters'
+    determinants, which keeps the smaller singular value |det| / a1
+    accurate where a1 - a2 would cancel.
     """
-    a11, a12, a21, a22 = _map_table(maps)[:, :4].T
-    letter_dets = np.array([m.linear.det() for m in maps])
-    P, dets = (a11, a12, a21, a22), letter_dets
-    for k in range(1, _affordable_depth(len(maps), depth, opts.budget) + 1):
-        if k > 1:
-            # letter-major: numpy's inner loop runs over the parent level
-            p11, p12, p21, p22 = P
-            P = (
-                _outer_sum(a11, p11, a21, p12),
-                _outer_sum(a12, p11, a22, p12),
-                _outer_sum(a11, p21, a21, p22),
-                _outer_sum(a12, p21, a22, p22),
-            )
-            dets = np.multiply.outer(letter_dets, dets).reshape(-1)
-        yield k, P, dets
+    r = len(maps)
+    k = _affordable_depth(r, depth, opts.budget)
+    off = np.cumsum([0, 1] + [r ** m for m in range(1, k + 1)]).tolist()
+    P, dets = np.empty((4, off[-1])), np.empty(off[-1])
+    P[:, 0], dets[0] = (1.0, 0.0, 0.0, 1.0), 1.0
+    if k == 0:
+        return P, dets, off
+    P[:, 1 : r + 1] = _map_table(maps)[:, :4].T
+    dets[1 : r + 1] = [m.linear.det() for m in maps]
+    letters, letter_dets = P[:, 1 : r + 1].reshape(2, 2, r), dets[1 : r + 1]
+    # the second product of each entry sum, one buffer for every level
+    work = np.empty(r ** k)
+    for m in range(2, k + 1):
+        # letter-major: numpy's inner loop runs over the parent level
+        parent, level = slice(off[m - 1], off[m]), slice(off[m], off[m + 1])
+        shape = (r, off[m] - off[m - 1])
+        parents, second = P[:, parent].reshape(2, 2, -1), work[: r * shape[1]].reshape(shape)
+        for e in range(4):
+            # entry (i, j) of the parent's product times the letter's
+            i, j = divmod(e, 2)
+            entry = np.multiply.outer(letters[0, j], parents[i, 0], out=P[e, level].reshape(shape))
+            entry += np.multiply.outer(letters[1, j], parents[i, 1], out=second)
+        np.multiply.outer(letter_dets, dets[parent], out=dets[level].reshape(shape))
+    return P, dets, off
 
 
 def _level_sums(maps: Sequence[AffineMap2], n: int, opts: SolverOptions):
@@ -736,17 +781,16 @@ def _level_sums(maps: Sequence[AffineMap2], n: int, opts: SolverOptions):
         raise BudgetError("word budget %d exceeded before word length %d" % (opts.budget, n))
     dense = [m for m in maps if isinstance(m.linear, Mat2)]
     sites = [m for m in maps if not isinstance(m.linear, Mat2)]
-    walked = []
-    for _, P, dets in _product_levels(dense, n, opts):
-        walked = walked + [P] if sites else [P]
-    a1, a2 = batch_singular_values(*walked.pop(), dets)
+    walk = P, dets, off = _product_levels(dense, n, opts)
+    a1, a2 = batch_singular_values(*P[:, off[n] :], dets[off[n] :])
     if not sites:
         return a1, a2, None
     q = len(sites)
-    rows, off = _site_table(*_site_vectors(sites), np.full((q, q), n - 2), walked, n - 1)
+    rows, _ = _site_table(*_site_vectors(sites), np.full((q, q), n - 2), walk, n - 1)
     # the open ends meet directly only in the dense words of length n
-    rows[q, q + 1] = np.concatenate((np.full(off[n], -np.inf), _logs(a1)))
-    off.append(off[n] + a1.size)
+    row = rows[q, q + 1] = np.full(off[n + 1], -np.inf)
+    row[off[n] :] = a1
+    _logs(row[off[n] :])
     spec = AnchoredSumSpec(start=q, end=q + 1, max_len=n, allowed=range(q))
     return a1, a2, _site_sums(rows, off, spec, exact=True)
 
@@ -839,27 +883,30 @@ def regular_dimension_bracket(
 
 
 def _regular_bracket(
-    fam: IfsFamily, opts: SolverOptions, walked: Optional[list] = None
+    fam: IfsFamily, opts: SolverOptions, walk: Optional[tuple] = None
 ) -> DimensionBracket:
-    """regular_dimension_bracket, appending the entries of every level it
-    walks to walked when given, so that the same walk can build a
-    _site_table."""
+    """regular_dimension_bracket on walk, the _product_levels of the
+    regular maps, when given. One set of singular-value, log and exp
+    arrays, sized for the deepest level, serves every level."""
     if fam.n_regular == 0:
         raise ConfigError("no invertible maps in the family")
     if opts.depth < 1:
         raise ConfigError("bracket depth must be at least 1")
 
-    depth, lower = 0, 0.0
-    for depth, P, dets in _product_levels(fam.regular, opts.depth, opts):
-        if walked is not None:
-            walked.append(P)
-        a1, a2 = batch_singular_values(*P, dets)
-        lower = max(lower, _root_from_zero(_log_sum(a2), opts.tol)[0])
+    P, dets, off = walk or _product_levels(fam.regular, opts.depth, opts)
+    depth = len(off) - 2
     if depth == 0:
         raise BudgetError(
             "word budget %d exceeded before word length 1" % opts.budget
         )
+    a1, a2, logs, buf = np.empty((4, off[-1] - off[-2]))
+    lower = 0.0
+    for k in range(1, depth + 1):
+        level, size = slice(off[k], off[k + 1]), off[k + 1] - off[k]
+        # logs is the scratch array until the logs are taken
+        batch_singular_values(*P[:, level], dets[level], out=(a1[:size], a2[:size], logs[:size]))
+        lower = max(lower, _root_from_zero(_log_sum(a2[:size], logs, buf), opts.tol)[0])
 
-    upper = _svf_root(a1, a2, opts.tol)
+    upper = _svf_root(a1, a2, opts.tol, _log_sum(a1, logs, buf))
     lower = min(lower, 2.0)
     return DimensionBracket(lower, max(upper, lower), depth, True)

@@ -78,7 +78,9 @@ class AffineMap2:
         """Apply to an (n, 2) array of points."""
         pts = np.asarray(points, dtype=float)
         if isinstance(self.linear, RankOneFactor):
-            coeff = self.linear.rho * (pts @ self.linear.w())
+            # the row product written out: a BLAS product may fuse it
+            w = self.linear.w()
+            coeff = self.linear.rho * (pts[:, 0] * w[0] + pts[:, 1] * w[1])
             return np.outer(coeff, self.linear.v()) + self.translation
         m = self.linear
         out = np.empty_like(pts)

@@ -206,23 +206,23 @@ def conditional_norm(m: Linear, line: LineDir) -> float:
 # entries' a11 a22 - a12 a21 would cancel).
 
 
-def batch_singular_values(a11, a12, a21, a22, dets) -> tuple:
+def batch_singular_values(a11, a12, a21, a22, dets, out=None) -> tuple:
     """Largest and smallest singular values of the 2x2 matrices with the
     given entry arrays and determinants.
 
-    Two scratch arrays hold 2(e, h) and then 2(f, g), since doubling
-    both arguments doubles a hypot exactly; the second one then holds
-    a2, |dets| divided in place by a1. So a level costs three arrays
-    beyond its input.
+    out, when given, is three arrays shaped like the entries: the first
+    two receive a1 and a2, the third is scratch. Scratch and a2 hold 2(e,
+    h) and then 2(f, g), since doubling both arguments doubles a hypot
+    exactly; a2 then holds |dets| divided in place by a1. So a level
+    costs three arrays beyond its input.
     """
-    x = np.add(a11, a22)
-    y = np.subtract(a21, a12)
-    a1 = np.hypot(x, y)
+    a1, a2, x = out if out is not None else (np.empty(np.shape(a11)) for _ in range(3))
+    np.hypot(np.add(a11, a22, out=x), np.subtract(a21, a12, out=a2), out=a1)
     np.subtract(a11, a22, out=x)
-    np.add(a21, a12, out=y)
-    a1 += np.hypot(x, y, out=x)
+    np.add(a21, a12, out=a2)
+    a1 += np.hypot(x, a2, out=x)
     a1 *= 0.5
-    a2 = np.abs(dets, out=y)
+    np.abs(dets, out=a2)
     # a1 = 0 only for a zero product, whose det is 0: the 0/0 becomes 0
     with np.errstate(invalid="ignore"):
         a2 /= a1

@@ -125,6 +125,28 @@ def heavy_sites_family() -> IfsFamily:
     return parse_config(HEAVY_SITES_CONFIG).family
 
 
+def seven_map_family(seed: int) -> IfsFamily:
+    """Four scaled rotations with ratio 0.12 and three rank-one sites with
+    rho 0.12, angles and translations drawn from default_rng(seed): the
+    family of the benchmark's bracket workload at the same seed."""
+    rng = np.random.default_rng(seed)
+    rotations = [
+        (float(rng.uniform(0.0, 2.0 * math.pi)), tuple(rng.uniform(-0.5, 0.5, 2)))
+        for _ in range(4)
+    ]
+    sites = [
+        (float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, math.pi)),
+         tuple(rng.uniform(-0.5, 0.5, 2)))
+        for _ in range(3)
+    ]
+    return IfsFamily(
+        regular=tuple(AffineMap2(Mat2.scaled_rotation(0.12, a), t) for a, t in rotations),
+        singular=tuple(
+            RankOneSite(rho=0.12, v_angle=v, c=c, beta=1.0, translation=t) for v, c, t in sites
+        ),
+    )
+
+
 def random_admissible(seed: int) -> IfsFamily:
     """Random small family: one or two regular maps with norms in
     [0.15, 0.4] and nonsingular linear parts, plus one rank-one site.

@@ -480,8 +480,8 @@ class TestBoxCounting:
 
     def test_cells_at_the_edge_of_the_packed_fields(self):
         # cells 0 and 2^31 - 1 on each axis, the extremes of the 31-bit
-        # fields of the packed key x << 31 | y, and cells 2^30 apart, which
-        # only the top bit of a field tells apart
+        # indices in the packed key x << 32 | y, and cells 2^30 apart,
+        # which only the top bit of an index tells apart
         lo, hi, mid = 2.0 ** -12, 2.0 ** 19, 2.0 ** 18 + 2.0 ** -12
         pts = np.array([(lo, lo), (hi, hi), (lo, hi), (hi, lo), (hi - lo, hi),
                         (hi, hi - lo), (0.5, 0.5), (lo, mid), (mid, lo)])
@@ -501,8 +501,9 @@ class TestBoxCounting:
         assert got[9:11] == [1, 4] and got[-1] == 5000
 
     def test_memory_peak(self):
-        # the distinct cells are few, so after the per-axis indices only
-        # small arrays are built; 2^20 points take 8 MiB per array
+        # the distinct cells are few, so after the indices only small
+        # arrays are built; 2^20 points take 8 MiB for the one index
+        # buffer of both axes and 4 MiB for the half that waits
         pts = chaos_game(drop_family(), 0.0, 1 << 20, seed=3).points
         tracemalloc.start()
         try:
@@ -510,7 +511,7 @@ class TestBoxCounting:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 26 * 2 ** 20
+        assert peak <= 14 * 2 ** 20
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wide_level_range(self):

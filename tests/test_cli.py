@@ -20,7 +20,7 @@ from affdim import (
     config_digest,
     parse_config,
 )
-from affdim.cli import main
+from affdim.cli import _CSV_BLOCK_ROWS, main
 from affdim.config import _config_dict, _serialize_config
 from affdim.errors import ConfigError
 
@@ -402,15 +402,19 @@ class TestBoxdimCommand:
         assert report["outputs"]["seed"] == 7
 
     def test_points_csv_bytes(self, tmp_path):
-        # the file holds "%.12g" of every coordinate, one "x,y" row per point
+        # the file holds "%.12g" of every coordinate, one "x,y" row per
+        # point, whether the rows fill the write blocks or not
         cfg = write_config(tmp_path, DROP_CONFIG)
-        out = tmp_path / "out"
-        code = main(["boxdim", "--config", cfg, "--out", str(out),
-                     "--points", "4096", "--seed", "5"])
-        assert code == 0
-        cloud = affdim.chaos_game(parse_config(DROP_CONFIG).family, 0.0, 4096, 5)
-        rows = ["x,y"] + ["%s,%s" % ("%.12g" % p[0], "%.12g" % p[1]) for p in cloud.points]
-        assert (out / "points.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+        block = _CSV_BLOCK_ROWS
+        for n_points in (1, block - 1, block, block + 1):
+            out = tmp_path / ("out%d" % n_points)
+            code = main(["boxdim", "--config", cfg, "--out", str(out),
+                         "--points", str(n_points), "--seed", "5"])
+            assert code == 0
+            cloud = affdim.chaos_game(parse_config(DROP_CONFIG).family, 0.0, n_points, 5)
+            rows = ["x,y"] + ["%s,%s" % ("%.12g" % p[0], "%.12g" % p[1]) for p in cloud.points]
+            assert len(rows) == n_points + 1
+            assert (out / "points.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
     @pytest.mark.parametrize("n_points", [2 ** 62, 10 ** 20])
     def test_unallocatable_point_count_exits_1(self, tmp_path, n_points):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath  # a declared test dependency: missing, it fails the module
@@ -36,6 +37,7 @@ from families import (
     random_admissible,
     rotation_family,
     scalar_family,
+    seven_map_family,
     two_anchor_family,
     weighted_root,
     wide_family,
@@ -154,6 +156,26 @@ class TestLevelWalk:
             for s in (0.5, 1.0, 1.7):
                 exact = math.fsum(float(np.sum(w[w > 0.0] ** s)) for w in want[: n + 1])
                 assert sums(s)[0] == pytest.approx(exact, rel=1e-12, abs=0.0), (n, s)
+
+    def test_walk_buffer_holds_every_level_after_the_empty_word(self):
+        # level m is the slice off[m]:off[m + 1]; word index i at that level
+        # has its last-appended letter most significant, and its entries
+        # and determinant are the plain products in the same float order
+        rng = np.random.default_rng(2)
+        mats = [Mat2(*rng.uniform(-0.4, 0.4, 4)) for _ in range(3)]
+        maps = [AffineMap2(m, (0.0, 0.0)) for m in mats]
+        P, dets, off = dimension._product_levels(maps, 4, SolverOptions())
+        assert off == [0, 1, 4, 13, 40, 121]
+        assert P.shape == (4, 121) and dets.shape == (121,)
+        assert P[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0] and dets[0] == 1.0
+        for m in range(1, 5):
+            for i in range(3 ** m):
+                A, det = Mat2.identity(), 1.0
+                for letter in reversed(np.unravel_index(i, (3,) * m)):
+                    A, det = A @ mats[letter], mats[letter].det() * det
+                col = off[m] + i
+                assert P[:, col].tolist() == [A.a11, A.a12, A.a21, A.a22]
+                assert dets[col] == det
 
     def test_budget_trips_at_the_level_that_passes_it(self):
         # four letters and no collapsed column: a walk to length n costs
@@ -421,6 +443,19 @@ class TestAffinityBrackets:
         brackets = _affinity_brackets(rotation_family(), (0.0, 0.5, 1.0), SolverOptions(depth=6))
         assert len(list(brackets)) == 3
         assert len(calls) == 1
+
+    def test_memory_peak_of_the_seven_map_bracket(self):
+        # the largest arrays are the walk's one buffer (3.3 MiB), the site
+        # table (3.0 MiB) and its work pair (4.0 MiB); the anchors' shared
+        # log and exp buffers (3.0 MiB) come after the work pair is freed
+        fam = seven_map_family(1)
+        tracemalloc.start()
+        try:
+            affinity_dimension(fam, 0.3, SolverOptions(depth=8, tol=1e-9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11.5 * 2 ** 20
 
     def test_draws_alphas_one_at_a_time(self):
         def alphas():

@@ -82,6 +82,22 @@ class TestAffineMap2:
             for k in range(17):
                 assert np.allclose(batch[k], f.apply(pts[k]), atol=1e-14)
 
+    def test_rank_one_points_in_plain_floats(self):
+        # rho (x w0 + y w1) times v, plus t, each step one rounded float
+        # operation as in RankOneFactor.apply; the BLAS row product
+        # pts @ w, which may fuse multiply-adds, differed from x w0 + y w1
+        # on 6635 of these points with numpy 2.4 and OpenBLAS 0.3.31
+        rho, v_angle, w_angle, t = 0.45, 0.3, 0.7, (0.2, -0.1)
+        f = AffineMap2(RankOneFactor(rho, v_angle, w_angle), t)
+        pts = np.random.default_rng(21).uniform(-1.0, 1.0, size=(20_000, 2))
+        w0, w1 = math.cos(w_angle), math.sin(w_angle)
+        v0, v1 = math.cos(v_angle), math.sin(v_angle)
+        want = []
+        for x, y in pts.tolist():
+            c = rho * (x * w0 + y * w1)
+            want.append([c * v0 + t[0], c * v1 + t[1]])
+        assert f.apply_points(pts).tolist() == want
+
     def test_identity_map(self):
         assert np.allclose(_identity_map().apply((3.0, -4.0)), [3.0, -4.0])
 

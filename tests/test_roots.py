@@ -114,6 +114,39 @@ def test_log_sum_terms_within_the_stated_bound():
     assert worst <= 1.0, worst
 
 
+def test_sums_at_zero_equal_the_exp_path(monkeypatch):
+    # at s = 0 a log sum counts its terms and sums its logs with no exp
+    # pass; exp(0 L) = 1 for every finite L, so that is the exp path's
+    # value bit for bit, for the whole sum and for every group, empty
+    # groups included
+    rng = np.random.default_rng(17)
+    cases = []
+    for size in (1, 7, 128, 129, 1000, 40_001):
+        logs = -rng.exponential(20.0, size)
+        cuts = np.sort(rng.integers(0, size + 1, 12))
+        cases.append((logs, np.concatenate(([0, 0], cuts, [size, size]))))
+    exps = []
+    real_exp = np.exp
+    monkeypatch.setattr(dimension.np, "exp", lambda *a, **k: exps.append(a) or real_exp(*a, **k))
+    got = [(dimension._LogSum(logs)(0.0), dimension._LogSum(logs, bounds=b).groups(0.0))
+           for logs, b in cases]
+    assert exps == []
+    monkeypatch.undo()
+    for (logs, bounds), (whole, groups) in zip(cases, got):
+        terms = np.exp(0.0 * logs)
+        assert whole[0].hex() == float(np.sum(terms)).hex() == float(logs.size).hex()
+        assert whole[1].hex() == float(np.sum(terms * logs)).hex()
+        # the groups as the exp path sums them: one reduceat over the terms
+        live = np.flatnonzero(np.diff(bounds) > 0)
+        want = np.zeros((2, len(bounds) - 1))
+        want[0, live] = np.add.reduceat(terms, bounds[live])
+        want[1, live] = np.add.reduceat(terms * logs, bounds[live])
+        assert list(map(float.hex, groups.ravel().tolist())) == list(
+            map(float.hex, want.ravel().tolist())
+        )
+        assert (want[0, live] > 0.0).all() and (want[:, np.diff(bounds) == 0] == 0.0).all()
+
+
 def test_powers_within_four_ulp_of_mpmath():
     # partition_sum reports b**s sums, so this
     # build's power must stay close to correctly rounded; 20000 bases in
