@@ -87,6 +87,7 @@ def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
     starts a fresh orbit at the origin, so the clouds do not depend on
     how chunks are scheduled.
     """
+    _check_count(n_points, 1, "point count must be an integer >= 1")
     _check_count(seed, 0, "seed must be a nonnegative integer")
     _check_count(burn_in, 0, "burn-in must be a nonnegative integer")
     try:
@@ -118,8 +119,6 @@ def chaos_game(
     the cloud does not depend on how the chunks are scheduled. Raises
     BudgetError for a point count whose cloud cannot be allocated.
     """
-    if n_points < 1:
-        raise ConfigError("need at least one point")
     (points,) = _orbits([_map_table(fam.instantiate(alpha))], n_points, seed, burn_in)
     return PointCloud(points, seed, "chaos", n_points)
 
@@ -132,8 +131,7 @@ def cylinder_points(
     Each point sits within (product of letter norms) * attractor radius
     of a true attractor point.
     """
-    if depth < 1:
-        raise ConfigError("cylinder depth must be at least 1")
+    _check_count(depth, 1, "cylinder depth must be an integer >= 1")
     maps = fam.instantiate(alpha)
     if len(maps) ** depth > budget:
         raise BudgetError(
@@ -341,8 +339,8 @@ def box_dim_estimate(
     a NaN or infinite coordinate.
     """
     points = _checked_points(cloud)
-    if not 0 <= k_min < k_max:
-        raise ConfigError("need 0 <= k_min < k_max")
+    _check_count(k_min, 0, "need integers 0 <= k_min < k_max")
+    _check_count(k_max, k_min + 1, "need integers 0 <= k_min < k_max")
     ks = list(range(k_min, k_max + 1))
     if len(ks) < 3:
         raise ConfigError("need at least three scales for a fit")
@@ -400,7 +398,8 @@ def _svg_points(vertices: np.ndarray) -> str:
 def render_levels(fam: IfsFamily, alpha, U: ConvexBody, levels: int) -> str:
     """SVG drawing of the reference body and its cylinder bodies up to
     the requested level (1 to 3); swept segments are styled separately."""
-    if levels not in (1, 2, 3):
+    _check_count(levels, 1, "levels must be 1, 2 or 3")
+    if levels > 3:
         raise ConfigError("levels must be 1, 2 or 3")
     if U.kind != "polygon":
         raise ConfigError("render needs a polygon region")

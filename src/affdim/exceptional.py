@@ -27,7 +27,7 @@ from .errors import (
     NoSignChangeError,
     _check_count,
 )
-from .ifs import AffineMap2, IfsFamily, RankOneSite, Word, _map_table, compose_word
+from .ifs import AffineMap2, IfsFamily, RankOneSite, Word, _index, _map_table, compose_word
 from .linalg import unit_vector
 
 if TYPE_CHECKING:
@@ -333,8 +333,8 @@ def translation_series_gap(
         raise ConfigError("words must be nonempty")
     if not system:
         raise ConfigError("empty line-map system")
-    if any(not 0 <= w < len(system) for w in (*word_a, *word_b)):
-        raise ConfigError("word letters index the line-map system")
+    for w in (*word_a, *word_b):
+        _index(w, len(system), "word letter (letters index the line-map system)")
     max_lam = max(abs(g.lam) for g in system)
     if max_lam >= 1.0:
         raise ConfigError("line-map slopes must stay below 1 in magnitude")
@@ -371,8 +371,6 @@ def invariance_clouds(
     # imported here: the drop report and the line maps never sample
     from .attractor import PointCloud, _orbits
 
-    if n_points < 1:
-        raise ConfigError("need at least one point")
     reduced = exceptional_family(fam, alpha_star, j, i)
     # the full grouping is the reduced one with the removed word put back
     # at its lexicographic row

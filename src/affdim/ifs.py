@@ -10,6 +10,7 @@ index compositions, with factored rank-one parts preserved exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -21,6 +22,16 @@ from .linalg import Linear, LineDir, Mat2, RankOneFactor
 Word = Tuple[int, ...]
 
 _DET_FLOOR = 1e-12
+
+
+def _index(i, n: int, role: str) -> int:
+    """i, once checked to be an integer in 0..n-1: numpy integers pass,
+    bools and floats do not. The ConfigError names the index by its role."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ConfigError("%s must be an integer" % role)
+    if not 0 <= i < n:
+        raise ConfigError("%s out of range" % role)
+    return i
 
 
 def compose_linear(a: Linear, b: Linear) -> Linear:
@@ -214,17 +225,13 @@ class IfsFamily:
         return len(self.regular) + len(self.singular)
 
     def site(self, j: int) -> RankOneSite:
-        """Site j; ConfigError for an index outside 0..n_singular-1."""
-        if not 0 <= j < self.n_singular:
-            raise ConfigError("site index out of range")
-        return self.singular[j]
+        """Site j; ConfigError for anything but an integer in 0..n_singular-1."""
+        return self.singular[_index(j, self.n_singular, "site index")]
 
     def letter(self, i: int, role: str = "letter index") -> int:
-        """Letter i, once checked to lie in 0..n_maps-1; the ConfigError
-        names the index by its role."""
-        if not 0 <= i < self.n_maps:
-            raise ConfigError("%s out of range" % role)
-        return i
+        """Letter i, once checked to be an integer in 0..n_maps-1; the
+        ConfigError names the index by its role."""
+        return _index(i, self.n_maps, role)
 
     def singular_letter(self, j: int) -> int:
         self.site(j)

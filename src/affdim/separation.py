@@ -17,11 +17,19 @@ from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
-from .errors import AffdimError, ConfigError
-from .ifs import AffineMap2, IfsFamily, Word
+from .errors import AffdimError, ConfigError, _check_count
+from .ifs import AffineMap2, IfsFamily, Word, compose_linear
 from .linalg import LineDir, Mat2, RankOneFactor, unit_vector
 
 _PI = math.pi
+
+
+def _project(points: np.ndarray, d) -> np.ndarray:
+    """points . d row by row, for an (n, 2) array and a 2-vector or an
+    (n, 2) array. The two-term products are written out: a BLAS product
+    may fuse them into multiply-adds, tying the last bits to the build."""
+    d = np.asarray(d)
+    return points[:, 0] * d[..., 0] + points[:, 1] * d[..., 1]
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -118,8 +126,7 @@ def disk_polygon(center, radius: float, n: int = 64) -> ConvexBody:
     full disk is radius*(1 - cos(pi/n))."""
     if not 0.0 < radius < math.inf:
         raise ConfigError("disk needs a positive finite radius")
-    if n < 3:
-        raise ConfigError("disk polygon needs n >= 3")
+    _check_count(n, 3, "disk polygon needs an integer n >= 3")
     c = np.asarray(center, dtype=float)
     ang = 2.0 * _PI * np.arange(n) / n
     return ConvexBody.polygon(c + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
@@ -145,8 +152,8 @@ def _bodies_intersect(A: ConvexBody, B: ConvexBody) -> bool:
         # two degenerate points
         return bool(np.all(A.vertices[0] == B.vertices[0]))
     for ax in axes:
-        pa = A.vertices @ ax
-        pb = B.vertices @ ax
+        pa = _project(A.vertices, ax)
+        pb = _project(B.vertices, ax)
         if pa.max() < pb.min() or pb.max() < pa.min():
             return False
     return True
@@ -191,90 +198,42 @@ def _containment_margin(inner: ConvexBody, outer: ConvexBody) -> float:
 # --- direction sets mod pi ---------------------------------------------------
 
 
-def _interval_distance(t: float, lo: float, hi: float) -> float:
-    best = math.inf
-    for base in (t - _PI, t, t + _PI):
-        if lo <= base <= hi:
-            return 0.0
-        best = min(best, abs(base - lo), abs(base - hi))
-    return best
-
-
 @dataclass(frozen=True)
 class ArcSet:
-    """Closed angle intervals on directions mod pi.
+    """One closed arc of directions mod pi: start in [0, pi) and width.
 
-    Stored intervals satisfy 0 <= lo <= hi <= pi, sorted and disjoint;
-    an arc crossing the wrap point is split. Closedness is a
-    representation choice: membership exactly on a boundary counts as
-    inside, which is harmless because every consumer queries with a
-    positive margin.
+    A width of 0 is the empty arc. Closedness is a representation
+    choice: membership exactly on a boundary counts as inside, which is
+    harmless because every consumer queries with a positive margin.
     """
 
-    arcs: Tuple[Tuple[float, float], ...]
+    start: float
+    width: float
 
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[Tuple[float, float]]) -> "ArcSet":
-        pieces: List[Tuple[float, float]] = []
-        for lo, hi in intervals:
-            width = hi - lo
-            if width < 0.0:
-                raise ConfigError("arc interval with negative width")
-            if width >= _PI:
-                return cls(((0.0, _PI),))
-            lo = lo % _PI
-            hi = lo + width
-            if hi <= _PI:
-                pieces.append((lo, hi))
-            else:
-                pieces.append((lo, _PI))
-                pieces.append((0.0, hi - _PI))
-        pieces.sort()
-        merged: List[List[float]] = []
-        for lo, hi in pieces:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged))
-
-    @classmethod
-    def full(cls) -> "ArcSet":
-        return cls(((0.0, _PI),))
-
-    @classmethod
-    def empty(cls) -> "ArcSet":
-        return cls(())
+    @property
+    def arcs(self) -> Tuple[Tuple[float, float], ...]:
+        """The arc as sorted intervals in [0, pi]; an arc crossing the
+        wrap point is split in two."""
+        if self.width <= 0.0:
+            return ()
+        end = self.start + self.width
+        if end <= _PI:
+            return ((self.start, end),)
+        return ((0.0, end - _PI), (self.start, _PI))
 
     def measure(self) -> float:
         return sum(hi - lo for lo, hi in self.arcs)
 
-    def complement(self) -> "ArcSet":
-        if not self.arcs:
-            return ArcSet.full()
-        gaps = []
-        for k in range(len(self.arcs) - 1):
-            gaps.append((self.arcs[k][1], self.arcs[k + 1][0]))
-        # wrap gap from the last end around to the first start
-        wrap = (self.arcs[-1][1], self.arcs[0][0] + _PI)
-        if wrap[1] - wrap[0] > 0.0:
-            gaps.append(wrap)
-        return ArcSet.from_intervals(g for g in gaps if g[1] - g[0] > 0.0)
-
-    def contains(self, angle: float, margin: float = 0.0) -> bool:
-        """Membership mod pi, optionally with angular depth >= margin."""
-        t = angle % _PI
-        if not any(_interval_distance(t, lo, hi) == 0.0 for lo, hi in self.arcs):
-            return False
-        if margin <= 0.0:
-            return True
-        comp = self.complement()
-        if not comp.arcs:
-            return True
-        return min(_interval_distance(t, lo, hi) for lo, hi in comp.arcs) >= margin
+    def contains(self, angle, margin: float = 0.0):
+        """Membership mod pi with angular depth >= margin, for a scalar
+        angle or elementwise for an array of them."""
+        d = np.mod(np.subtract(angle, self.start), _PI)
+        inside = (d <= self.width) & (np.minimum(d, self.width - d) >= margin)
+        return inside & (self.width > 0.0)
 
     def sample(self, n: int) -> List[float]:
-        """n directions spread proportionally over the arcs' interiors."""
+        """n directions spread proportionally over the arc's interior,
+        walked from angle 0 through the intervals of arcs."""
         total = self.measure()
         if total == 0.0 or n <= 0:
             return []
@@ -297,31 +256,20 @@ def _direction_cone(points: np.ndarray) -> Tuple[float, float]:
     and the cone is their (width < pi) span.
     """
     hull = _convex_hull(points)
-    closest = None
-    dist = math.inf
     if len(hull) == 1:
-        closest, dist = hull[0], math.hypot(hull[0][0], hull[0][1])
+        closest = hull[0]
     else:
-        n = len(hull)
-        pairs = (
-            [(hull[0], hull[1])]
-            if n == 2
-            else [(hull[k], hull[(k + 1) % n]) for k in range(n)]
-        )
-        for a, b in pairs:
-            ab = b - a
-            den = float(ab @ ab)
-            t = 0.0 if den == 0.0 else min(1.0, max(0.0, float(-(a @ ab)) / den))
-            cp = a + t * ab
-            d = math.hypot(cp[0], cp[1])
-            if d < dist:
-                dist, closest = d, cp
-    if dist == 0.0:
+        # closest point of each hull edge; a two-point hull has one edge
+        a = hull if len(hull) > 2 else hull[:1]
+        ab = np.roll(hull, -1, axis=0)[: len(a)] - a
+        t = np.clip(-_project(a, ab) / _project(ab, ab), 0.0, 1.0)
+        cps = a + t[:, None] * ab
+        closest = cps[np.argmin(np.hypot(cps[:, 0], cps[:, 1]))]
+    if math.hypot(closest[0], closest[1]) == 0.0:
         raise ConfigError("direction cone undefined: the set meets the origin")
     ua = math.atan2(closest[1], closest[0])
     u = unit_vector(ua)
-    up = np.array([-u[1], u[0]])
-    rel = np.arctan2(hull @ up, hull @ u)
+    rel = np.arctan2(_project(hull, (-u[1], u[0])), _project(hull, u))
     return ua + float(np.min(rel)), ua + float(np.max(rel))
 
 
@@ -334,24 +282,29 @@ def admissible_projections(A: ConvexBody, B: ConvexBody) -> ArcSet:
 
     Projections overlap exactly when z is the direction of some
     difference a - b, so the answer is the complement of the direction
-    cone of the Minkowski difference. The cone is padded by 1e-12 rad
-    before complementing: the set is closed, so without the pad its
-    endpoints would claim the borderline directions that only touch.
+    cone of the Minkowski difference: one arc, from the cone's end to
+    its start. The cone is padded by 1e-12 rad on each side first: the
+    arc is closed, so without the pad its endpoints would claim the
+    borderline directions that only touch. A padded cone of width pi or
+    more leaves the empty arc.
     """
     if _body_distance(A, B) <= 0.0:
         raise ConfigError("bodies intersect; no separating projections exist")
     diffs = (A.vertices[:, None, :] - B.vertices[None, :, :]).reshape(-1, 2)
     lo, hi = _direction_cone(diffs)
-    padded = ArcSet.from_intervals([(lo - _CONE_SHAVE, hi + _CONE_SHAVE)])
-    return padded.complement()
+    lo, hi = lo - _CONE_SHAVE, hi + _CONE_SHAVE
+    if hi - lo >= _PI:
+        return ArcSet(0.0, 0.0)
+    # the cone from lo in [0, pi); the arc runs from its end round to lo + pi
+    lo, hi = lo % _PI, lo % _PI + (hi - lo)
+    return ArcSet(hi % _PI, lo + _PI - hi if hi <= _PI else lo - (hi - _PI))
 
 
 def projected_interval(body: ConvexBody, direction: Union[float, LineDir]) -> Tuple[float, float]:
     """Range of the body's projection onto the line orthogonal to the
     given direction."""
     ang = direction.angle if isinstance(direction, LineDir) else float(direction)
-    perp = np.array([-math.sin(ang), math.cos(ang)])
-    coords = body.vertices @ perp
+    coords = _project(body.vertices, (-math.sin(ang), math.cos(ang)))
     return float(np.min(coords)), float(np.max(coords))
 
 
@@ -365,7 +318,7 @@ def image_body(m: AffineMap2, U: ConvexBody) -> ConvexBody:
         raise ConfigError("image_body expects a polygon")
     if isinstance(m.linear, RankOneFactor):
         r = m.linear
-        coeff = r.rho * (U.vertices @ r.w())
+        coeff = r.rho * _project(U.vertices, r.w())
         v = r.v()
         return ConvexBody.segment(
             m.translation + float(np.min(coeff)) * v,
@@ -452,9 +405,9 @@ def projection_witness(
 
     Scans alpha over one full period of site j's row direction, mapping
     z(alpha) = (A_iword)^T w_j(alpha); returns the first alpha whose
-    direction falls in the admissible set with angular margin
+    direction falls in the admissible arc with angular margin
     _WITNESS_MARGIN. The grid starts at _WITNESS_GRID points and doubles
-    up to 2^16 points before giving up.
+    up to 2^16 points before giving up; each grid is scanned as arrays.
     """
     if fam.letter(k1) == fam.letter(k2):
         raise ConfigError("need two distinct letters to separate")
@@ -464,18 +417,21 @@ def projection_witness(
 
     prod = Mat2.identity()
     for letter in iword:
-        if not 0 <= letter < fam.n_regular:
+        if fam.letter(letter, "witness letter") >= fam.n_regular:
             raise ConfigError("witness word must use invertible letters only")
-        prod = prod @ fam.regular[letter].linear
-    pt = prod.transpose()
+        prod = compose_linear(prod, fam.regular[letter].linear)
 
     period = site.period
     n = _WITNESS_GRID
     while n <= (1 << 16):
-        for m_idx in range(n):
-            alpha = m_idx * period / n
-            z = pt.apply(unit_vector(site.w_angle(alpha)))
-            if admissible.contains(math.atan2(z[1], z[0]), margin=_WITNESS_MARGIN):
-                return alpha
+        alphas = np.arange(n) * period / n
+        rows = site.w_angle(alphas)
+        w0, w1 = np.cos(rows), np.sin(rows)
+        # z = A^T w, the two-term products written out
+        z0 = prod.a11 * w0 + prod.a21 * w1
+        z1 = prod.a12 * w0 + prod.a22 * w1
+        hits = np.flatnonzero(admissible.contains(np.arctan2(z1, z0), _WITNESS_MARGIN))
+        if len(hits):
+            return float(alphas[hits[0]])
         n *= 2
     raise AffdimError("no admissible direction found on the scan grid")

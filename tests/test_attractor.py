@@ -19,6 +19,7 @@ from affdim import (
     find_common_fixed_point_angle,
     hausdorff_distance,
     invariance_clouds,
+    disk_polygon,
     render_levels,
 )
 from affdim.attractor import (
@@ -538,6 +539,30 @@ class TestBoxCounting:
 
 
 SQUARE = ConvexBody.polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fam: chaos_game(fam, 0.0, 10.5, 1),
+        lambda fam: chaos_game(fam, 0.0, math.nan, 1),
+        lambda fam: invariance_clouds(fam, 0, 0, 0.3, 10.5, 1),
+        lambda fam: invariance_clouds(fam, 0, 0, 0.3, math.nan, 1),
+        lambda fam: cylinder_points(fam, 0.0, 2.5),
+        lambda fam: box_dim_estimate(chaos_game(fam, 0.0, 64, 1), k_min=4.0),
+        lambda fam: box_dim_estimate(chaos_game(fam, 0.0, 64, 1), k_max=12.0),
+        lambda fam: render_levels(fam, 0.0, SQUARE, 2.0),
+        lambda fam: render_levels(fam, 0.0, SQUARE, True),
+        lambda fam: disk_polygon((0.0, 0.0), 1.0, n=3.5),
+    ],
+    ids=[
+        "chaos-float", "chaos-nan", "clouds-float", "clouds-nan", "cylinder-depth",
+        "boxdim-kmin", "boxdim-kmax", "render-float", "render-bool", "disk-n",
+    ],
+)
+def test_non_integer_counts_rejected(call):
+    with pytest.raises(ConfigError):
+        call(drop_family())
 
 
 class TestLevelBodies:

@@ -12,13 +12,23 @@ from affdim import (
     RankOneSite,
     attractor_bound,
     check_irreducibility,
+    LineMap,
+    commutation_residual,
     compose_word,
+    dimension_drop,
+    disk_polygon,
+    exceptional_family,
+    find_common_fixed_point_angle,
+    fixed_point_gap,
+    line_map,
+    projection_witness,
+    translation_series_gap,
     unit_vector,
 )
 from affdim.errors import ConfigError, ContractionError
 from affdim.ifs import _identity_map, compose_linear
 
-from families import angle_gap, cantor_similarities, scalar_family
+from families import angle_gap, cantor_similarities, drop_family, scalar_family
 
 
 def random_linear(rng):
@@ -232,6 +242,56 @@ class TestIfsFamily:
         rank = maps[1].linear
         # row direction rotated to e2
         assert abs(float(rank.w() @ unit_vector(0.0))) < 1e-12
+
+
+LINE_SYSTEM = (LineMap(0.5, 0.0), LineMap(0.5, 1.0))
+DISK = disk_polygon((0.0, 0.0), 1.0)
+
+
+class TestIndices:
+    """Site and letter indices are integers: a float or a bool is a
+    ConfigError wherever it enters, never a silent lookup or a TypeError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam: fam.site(0.5),
+            lambda fam: fam.site(True),
+            lambda fam: fam.letter(1.0),
+            lambda fam: fam.letter(False, "companion letter"),
+            lambda fam: fam.singular_letter(0.0),
+            lambda fam: exceptional_family(fam, 0.3, 0, 0.5),
+            lambda fam: dimension_drop(fam, 0.5, 0),
+            lambda fam: find_common_fixed_point_angle(fam, 0, 0.5),
+            lambda fam: commutation_residual(fam, 0.3, 0, 1.0),
+            lambda fam: fixed_point_gap(fam, 0, 0.5, 0.3),
+            lambda fam: line_map(fam, 0, (0.5,), 0.0),
+            lambda fam: projection_witness(fam, DISK, (0.0,), 0, 0, 1),
+            lambda fam: projection_witness(fam, DISK, (), 0, 0, 1.0),
+            lambda fam: translation_series_gap(LINE_SYSTEM, (0, 1.0), (1,), 8),
+            lambda fam: translation_series_gap(LINE_SYSTEM, (0,), (True,), 8),
+        ],
+        ids=[
+            "site", "site-bool", "letter", "letter-bool", "singular_letter",
+            "exceptional_family", "dimension_drop", "angle_search",
+            "commutation_residual", "fixed_point_gap", "line_map",
+            "witness-iword", "witness-k2", "series-word_a", "series-word_b-bool",
+        ],
+    )
+    def test_non_integer_index_rejected(self, call):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            call(drop_family())
+
+    def test_numpy_integers_accepted(self):
+        fam = drop_family()
+        assert fam.site(np.int64(0)) is fam.singular[0]
+        assert fam.letter(np.int32(1)) == 1
+        assert projection_witness(fam, DISK, (np.int64(0),), 0, 0, 1) == projection_witness(
+            fam, DISK, (0,), 0, 0, 1
+        )
+        assert translation_series_gap(
+            LINE_SYSTEM, (np.int64(0),), (np.uint8(1),), 8
+        ) == translation_series_gap(LINE_SYSTEM, (0,), (1,), 8)
 
 
 class TestIrreducibility:

@@ -5,9 +5,12 @@ indices, and ``RankOneSite.period`` is the one place 2*pi/|beta| is
 computed. Any other module that writes out ``0 <= j < fam.n_singular``
 or ``abs(site.beta)`` again has grown a second copy of the idea.
 
-No module calls ``np.dot`` either: on 2-vectors it may fuse a
-multiply-add, so its last bits would depend on the BLAS build. Two-term
-products are written out instead.
+No module calls ``np.dot``, ``np.matmul``, ``np.inner`` or ``np.vdot``
+either, nor uses the ``@`` operator: on 2-vectors and (n, 2) arrays a
+BLAS product may fuse a multiply-add, so its last bits would depend on
+the BLAS build. Two-term products are written out instead. The one
+``@`` allowed is in ``ifs.py``, where ``compose_linear`` multiplies two
+``Mat2`` objects whose product ``Mat2.__matmul__`` writes out.
 """
 
 import ast
@@ -65,17 +68,29 @@ def test_indices_and_periods_are_owned_by_ifs():
     assert not found, "use IfsFamily.site/letter or RankOneSite.period: %s" % found
 
 
-def dot_calls(source):
-    """Lines of the np.dot and numpy.dot calls in the source, in order."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "dot"
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id in ("np", "numpy")
-    )
+BLAS_CALLS = {"dot", "matmul", "inner", "vdot"}
+
+
+def dot_calls(source, operator=True):
+    """Lines of the numpy dot, matmul, inner and vdot calls in the source,
+    and, unless operator is false, of each use of the @ operator, in order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in BLAS_CALLS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            found.append(node.lineno)
+        elif (
+            operator
+            and isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
 
 
 def test_dot_guard_flags_the_calls_it_forbids():
@@ -83,12 +98,22 @@ def test_dot_guard_flags_the_calls_it_forbids():
         "lam = site.rho * float(np.dot(w, x))\n"
         "offset = numpy.dot(w, y)\n"
         "fine = w[0] * x[0] + w[1] * x[1]\n"
+        "z = np.matmul(points, d)\n"
+        "s = np.inner(w, x) + numpy.vdot(w, y)\n"
+        "coords = body.vertices @ perp\n"
+        "prod @= a\n"
+        "also_fine = np.outer(w, x)\n"
     )
-    assert dot_calls(source) == [1, 2]
+    assert dot_calls(source) == [1, 2, 4, 5, 5, 6, 7]
+    assert dot_calls(source, operator=False) == [1, 2, 4, 5, 5]
 
 
 def test_no_module_calls_np_dot():
     modules = list(PACKAGE.glob("*.py"))
     assert len(modules) >= 9
-    found = {p.name: hits for p in modules if (hits := dot_calls(p.read_text()))}
+    found = {
+        p.name: hits
+        for p in modules
+        if (hits := dot_calls(p.read_text(), operator=p.name != OWNER))
+    }
     assert not found, "write the two-term products out: %s" % found

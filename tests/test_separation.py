@@ -26,6 +26,8 @@ from affdim.separation import (
     _body_distance,
     _containment_margin,
     _convex_hull,
+    _project,
+    _separating_axes,
     _swept_segment,
 )
 
@@ -191,53 +193,55 @@ class TestContainmentMargin:
 
 class TestArcSet:
     def test_wrap_splits(self):
-        arcs = ArcSet.from_intervals([(-0.2, 0.3)])
-        assert len(arcs.arcs) == 2
+        arcs = ArcSet(math.pi - 0.2, 0.5)
+        assert arcs.arcs == ((0.0, pytest.approx(0.3)), (math.pi - 0.2, math.pi))
         assert arcs.measure() == pytest.approx(0.5)
         assert arcs.contains(0.0)
         assert arcs.contains(math.pi - 0.1)
         assert not arcs.contains(1.0)
-
-    def test_merging(self):
-        arcs = ArcSet.from_intervals([(0.1, 0.4), (0.3, 0.6), (1.0, 1.2)])
-        assert arcs.arcs == ((0.1, 0.6), (1.0, 1.2))
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ConfigError):
-            ArcSet.from_intervals([(0.5, 0.4)])
-
-    def test_width_at_least_pi_is_full(self):
-        arcs = ArcSet.from_intervals([(0.3, 0.3 + math.pi)])
-        assert arcs.arcs == ((0.0, math.pi),)
-
-    def test_complement_roundtrip(self):
-        arcs = ArcSet.from_intervals([(0.5, 1.0), (2.0, 2.5)])
-        comp = arcs.complement()
-        assert comp.measure() + arcs.measure() == pytest.approx(math.pi)
-        again = comp.complement()
-        assert all(
-            lo1 == pytest.approx(lo2) and hi1 == pytest.approx(hi2)
-            for (lo1, hi1), (lo2, hi2) in zip(arcs.arcs, again.arcs)
-        )
-        assert ArcSet.full().complement().measure() == 0.0
-        assert ArcSet.empty().complement().arcs == ((0.0, math.pi),)
+        assert ArcSet(1.0, 0.5).arcs == ((1.0, 1.5),)
 
     def test_contains_margin(self):
-        arcs = ArcSet.from_intervals([(1.0, 2.0)])
+        arcs = ArcSet(1.0, 1.0)
         assert arcs.contains(1.5, margin=0.49)
         assert not arcs.contains(1.5, margin=0.51)
         # membership works mod pi
         assert arcs.contains(1.5 + math.pi)
         assert arcs.contains(1.5 - math.pi, margin=0.4)
+        # the wrap point is no boundary for the depth either
+        wrapped = ArcSet(math.pi - 0.2, 0.5)
+        assert wrapped.contains(0.05, margin=0.24)
+        assert not wrapped.contains(0.05, margin=0.26)
+
+    def test_contains_takes_arrays(self):
+        arcs = ArcSet(math.pi - 0.2, 0.5)
+        angles = np.array([0.0, 0.05, 1.0, math.pi - 0.1, -0.15, 0.29])
+        for margin in (0.0, 0.1):
+            got = arcs.contains(angles, margin)
+            assert got.tolist() == [arcs.contains(t, margin) for t in angles]
+        assert arcs.contains(angles, 0.1).tolist() == [True, True, False, True, False, False]
 
     def test_sample(self):
-        arcs = ArcSet.from_intervals([(0.5, 1.0), (2.0, 2.5)])
-        pts = arcs.sample(8)
-        assert len(pts) == 8
+        # the pieces are walked from 0: first (0, 0.3), then (pi - 0.2, pi)
+        arcs = ArcSet(math.pi - 0.2, 0.5)
+        pts = arcs.sample(5)
+        assert pts == pytest.approx([0.05, 0.15, 0.25, math.pi - 0.15, math.pi - 0.05])
         assert all(arcs.contains(t) for t in pts)
-        # spread across both arcs
-        assert any(t < 1.0 for t in pts) and any(t > 2.0 for t in pts)
-        assert ArcSet.empty().sample(4) == []
+        assert ArcSet(0.5, 1.0).sample(4) == pytest.approx([0.625, 0.875, 1.125, 1.375])
+
+    def test_empty_arc(self):
+        empty = ArcSet(0.0, 0.0)
+        assert empty.arcs == ()
+        assert empty.measure() == 0.0
+        assert empty.sample(4) == []
+        assert not empty.contains(0.0)
+        assert not empty.contains(np.linspace(-1.0, 4.0, 11)).any()
+        # a padded cone of width pi or more leaves no admissible direction
+        A = ConvexBody.segment((-1.0, 0.0), (1.0, 0.0))
+        B = ConvexBody.segment((0.0, 1e-13), (0.0, 1.0))
+        arcs = admissible_projections(A, B)
+        assert arcs.measure() == 0.0 and arcs.sample(4) == []
+        assert not arcs.contains(math.pi / 2)
 
 
 def brute_difference_cone(A, B):
@@ -302,6 +306,54 @@ class TestProjectedInterval:
     def test_accepts_line_dir(self):
         body = square_at(0, 0)
         assert projected_interval(body, LineDir(0.0)) == projected_interval(body, 0.0)
+
+
+def plain_products(points, d):
+    """points . d in Python floats: each product and the sum rounded once,
+    with no fused multiply-add."""
+    return [float(x) * float(d[0]) + float(y) * float(d[1]) for x, y in points]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def random_polygons(seed, count=30):
+    rng = np.random.default_rng(seed)
+    return [
+        disk_polygon(rng.uniform(-3.0, 3.0, size=2), rng.uniform(0.1, 4.0))
+        for _ in range(count)
+    ]
+
+
+class TestWrittenOutProjections:
+    """The projections behind the separation decisions are the plain
+    two-term float form in every bit, whatever BLAS numpy was built on."""
+
+    def test_projected_interval(self):
+        rng = np.random.default_rng(3)
+        for body in random_polygons(1):
+            t = float(rng.uniform(-4.0, 4.0))
+            coords = plain_products(body.vertices, (-math.sin(t), math.cos(t)))
+            assert hexes(projected_interval(body, t)) == hexes((min(coords), max(coords)))
+
+    def test_rank_one_image_coefficients(self):
+        fam = drop_family()
+        site = fam.singular[0]
+        v = unit_vector(site.v_angle)
+        for k, body in enumerate(random_polygons(2)):
+            m = fam.instantiate(0.37 * k)[fam.n_regular]
+            coeff = [site.rho * c for c in plain_products(body.vertices, m.linear.w())]
+            want = [site.translation + c * v for c in (min(coeff), max(coeff))]
+            assert hexes(image_body(m, body).vertices.ravel()) == hexes(np.ravel(want))
+
+    def test_sat_projections(self):
+        bodies = random_polygons(4, count=10) + [ConvexBody.segment((0.3, -1.7), (2.9, 0.4))]
+        for A, B in zip(bodies, bodies[1:] + bodies[:1]):
+            for ax in _separating_axes(A) + _separating_axes(B):
+                assert hexes(_project(A.vertices, ax)) == hexes(
+                    plain_products(A.vertices, ax)
+                )
 
 
 class TestImageBody:
