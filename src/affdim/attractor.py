@@ -8,6 +8,7 @@ counter fits a slope to the occupied-cell growth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -19,6 +20,9 @@ from .separation import ConvexBody, family_bodies, image_body
 
 _CHAOS_CHUNK = 1 << 15
 _SCAN_BLOCK = 64
+# Hausdorff distance: x-order neighbours per bound, exact strips before the KD-tree
+_WINDOW = 8
+_REFINE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,30 +197,67 @@ def _directed_distance(keys, z, other_keys, other_z) -> float:
 
     A point the other cloud holds too is at distance exactly 0: it is
     found by its key and confirmed by its coordinates, and only the rest
-    are queried. One the lookup misses (its key collides, or it differs
-    only in the sign of a zero) is queried and gives that 0 all the same.
-    """
-    # imported here: scipy.spatial would take most of every CLI start-up
-    from scipy.spatial import cKDTree
+    are searched. One the lookup misses (its key collides, or it differs
+    only in the sign of a zero) is searched and gives that 0 all the same.
 
+    The rest are pruned by upper bounds (Taha and Hanbury, IEEE TPAMI
+    2015). A point's bound b is its least squared distance to the _WINDOW
+    points around its place in the other side's x order. The points of
+    largest b are settled, largest first, as least squared distances over
+    the x-strip |x - p_x| <= r, until the next b is at most the largest
+    settled value e: every point left has a squared distance at most its
+    b <= e. Points whose b still exceeds e after _REFINE strips are
+    queried against a KD-tree in x order.
+
+    Every squared distance is the float dx*dx + dy*dy the KD-tree takes,
+    so the result is the one a query of every point gives, bit for bit,
+    if each strip holds every point whose float value is at most b.
+    Adding dy*dy >= 0 rounds to at least fl(dx*dx), so fl(dx*dx) <= b:
+    while dx*dx is normal, |dx| <= sqrt(b (1 + u)) for the unit roundoff
+    u, and below that |dx| < 2^-511. The exact |x - p_x| is within 1 + u
+    of |dx| and fl(sqrt(b)) loses one more, so r = fl(sqrt(b)) (1 + 2^-50)
+    + 2^-510 covers them all, and monotone rounding of its ends keeps them.
+    """
     rest = z[np.take(other_z, np.searchsorted(other_keys, keys), mode="clip") != z]
     if len(rest) == 0:
         return 0.0
-    tree = cKDTree(other_z.view(np.float64).reshape(-1, 2))
-    return float(np.max(tree.query(rest.view(np.float64).reshape(-1, 2))[0]))
+    rest, other = (c[np.argsort(c.real)] for c in (rest, other_z))
+    px, py, ox, oy = (np.ascontiguousarray(a) for a in (rest.real, rest.imag, other.real, other.imag))
+    at = np.searchsorted(ox, px)
+    bound, best = np.full(len(rest), np.inf), 0.0
+    # far apart points overflow to an infinite distance, as in the KD-tree
+    with np.errstate(over="ignore"):
+        for k in range(-_WINDOW // 2, _WINDOW // 2):
+            near = np.clip(at + k, 0, len(ox) - 1)
+            dx, dy = px - ox[near], py - oy[near]
+            np.minimum(bound, dx * dx + dy * dy, out=bound)
+        top = np.argpartition(bound, max(len(rest) - _REFINE, 0))[-_REFINE:]
+        for i in top[np.argsort(bound[top])[::-1]]:
+            if bound[i] <= best:
+                break
+            r = math.sqrt(bound[i]) * (1.0 + 2.0 ** -50) + 2.0 ** -510
+            lo, hi = np.searchsorted(ox, px[i] - r, "left"), np.searchsorted(ox, px[i] + r, "right")
+            dx, dy = px[i] - ox[lo:hi], py[i] - oy[lo:hi]
+            bound[i] = np.min(dx * dx + dy * dy)
+            best = max(best, bound[i])
+    left = bound > best
+    if not left.any():
+        return math.sqrt(best)
+    # imported here: scipy.spatial would take most of every CLI start-up
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(np.column_stack((ox, oy)))
+    return max(math.sqrt(best), float(np.max(tree.query(np.column_stack((px[left], py[left])))[0])))
 
 
 def hausdorff_distance(a, b) -> float:
     """Exact symmetric Hausdorff distance between two point sets.
 
-    Only the distinct points of each cloud that the other cloud lacks
-    are queried against a KD-tree of the other cloud's distinct points
-    (chaos-game clouds of the coupled orbits repeat most of their points
-    and share most of the rest). A dropped point adds an exact 0, and
-    each pair distance is computed the same way whatever the tree shape,
-    so the result is the one the full clouds give, bit for bit. Raises
-    ConfigError for an empty cloud, a shape other than (n, 2), or a NaN
-    or infinite coordinate.
+    Each cloud is cut to its distinct points, which drops only exact
+    zeros, and each directed distance searches only the points the other
+    cloud lacks (see _directed_distance); the result is the one the full
+    clouds give, bit for bit. Raises ConfigError for an empty cloud, a
+    shape other than (n, 2), or a NaN or infinite coordinate.
     """
     ka, za = _keyed_points(a)
     kb, zb = _keyed_points(b)

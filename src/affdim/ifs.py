@@ -34,36 +34,37 @@ def _index(i, n: int, role: str) -> int:
     return i
 
 
+def _factored(rho: float, v_angle: float, w_angle: float) -> Linear:
+    """RankOneFactor(rho, v_angle, w_angle), or the dense zero map when
+    rho is 0: an exact collapse, or a product that underflows."""
+    if rho == 0.0:
+        return Mat2(0.0, 0.0, 0.0, 0.0)
+    return RankOneFactor(rho, v_angle, w_angle)
+
+
 def compose_linear(a: Linear, b: Linear) -> Linear:
     """Linear part of the composition a after b, keeping rank-one maps factored.
 
     A product touching a rank-one factor is again rank-one (or zero); the
     factored result carries the exact scalar rho and the two unit angles,
     so conditional norms of long words never pass through a nearly
-    singular dense matrix. An exact collapse returns the dense zero map.
+    singular dense matrix. A product whose rho is 0, by an exact collapse
+    or by underflow, returns the dense zero map.
     """
     if isinstance(a, Mat2) and isinstance(b, Mat2):
         return a @ b
     if isinstance(a, RankOneFactor) and isinstance(b, Mat2):
         # rho v w^T B = rho |B^T w| * v (unit)^T
         btw = b.transpose().apply(a.w())
-        n = math.hypot(btw[0], btw[1])
-        if n == 0.0:
-            return Mat2(0.0, 0.0, 0.0, 0.0)
-        return RankOneFactor(a.rho * n, a.v_angle, math.atan2(btw[1], btw[0]))
+        return _factored(a.rho * math.hypot(btw[0], btw[1]), a.v_angle, math.atan2(btw[1], btw[0]))
     if isinstance(a, Mat2) and isinstance(b, RankOneFactor):
         av = a.apply(b.v())
-        n = math.hypot(av[0], av[1])
-        if n == 0.0:
-            return Mat2(0.0, 0.0, 0.0, 0.0)
-        return RankOneFactor(b.rho * n, math.atan2(av[1], av[0]), b.w_angle)
+        return _factored(b.rho * math.hypot(av[0], av[1]), math.atan2(av[1], av[0]), b.w_angle)
     # rank-one after rank-one: rho1 rho2 <w1, v2> * v1 w2^T
     w1, v2 = a.w(), b.v()
     c = w1[0] * v2[0] + w1[1] * v2[1]
-    if c == 0.0:
-        return Mat2(0.0, 0.0, 0.0, 0.0)
     w_angle = b.w_angle + (math.pi if c < 0.0 else 0.0)
-    return RankOneFactor(a.rho * b.rho * abs(c), a.v_angle, w_angle)
+    return _factored(a.rho * b.rho * abs(c), a.v_angle, w_angle)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import ConfigError
+
 _WRAP_TOL = 1e-12
 
 
@@ -34,6 +36,8 @@ class LineDir:
     angle: float
 
     def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise ConfigError("a line angle must be finite, got %r" % (self.angle,))
         a = self.angle % math.pi
         if a >= math.pi - _WRAP_TOL:
             a = 0.0
@@ -43,8 +47,8 @@ class LineDir:
     def from_vector(cls, v) -> "LineDir":
         v = np.asarray(v, dtype=float)
         n = math.hypot(v[0], v[1])
-        if n == 0.0:
-            raise ValueError("zero vector has no direction")
+        if not n > 0.0:
+            raise ConfigError("a line direction needs a nonzero vector, got %r" % (v.tolist(),))
         return cls(math.atan2(v[1], v[0]))
 
     def unit(self) -> np.ndarray:
@@ -81,7 +85,7 @@ class Mat2:
     def from_array(cls, arr) -> "Mat2":
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (2, 2):
-            raise ValueError("expected a 2x2 array")
+            raise ConfigError("expected a 2x2 array, got shape %s" % (arr.shape,))
         return cls(arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1])
 
     def as_array(self) -> np.ndarray:
@@ -142,8 +146,10 @@ class RankOneFactor:
     w_angle: float
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("rank-one factor needs rho > 0")
+        if not 0.0 < self.rho < math.inf:
+            raise ConfigError("rank-one factor needs a finite rho > 0, got %r" % (self.rho,))
+        if not (math.isfinite(self.v_angle) and math.isfinite(self.w_angle)):
+            raise ConfigError("rank-one factor needs finite angles")
 
     def v(self) -> np.ndarray:
         return unit_vector(self.v_angle)

@@ -233,9 +233,11 @@ class ArcSet:
 
     def sample(self, n: int) -> List[float]:
         """n directions spread proportionally over the arc's interior,
-        walked from angle 0 through the intervals of arcs."""
+        walked from angle 0 through the intervals of arcs. ConfigError
+        unless n is an integer >= 0."""
+        _check_count(n, 0, "sample count must be an integer >= 0")
         total = self.measure()
-        if total == 0.0 or n <= 0:
+        if total == 0.0 or n == 0:
             return []
         out = []
         for k in range(n):

@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affdim
 from affdim import (
     AffineMap2,
     ConvexBody,
@@ -370,6 +375,89 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == self.all_pairs(a, b)
         assert hausdorff_distance(b, a) == self.all_pairs(a, b)
         assert hausdorff_distance(a, b) > 0.0
+
+    def test_underflowing_squares(self):
+        # dx*dx rounds to 0 for the tiny x, so the two points are at float
+        # distance 0 although |dx| > 0: a strip of half-width sqrt(0) would
+        # leave the nearest point out
+        base = [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (2.2250738585072014e-308, 0.0)]
+        for a, b in [(base, base[:1]), (base[3:], base[:1]), (base[3:] * 2 + base[:1], base[1:3])]:
+            assert hausdorff_distance(a, b) == self.all_pairs(a, b) == 0.0
+            assert hausdorff_distance(b, a) == 0.0
+
+    def test_overflowing_squares_are_infinite(self):
+        # as in the KD-tree, and without numpy's overflow warnings
+        rng = np.random.default_rng(8)
+        far = rng.uniform(-1.0, 1.0, size=(40, 2)) * 1.5e308
+        for a, b in [([(1e200, 0.0)], [(-1e200, 0.0)]), (far, far[::2] * -1.0), (far, [(0.0, 0.0)])]:
+            assert hausdorff_distance(a, b) == hausdorff_distance(b, a) == math.inf
+
+    @pytest.fixture
+    def trees(self, monkeypatch):
+        """The sizes of the KD-trees that hausdorff_distance builds."""
+        import scipy.spatial
+
+        built, tree = [], scipy.spatial.cKDTree
+
+        def counted(data, *args, **kwargs):
+            built.append(len(data))
+            return tree(data, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+        return built
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_independent_clouds_take_the_tree(self, trees, seed):
+        # x-order neighbours bound the distances of independent clouds
+        # poorly, so most points are left to the KD-tree
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(size=(300, 2)), rng.uniform(size=(400, 2))
+        assert hausdorff_distance(a, b) == self.all_pairs(a, b)
+        assert hausdorff_distance(b, a) == self.all_pairs(a, b)
+        assert sorted(trees) == [300, 300, 400, 400]
+
+    @pytest.mark.parametrize("x", [0.0, -0.3, 1e6])
+    def test_vertical_lines_take_the_tree(self, trees, x):
+        # every x is equal: the window and the strips see no order at all
+        rng = np.random.default_rng(4)
+        a = np.column_stack((np.full(200, x), rng.uniform(size=200)))
+        b = np.column_stack((np.full(150, x), rng.uniform(size=150) ** 2))
+        assert hausdorff_distance(a, b) == self.all_pairs(a, b)
+        assert hausdorff_distance(b, a) == self.all_pairs(a, b)
+        assert trees
+
+    def test_jittered_copy_settles_without_the_tree(self, trees):
+        # each point's nearest is its own jittered copy, next to it in x
+        rng = np.random.default_rng(6)
+        a = rng.uniform(size=(2000, 2))
+        b = a + rng.normal(scale=1e-9, size=a.shape)
+        assert hausdorff_distance(a, b) == self.all_pairs(a, b)
+        assert hausdorff_distance(b, a) == self.all_pairs(a, b)
+        assert trees == []
+
+    def test_coupled_clouds_leave_scipy_spatial_out(self):
+        # the benchmark's coupled clouds settle from their x-order
+        # neighbours; an independent pair after them loads scipy.spatial
+        src = str(Path(affdim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from affdim import find_common_fixed_point_angle, hausdorff_distance, invariance_clouds",
+            "from families import wide_family",
+            "fam = wide_family()",
+            "alpha = find_common_fixed_point_angle(fam, 0, 0)",
+            "full, reduced = invariance_clouds(fam, 0, 0, alpha, 200_000, 1, 64)",
+            "print(0.0 < hausdorff_distance(full, reduced) <= 1e-9, 'scipy.spatial' in sys.modules)",
+            "rng = np.random.default_rng(1)",
+            "hausdorff_distance(rng.uniform(size=(500, 2)), rng.uniform(size=(500, 2)))",
+            "print('scipy.spatial' in sys.modules)",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert out.stdout.split() == ["True", "False", "True"]
 
     @pytest.mark.parametrize("bad", BAD_CLOUDS)
     def test_bad_clouds_rejected(self, bad):

@@ -69,6 +69,26 @@ class TestComposeLinear:
         assert isinstance(out, Mat2)
         assert out.singular_values() == (0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (RankOneFactor(1e-200, 0.3, 1.1), Mat2(1e-200, 0.0, 0.0, 1e-200)),
+            (Mat2(1e-200, 0.0, 0.0, 1e-200), RankOneFactor(1e-200, 0.3, 1.1)),
+            (RankOneFactor(1e-200, 0.3, 1.1), RankOneFactor(1e-200, 1.1, 0.4)),
+        ],
+    )
+    def test_underflowing_rho_gives_the_dense_zero(self, a, b):
+        # rho 1e-400 underflows to 0, which RankOneFactor rejects
+        out = compose_linear(a, b)
+        assert out == Mat2(0.0, 0.0, 0.0, 0.0)
+
+    def test_long_words_underflow_to_the_dense_zero(self):
+        # letter 1 is rank one: its 500-fold product raised an untyped
+        # ValueError, while the dense letter's underflowed to the zero Mat2
+        maps = drop_family().instantiate(0.3)
+        for letter in (0, 1):
+            assert compose_word(maps, (letter,) * 500).linear == Mat2(0.0, 0.0, 0.0, 0.0)
+
     def test_second_singular_value_exactly_zero(self):
         dense = Mat2(0.3, 0.1, -0.2, 0.4)
         rank = RankOneFactor(0.5, 0.3, 1.1)

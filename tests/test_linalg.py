@@ -12,6 +12,7 @@ from affdim import (
     singular_values,
     unit_vector,
 )
+from affdim.errors import ConfigError
 from affdim.linalg import batch_singular_values
 
 from families import angle_gap
@@ -116,6 +117,30 @@ class TestRankOneFactor:
     def test_rho_validation(self):
         with pytest.raises(Exception):
             RankOneFactor(-0.1, 0.0, 0.0)
+
+
+BAD_VALUES = {
+    "negative-rho": lambda: RankOneFactor(-0.1, 0.0, 0.0),
+    "zero-rho": lambda: RankOneFactor(0.0, 0.0, 0.0),
+    "nan-rho": lambda: RankOneFactor(math.nan, 0.0, 0.0),
+    "inf-rho": lambda: RankOneFactor(math.inf, 0.0, 0.0),
+    "nan-v-angle": lambda: RankOneFactor(0.5, math.nan, 0.0),
+    "inf-w-angle": lambda: RankOneFactor(0.5, 0.0, math.inf),
+    "nan-line": lambda: LineDir(math.nan),
+    "inf-line": lambda: LineDir(-math.inf),
+    "zero-vector": lambda: LineDir.from_vector((0.0, 0.0)),
+    "nan-vector": lambda: LineDir.from_vector((math.nan, 1.0)),
+    "1x3-array": lambda: Mat2.from_array([[1.0, 2.0, 3.0]]),
+    "3x3-array": lambda: Mat2.from_array(np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("make", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_values_raise_config_error(make):
+    # each raised a bare ValueError, or (NaN and inf rho, NaN angles) was
+    # accepted
+    with pytest.raises(ConfigError):
+        make()
 
 
 class TestConditionalNorm:

@@ -11,6 +11,12 @@ BLAS product may fuse a multiply-add, so its last bits would depend on
 the BLAS build. Two-term products are written out instead. The one
 ``@`` allowed is in ``ifs.py``, where ``compose_linear`` multiplies two
 ``Mat2`` objects whose product ``Mat2.__matmul__`` writes out.
+
+No module imports scipy when it is loaded: ``scipy.spatial`` alone adds
+tens of MB and a large share of a CLI start-up. Its one import is the
+KD-tree fallback of the Hausdorff distance, inside
+``attractor._directed_distance``, reached only when the x-order bounds
+leave points unsettled.
 """
 
 import ast
@@ -117,3 +123,63 @@ def test_no_module_calls_np_dot():
         if (hits := dot_calls(p.read_text(), operator=p.name != OWNER))
     }
     assert not found, "write the two-term products out: %s" % found
+
+
+def scipy_imports(source):
+    """(line, function) for each import of scipy or a scipy module, in
+    order; function names the innermost enclosing def, None at module
+    level (class bodies and if blocks included)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_scipy_guard_flags_the_imports_it_forbids():
+    source = (
+        "import numpy as np, scipy\n"
+        "from scipy.spatial import cKDTree\n"
+        "if fast:\n"
+        "    import scipy.linalg as la\n"
+        "import scipyx\n"
+        "from .scipy import helper\n"
+        "def _directed_distance(z):\n"
+        "    from scipy.spatial import cKDTree\n"
+        "    return cKDTree(z)\n"
+        "class Sampler:\n"
+        "    from scipy import stats\n"
+    )
+    assert scipy_imports(source) == [
+        (1, None),
+        (2, None),
+        (4, None),
+        (8, "_directed_distance"),
+        (11, None),
+    ]
+
+
+def test_scipy_spatial_only_in_the_hausdorff_fallback():
+    modules = list(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = {p.name: hits for p in modules if (hits := scipy_imports(p.read_text()))}
+    assert {name: [f for _, f in hits] for name, hits in found.items()} == {
+        "attractor.py": ["_directed_distance"]
+    }, "import scipy only in the Hausdorff fallback: %s" % found
+    (line, _), = found["attractor.py"]
+    text = (PACKAGE / "attractor.py").read_text().splitlines()[line - 1]
+    assert text.strip() == "from scipy.spatial import cKDTree"

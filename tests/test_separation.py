@@ -229,6 +229,13 @@ class TestArcSet:
         assert all(arcs.contains(t) for t in pts)
         assert ArcSet(0.5, 1.0).sample(4) == pytest.approx([0.625, 0.875, 1.125, 1.375])
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, -1, True, "4"])
+    def test_sample_count_must_be_a_count(self, n):
+        # 2.5 raised a bare TypeError from range, and -1 returned []
+        for arcs in (ArcSet(0.5, 1.0), ArcSet(0.0, 0.0)):
+            with pytest.raises(ConfigError):
+                arcs.sample(n)
+
     def test_empty_arc(self):
         empty = ArcSet(0.0, 0.0)
         assert empty.arcs == ()
