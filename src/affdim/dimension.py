@@ -395,7 +395,7 @@ def _site_table(
     return rows, off
 
 
-def _site_sums(rows, off, spec: AnchoredSumSpec, work=None, exact: bool = False):
+def _site_sums(rows, off, spec: AnchoredSumSpec, exact: bool = False):
     """The anchored sum F(s) over the words of length at most
     spec.max_len, factored at the rank-one letters, from the factor logs
     of a _site_table.
@@ -411,8 +411,7 @@ def _site_sums(rows, off, spec: AnchoredSumSpec, work=None, exact: bool = False)
     factor, and a plain _LogSum over that array is the sum; otherwise a
     _SiteSums multiplies the group sums out. Either way evaluation
     returns (F, F', err, slope_err), and F(0) counts the nonzero terms
-    exactly. work, when given, holds the logs in its first row and is
-    the exp buffer in its second, each at least as long as the terms.
+    exactly.
     """
     n = spec.max_len
     inner = sorted(spec.allowed)
@@ -420,17 +419,14 @@ def _site_sums(rows, off, spec: AnchoredSumSpec, work=None, exact: bool = False)
     caps = _segment_caps(spec)[np.ix_(sites, sites)]
     groups = [(m, i, k) for m in range(n + 1) for (i, k), cap in np.ndenumerate(caps) if m <= cap]
     bounds = np.cumsum([0] + [off[m + 1] - off[m] for m, _, _ in groups])
-    logs, buf = (None, None) if work is None else work[:, : bounds[-1]]
-    logs = np.concatenate(
-        [rows[sites[i], sites[k]][off[m] : off[m + 1]] for m, i, k in groups], out=logs
-    )
+    logs = np.concatenate([rows[sites[i], sites[k]][off[m] : off[m + 1]] for m, i, k in groups])
     if logs.min(initial=0.0) == -np.inf:
         keep = logs > -np.inf
         bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
         logs = logs[keep]
     if not inner:
-        return _LogSum(logs, buf=buf)
-    terms = _LogSum(logs, bounds=bounds, buf=buf)
+        return _LogSum(logs)
+    terms = _LogSum(logs, bounds=bounds)
     return _SiteSums(terms, groups, sites.index(spec.end), len(inner), exact)
 
 
@@ -681,8 +677,7 @@ def _affinity_brackets(
     The invertible-part bracket, the walk of the regular products and
     the segment caps do not depend on alpha, so they are made once,
     before the first alpha is drawn; each alpha then costs one factor
-    table, one pair of log and exp buffers that the anchors take in turn,
-    and the anchors' roots.
+    table and the anchors' roots.
     """
     if fam.n_singular < 1:
         raise ConfigError("affinity bracket needs at least one rank-one site")
@@ -699,17 +694,11 @@ def _affinity_brackets(
     n, K = opts.depth, fam.n_singular
     _check_word_budget(fam.n_maps - 1, n, opts)
     specs = [_anchor_spec(fam, j, n) for j in range(K)]
-    anchor_caps = [_segment_caps(spec) for spec in specs]
-    caps = np.max(anchor_caps, axis=0)
-    # an anchor has at most off[c + 1] terms per segment cap c
-    off = walk[2]
-    terms = max(sum(off[c + 1] for c in a[a >= 0].tolist()) for a in anchor_caps)
+    caps = np.max([_segment_caps(spec) for spec in specs], axis=0)
     for alpha in alphas:
-        rows, _ = _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), caps, walk)
-        # the anchors take turns with one pair of log and exp buffers
-        work = np.empty((2, terms))
+        rows, off = _site_table(*_site_vectors(fam.instantiate(alpha)[fam.n_regular :]), caps, walk)
         per = {
-            j: _anchor_bracket(fam, _site_sums(rows, off, spec, work), j, n, opts.tol)
+            j: _anchor_bracket(fam, _site_sums(rows, off, spec), j, n, opts.tol)
             for j, spec in enumerate(specs)
         }
         lower = max(min(1.0, p.lower) for p in per.values())

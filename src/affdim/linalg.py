@@ -19,6 +19,18 @@ from .errors import ConfigError
 _WRAP_TOL = 1e-12
 
 
+def _float_array(value, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape; ConfigError for
+    anything else, strings and ragged lists included."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("expected numbers, got %r" % (value,)) from None
+    if arr.shape != shape:
+        raise ConfigError("expected an array of shape %s, got shape %s" % (shape, arr.shape))
+    return arr
+
+
 def unit_vector(angle: float) -> np.ndarray:
     """Unit vector (cos angle, sin angle)."""
     return np.array([math.cos(angle), math.sin(angle)])
@@ -45,7 +57,7 @@ class LineDir:
 
     @classmethod
     def from_vector(cls, v) -> "LineDir":
-        v = np.asarray(v, dtype=float)
+        v = _float_array(v, (2,))
         n = math.hypot(v[0], v[1])
         if not n > 0.0:
             raise ConfigError("a line direction needs a nonzero vector, got %r" % (v.tolist(),))
@@ -83,9 +95,9 @@ class Mat2:
 
     @classmethod
     def from_array(cls, arr) -> "Mat2":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (2, 2):
-            raise ConfigError("expected a 2x2 array, got shape %s" % (arr.shape,))
+        arr = _float_array(arr, (2, 2))
+        if not np.isfinite(arr).all():
+            raise ConfigError("matrix entries must be finite, got %r" % (arr.tolist(),))
         return cls(arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1])
 
     def as_array(self) -> np.ndarray:

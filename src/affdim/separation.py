@@ -10,10 +10,11 @@ separate the same pairs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -25,11 +26,11 @@ _PI = math.pi
 
 
 def _project(points: np.ndarray, d) -> np.ndarray:
-    """points . d row by row, for an (n, 2) array and a 2-vector or an
-    (n, 2) array. The two-term products are written out: a BLAS product
-    may fuse them into multiply-adds, tying the last bits to the build."""
+    """points . d over the last axis, broadcast: (n, 2) points against
+    a 2-vector, an (n, 2) array or (k, 1, 2) axes. The two-term products
+    are written out: a BLAS product may fuse them into multiply-adds."""
     d = np.asarray(d)
-    return points[:, 0] * d[..., 0] + points[:, 1] * d[..., 1]
+    return points[..., 0] * d[..., 0] + points[..., 1] * d[..., 1]
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -62,19 +63,7 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = (b[0] - a[0], b[1] - a[1])
-    ap = (p[0] - a[0], p[1] - a[1])
-    den = ab[0] * ab[0] + ab[1] * ab[1]
-    if den == 0.0:
-        return math.hypot(*ap)
-    t = min(1.0, max(0.0, (ap[0] * ab[0] + ap[1] * ab[1]) / den))
-    return math.hypot(ap[0] - t * ab[0], ap[1] - t * ab[1])
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +98,6 @@ class ConvexBody:
     def segment(cls, p0, p1) -> "ConvexBody":
         return cls("segment", np.array([p0, p1], dtype=float))
 
-    def edges(self) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
-        v = self.vertices
-        if self.kind == "segment":
-            yield v[0], v[1]
-            return
-        for k in range(len(v)):
-            yield v[k], v[(k + 1) % len(v)]
-
     def max_vertex_norm(self) -> float:
         return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
 
@@ -132,67 +113,73 @@ def disk_polygon(center, radius: float, n: int = 64) -> ConvexBody:
     return ConvexBody.polygon(c + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
 
-def _separating_axes(body: ConvexBody) -> List[np.ndarray]:
-    axes = []
-    for a, b in body.edges():
-        d = b - a
-        n = math.hypot(d[0], d[1])
-        if n == 0.0:
-            continue
-        axes.append(np.array([-d[1] / n, d[0] / n]))
-        if body.kind == "segment":
-            # a segment's endcaps separate along its own direction
-            axes.append(np.array([d[0] / n, d[1] / n]))
-    return axes
+def _edges(body: ConvexBody) -> Tuple[np.ndarray, np.ndarray]:
+    """(starts, directions) as (m, 2) arrays: one edge for a segment,
+    one per side for a polygon, each side from a vertex to the next."""
+    v = body.vertices
+    starts = v[:1] if body.kind == "segment" else v
+    return starts, np.roll(v, -1, axis=0)[: len(starts)] - starts
+
+
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """math.hypot of each row: np.hypot can differ from it in the last
+    bit, which would move certificate bytes."""
+    return np.fromiter(map(math.hypot, d[:, 0], d[:, 1]), float, len(d))
+
+
+def _separating_axes(body: ConvexBody) -> np.ndarray:
+    """Unit normals of the body's nonzero edges, then for a segment its
+    own direction too, since its endcaps separate along it."""
+    d = _edges(body)[1]
+    n = _lengths(d)
+    d, n = d[n != 0.0], n[n != 0.0, None]
+    axes = np.stack([-d[:, 1], d[:, 0]], axis=1) / n
+    return np.concatenate([axes, d / n]) if body.kind == "segment" else axes
 
 
 def _bodies_intersect(A: ConvexBody, B: ConvexBody) -> bool:
-    axes = _separating_axes(A) + _separating_axes(B)
-    if not axes:
+    axes = np.concatenate([_separating_axes(A), _separating_axes(B)])[:, None, :]
+    if not len(axes):
         # two degenerate points
         return bool(np.all(A.vertices[0] == B.vertices[0]))
-    for ax in axes:
-        pa = _project(A.vertices, ax)
-        pb = _project(B.vertices, ax)
-        if pa.max() < pb.min() or pb.max() < pa.min():
-            return False
-    return True
+    pa, pb = _project(A.vertices, axes), _project(B.vertices, axes)
+    apart = (pa.max(axis=1) < pb.min(axis=1)) | (pb.max(axis=1) < pa.min(axis=1))
+    return not apart.any()
+
+
+def _edge_offsets(points: np.ndarray, body: ConvexBody) -> np.ndarray:
+    """(edges, points, 2) offsets of the points from the closest point of
+    each edge of the body; a zero-length edge gives the offset from its
+    start."""
+    a, ab = (e[:, None, :] for e in _edges(body))
+    ap = points - a
+    den = _project(ab, ab)
+    t = np.divide(_project(ap, ab), den, out=np.zeros(ap.shape[:2]), where=den > 0.0)
+    return ap - np.clip(t, 0.0, 1.0)[..., None] * ab
 
 
 def _body_distance(A: ConvexBody, B: ConvexBody) -> float:
     """Euclidean distance between two convex bodies; 0 when they meet."""
     if _bodies_intersect(A, B):
         return 0.0
-    best = math.inf
-    for p in A.vertices:
-        for a, b in B.edges():
-            best = min(best, _point_segment_distance(p, a, b))
-    for p in B.vertices:
-        for a, b in A.edges():
-            best = min(best, _point_segment_distance(p, a, b))
-    return best
+    off = np.concatenate([_edge_offsets(A.vertices, B), _edge_offsets(B.vertices, A)], axis=None)
+    return float(_lengths(off.reshape(-1, 2)).min())
 
 
 def _containment_margin(inner: ConvexBody, outer: ConvexBody) -> float:
     """Smallest signed distance of inner's vertices to outer's boundary.
 
     Positive means strictly inside; convexity makes vertex checks cover
-    the whole body.
+    the whole body. Each edge's row is reduced on its own and the edges
+    are folded in order, which fixes the sign of a zero margin.
     """
     if outer.kind != "polygon":
         raise ConfigError("containment needs a polygon on the outside")
-    v = outer.vertices
-    margin = math.inf
-    for k in range(len(v)):
-        a = v[k]
-        d = v[(k + 1) % len(v)] - a
-        n = math.hypot(d[0], d[1])
-        # signed distance to the edge line, positive on the interior side
-        sd = (
-            d[0] * (inner.vertices[:, 1] - a[1]) - d[1] * (inner.vertices[:, 0] - a[0])
-        ) / n
-        margin = min(margin, float(np.min(sd)))
-    return margin
+    a, d = _edges(outer)
+    p = inner.vertices - a[:, None, :]
+    # signed distance to each edge line, positive on the interior side
+    sd = (d[:, None, 0] * p[..., 1] - d[:, None, 1] * p[..., 0]) / _lengths(d)[:, None]
+    return min(math.inf, *np.min(sd, axis=1).tolist())
 
 
 # --- direction sets mod pi ---------------------------------------------------
@@ -205,10 +192,15 @@ class ArcSet:
     A width of 0 is the empty arc. Closedness is a representation
     choice: membership exactly on a boundary counts as inside, which is
     harmless because every consumer queries with a positive margin.
+    ConfigError unless start is in [0, pi) and width in [0, pi].
     """
 
     start: float
     width: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.start < _PI and 0.0 <= self.width <= _PI):
+            raise ConfigError("an arc needs a start in [0, pi) and a width in [0, pi]")
 
     @property
     def arcs(self) -> Tuple[Tuple[float, float], ...]:
@@ -380,12 +372,8 @@ def check_convex_separation(fam: IfsFamily, U: ConvexBody) -> SeparationCertific
     bodies = family_bodies(fam, U)
     margins = [_containment_margin(b, U) for b in bodies]
     contained = tuple(m >= 0.0 for m in margins)
-    min_dist = math.inf
-    for a in range(len(bodies)):
-        for b in range(a + 1, len(bodies)):
-            min_dist = min(min_dist, _body_distance(bodies[a], bodies[b]))
-    if len(bodies) < 2:
-        min_dist = math.inf
+    pairs = itertools.combinations(bodies, 2)
+    min_dist = min(itertools.starmap(_body_distance, pairs), default=math.inf)
     passed = all(contained) and min_dist > 0.0
     return SeparationCertificate(contained, min_dist, min(margins), passed)
 

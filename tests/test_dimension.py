@@ -446,8 +446,9 @@ class TestAffinityBrackets:
 
     def test_memory_peak_of_the_seven_map_bracket(self):
         # the largest arrays are the walk's one buffer (3.3 MiB), the site
-        # table (3.0 MiB) and its work pair (4.0 MiB); the anchors' shared
-        # log and exp buffers (3.0 MiB) come after the work pair is freed
+        # table (3.0 MiB) and its work pair (4.0 MiB); each anchor's own
+        # log and exp arrays (3.0 MiB) come after the work pair is freed,
+        # and go before the next anchor builds its own
         fam = seven_map_family(1)
         tracemalloc.start()
         try:

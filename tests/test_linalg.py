@@ -132,13 +132,16 @@ BAD_VALUES = {
     "nan-vector": lambda: LineDir.from_vector((math.nan, 1.0)),
     "1x3-array": lambda: Mat2.from_array([[1.0, 2.0, 3.0]]),
     "3x3-array": lambda: Mat2.from_array(np.eye(3)),
+    "short-vector": lambda: LineDir.from_vector((1.0,)),
+    "string-array": lambda: Mat2.from_array("ab"),
+    "nan-entry": lambda: Mat2.from_array([[1, 2], [3, math.nan]]),
 }
 
 
 @pytest.mark.parametrize("make", BAD_VALUES.values(), ids=BAD_VALUES.keys())
 def test_bad_values_raise_config_error(make):
-    # each raised a bare ValueError, or (NaN and inf rho, NaN angles) was
-    # accepted
+    # each raised a bare ValueError or IndexError, or (NaN and inf rho,
+    # NaN angles, a NaN matrix entry) was accepted
     with pytest.raises(ConfigError):
         make()
 

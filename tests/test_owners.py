@@ -5,10 +5,11 @@ indices, and ``RankOneSite.period`` is the one place 2*pi/|beta| is
 computed. Any other module that writes out ``0 <= j < fam.n_singular``
 or ``abs(site.beta)`` again has grown a second copy of the idea.
 
-No module calls ``np.dot``, ``np.matmul``, ``np.inner`` or ``np.vdot``
-either, nor uses the ``@`` operator: on 2-vectors and (n, 2) arrays a
-BLAS product may fuse a multiply-add, so its last bits would depend on
-the BLAS build. Two-term products are written out instead. The one
+No module calls ``np.dot``, ``np.matmul``, ``np.inner``, ``np.vdot``,
+``np.einsum`` or ``np.tensordot`` either, nor uses the ``@`` operator:
+on 2-vectors and (n, 2) arrays a BLAS product may fuse a multiply-add,
+so its last bits would depend on the BLAS build; einsum and tensordot
+can route a product through BLAS dot. Two-term products are written out instead. The one
 ``@`` allowed is in ``ifs.py``, where ``compose_linear`` multiplies two
 ``Mat2`` objects whose product ``Mat2.__matmul__`` writes out.
 
@@ -74,12 +75,12 @@ def test_indices_and_periods_are_owned_by_ifs():
     assert not found, "use IfsFamily.site/letter or RankOneSite.period: %s" % found
 
 
-BLAS_CALLS = {"dot", "matmul", "inner", "vdot"}
+BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot"}
 
 
 def dot_calls(source, operator=True):
-    """Lines of the numpy dot, matmul, inner and vdot calls in the source,
-    and, unless operator is false, of each use of the @ operator, in order."""
+    """Lines of the numpy calls named in BLAS_CALLS in the source, and,
+    unless operator is false, of each use of the @ operator, in order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (
@@ -109,9 +110,12 @@ def test_dot_guard_flags_the_calls_it_forbids():
         "coords = body.vertices @ perp\n"
         "prod @= a\n"
         "also_fine = np.outer(w, x)\n"
+        "y = np.einsum('ij,nj->ni', a, points)\n"
+        "g = numpy.tensordot(a, b, axes=1)\n"
+        "ok = np.einsum_path('ij,jk', a, b)\n"
     )
-    assert dot_calls(source) == [1, 2, 4, 5, 5, 6, 7]
-    assert dot_calls(source, operator=False) == [1, 2, 4, 5, 5]
+    assert dot_calls(source) == [1, 2, 4, 5, 5, 6, 7, 9, 10]
+    assert dot_calls(source, operator=False) == [1, 2, 4, 5, 5, 9, 10]
 
 
 def test_no_module_calls_np_dot():

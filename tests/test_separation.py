@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from affdim import (
     AffineMap2,
@@ -23,6 +25,7 @@ from affdim import (
 from affdim.errors import AffdimError, ConfigError
 from affdim.linalg import unit_vector
 from affdim.separation import (
+    _bodies_intersect,
     _body_distance,
     _containment_margin,
     _convex_hull,
@@ -191,6 +194,155 @@ class TestContainmentMargin:
             _containment_margin(square_at(0, 0), ConvexBody.segment((0, 0), (5, 5)))
 
 
+# --- the scalar loops the edge arrays replaced, kept as a reference ----------
+
+
+def scalar_edges(body):
+    v = body.vertices
+    if body.kind == "segment":
+        return [(v[0], v[1])]
+    return [(v[k], v[(k + 1) % len(v)]) for k in range(len(v))]
+
+
+def scalar_intersect(A, B):
+    axes = []
+    for body in (A, B):
+        for a, b in scalar_edges(body):
+            d = b - a
+            n = math.hypot(d[0], d[1])
+            if n == 0.0:
+                continue
+            axes.append(np.array([-d[1] / n, d[0] / n]))
+            if body.kind == "segment":
+                axes.append(np.array([d[0] / n, d[1] / n]))
+    if not axes:
+        return bool(np.all(A.vertices[0] == B.vertices[0]))
+    for ax in axes:
+        pa = np.array(plain_products(A.vertices, ax))
+        pb = np.array(plain_products(B.vertices, ax))
+        if pa.max() < pb.min() or pb.max() < pa.min():
+            return False
+    return True
+
+
+def scalar_point_segment_distance(p, a, b):
+    ab = (b[0] - a[0], b[1] - a[1])
+    ap = (p[0] - a[0], p[1] - a[1])
+    den = ab[0] * ab[0] + ab[1] * ab[1]
+    if den == 0.0:
+        return math.hypot(*ap)
+    t = min(1.0, max(0.0, (ap[0] * ab[0] + ap[1] * ab[1]) / den))
+    return math.hypot(ap[0] - t * ab[0], ap[1] - t * ab[1])
+
+
+def scalar_distance(A, B):
+    if scalar_intersect(A, B):
+        return 0.0
+    best = math.inf
+    for p in A.vertices:
+        for a, b in scalar_edges(B):
+            best = min(best, scalar_point_segment_distance(p, a, b))
+    for p in B.vertices:
+        for a, b in scalar_edges(A):
+            best = min(best, scalar_point_segment_distance(p, a, b))
+    return best
+
+
+def scalar_margin(inner, outer):
+    margin = math.inf
+    for a, b in scalar_edges(outer):
+        d = b - a
+        n = math.hypot(d[0], d[1])
+        sd = (d[0] * (inner.vertices[:, 1] - a[1]) - d[1] * (inner.vertices[:, 0] - a[0])) / n
+        margin = min(margin, float(np.min(sd)))
+    return margin
+
+
+# small integers make exact contacts and signed zeros; floats the rest
+COORDS = st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0, allow_subnormal=False)
+POINTS = st.tuples(COORDS, COORDS)
+
+
+@st.composite
+def bodies(draw):
+    kind = draw(st.sampled_from(["polygon", "segment", "point"]))
+    if kind == "point":
+        p = draw(POINTS)
+        return ConvexBody.segment(p, p)
+    if kind == "segment":
+        return ConvexBody.segment(draw(POINTS), draw(POINTS))
+    try:
+        return ConvexBody.polygon(draw(st.lists(POINTS, min_size=3, max_size=7)))
+    except ConfigError:
+        assume(False)
+
+
+def moved(body, shift):
+    v = body.vertices + shift
+    return ConvexBody.segment(*v) if body.kind == "segment" else ConvexBody.polygon(v)
+
+
+@st.composite
+def body_pairs(draw):
+    """Two bodies, the second often moved so that one of its vertices
+    lands on a vertex of the first: touching or overlapping pairs."""
+    A, B = draw(bodies()), draw(bodies())
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(A.vertices) - 1))
+        j = draw(st.integers(0, len(B.vertices) - 1))
+        try:
+            B = moved(B, A.vertices[i] - B.vertices[j])
+        except ConfigError:
+            assume(False)
+    return A, B
+
+
+# a point on a triangle's vertex (0, 0)
+ON_A_VERTEX = (
+    ConvexBody.segment((0.0, 0.0), (0.0, 0.0)),
+    ConvexBody.polygon([(-1.0, 0.0), (0.0, 0.0), (-1.0, 1.0)]),
+)
+# two points whose distance np.hypot rounds one ulp away from math.hypot
+HYPOT_SPLIT = (
+    ConvexBody.segment((0.0, 0.0), (0.0, 0.0)),
+    ConvexBody.segment((0.04, 0.49), (0.04, 0.49)),
+)
+
+
+class TestEdgeArraysMatchTheScalarLoops:
+    """The broadcasts over edges x vertices give the scalar loops' floats
+    in every bit, the sign of a zero margin included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(body_pairs())
+    @example(ON_A_VERTEX)
+    @example(HYPOT_SPLIT)
+    def test_distance_and_margin(self, pair):
+        A, B = pair
+        assert _bodies_intersect(A, B) == scalar_intersect(A, B)
+        assert _body_distance(A, B).hex() == scalar_distance(A, B).hex()
+        for inner, outer in ((A, B), (B, A)):
+            if outer.kind == "polygon":
+                want = scalar_margin(inner, outer)
+                assert _containment_margin(inner, outer).hex() == want.hex()
+
+    def test_family_bodies(self):
+        regions = [disk_polygon((0.0, 0.0), r) for r in (0.5, 1.0, 2.0)]
+        for fam in (drop_family(), wide_family(), cantor_similarities()):
+            for U in regions:
+                found = family_bodies(fam, U)
+                for k, A in enumerate(found):
+                    assert _containment_margin(A, U).hex() == scalar_margin(A, U).hex()
+                    for B in found[k + 1 :]:
+                        assert _body_distance(A, B).hex() == scalar_distance(A, B).hex()
+
+    def test_zero_margin_keeps_the_first_edges_sign(self):
+        # the point sits on two edges: the first gives +0.0, the second
+        # -0.0, which a minimum over the whole edge x vertex array returned
+        inner, outer = ON_A_VERTEX
+        assert _containment_margin(inner, outer).hex() == "0x0.0p+0"
+
+
 class TestArcSet:
     def test_wrap_splits(self):
         arcs = ArcSet(math.pi - 0.2, 0.5)
@@ -235,6 +387,15 @@ class TestArcSet:
         for arcs in (ArcSet(0.5, 1.0), ArcSet(0.0, 0.0)):
             with pytest.raises(ConfigError):
                 arcs.sample(n)
+
+    @pytest.mark.parametrize(
+        "start, width", [(0.0, 5.0), (math.nan, 1.0), (0.0, math.inf), (-1.0, 0.5)]
+    )
+    def test_bad_arcs_raise_config_error(self, start, width):
+        # measured 5.0 and nan, sampled [inf, inf] and gave the arc
+        # (-1.0, -0.5)
+        with pytest.raises(ConfigError):
+            ArcSet(start, width)
 
     def test_empty_arc(self):
         empty = ArcSet(0.0, 0.0)
@@ -357,10 +518,12 @@ class TestWrittenOutProjections:
     def test_sat_projections(self):
         bodies = random_polygons(4, count=10) + [ConvexBody.segment((0.3, -1.7), (2.9, 0.4))]
         for A, B in zip(bodies, bodies[1:] + bodies[:1]):
-            for ax in _separating_axes(A) + _separating_axes(B):
-                assert hexes(_project(A.vertices, ax)) == hexes(
-                    plain_products(A.vertices, ax)
-                )
+            # the axes of both bodies, broadcast as _bodies_intersect does
+            axes = np.concatenate([_separating_axes(A), _separating_axes(B)])
+            for body in (A, B):
+                rows = _project(body.vertices, axes[:, None, :])
+                for ax, row in zip(axes, rows):
+                    assert hexes(row) == hexes(plain_products(body.vertices, ax))
 
 
 class TestImageBody:
