@@ -170,22 +170,35 @@ def _checked_points(cloud) -> np.ndarray:
 _KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _keyed_points(cloud) -> Tuple[np.ndarray, np.ndarray]:
+def _keyed_points(cloud, index_bits: int) -> Tuple[np.ndarray, np.ndarray]:
     """The points of a _checked_points cloud, each viewed as one complex
     number, sorted by a key mixed from their bits with repeats dropped;
     and those keys.
 
-    Points with equal bits have equal keys, so they end up adjacent and
-    all but the first are dropped. Points that differ but share a key can
-    interleave, and points that differ only in the sign of a zero have
-    different keys; either leaves a repeat behind, which costs only work.
+    The key is ((x bits * MIX) ^ y bits) * MIX with its low bits, at
+    least index_bits and enough to count the rows, replaced by the row
+    index, so one np.sort orders the points and its low bits read off
+    their order; they are cleared again after, so two clouds keyed with
+    the same index_bits give a point they share the same key. Points
+    with equal bits have equal keys above the index, so they end up
+    adjacent and all but the first are dropped. The second multiply
+    carries every bit of the coordinates into the high bits, so distinct
+    points rarely share them; those that do can interleave, and points
+    that differ only in the sign of a zero have different keys; either
+    leaves a repeat behind, which costs only work.
     """
     pts = _checked_points(cloud)
     bits = pts.view(np.uint64)
     keys = bits[:, 0] * _KEY_MIX
     keys ^= bits[:, 1]
-    order = np.argsort(keys)
-    keys, z = keys[order], np.take(pts.view(np.complex128).ravel(), order)
+    keys *= _KEY_MIX
+    low = np.uint64((1 << max(index_bits, (len(pts) - 1).bit_length())) - 1)
+    keys &= ~low
+    keys |= np.arange(len(pts), dtype=np.uint64)
+    keys.sort()
+    order = (keys & low).astype(np.intp)
+    keys &= ~low
+    z = np.take(pts.view(np.complex128).ravel(), order)
     keep = np.ones(len(z), dtype=bool)
     keep[1:] = z[1:] != z[:-1]
     return keys[keep], z[keep]
@@ -259,8 +272,10 @@ def hausdorff_distance(a, b) -> float:
     clouds give, bit for bit. Raises ConfigError for an empty cloud, a
     shape other than (n, 2), or a NaN or infinite coordinate.
     """
-    ka, za = _keyed_points(a)
-    kb, zb = _keyed_points(b)
+    a, b = _checked_points(a), _checked_points(b)
+    index_bits = max(1, (max(len(a), len(b)) - 1).bit_length())
+    ka, za = _keyed_points(a, index_bits)
+    kb, zb = _keyed_points(b, index_bits)
     return max(_directed_distance(ka, za, kb, zb), _directed_distance(kb, zb, ka, za))
 
 

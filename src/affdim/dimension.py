@@ -129,6 +129,9 @@ class _LogSum:
     lose less than the smallest normal float each, far inside err where
     F is near 1.
 
+    value(s) returns (F, err) alone from the same exp pass, without the
+    slope's product and sum; err is the same on both paths.
+
     Given group bounds, groups(s) returns instead the sums of terms and
     of slopes of every group, one np.add.reduceat over the same terms, so
     the number of numpy calls does not grow with the number of groups.
@@ -166,6 +169,9 @@ class _LogSum:
             buf += self.offsets
         return np.exp(buf, out=buf)
 
+    def _rel(self, s: float) -> float:
+        return (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
+
     def __call__(self, s: float) -> Tuple[float, float, float, float]:
         buf = self._terms(s)
         if buf is None:
@@ -174,22 +180,30 @@ class _LogSum:
             F = float(np.sum(buf))
             buf *= self.logs
             dF = float(np.sum(buf))
-        rel = (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
+        rel = self._rel(s)
         return F, dF, rel * F, rel * self._log_max * F
 
-    def groups(self, s: float) -> np.ndarray:
+    def value(self, s: float) -> Tuple[float, float]:
+        buf = self._terms(s)
+        F = float(self.logs.size) if buf is None else float(np.sum(buf))
+        return F, self._rel(s) * F
+
+    def groups(self, s: float, slopes: bool = True) -> np.ndarray:
         """Sums of the terms and of their slopes in each group, the logs
-        between consecutive bounds given at construction, as two rows."""
-        sums = np.zeros((2, self._groups))
+        between consecutive bounds given at construction, as two rows;
+        without slopes, the first row alone."""
+        sums = np.zeros((2 if slopes else 1, self._groups))
         if self._live.size:
             buf = self._terms(s)
             if buf is None:
                 sums[0, self._live] = self._sizes
-                sums[1, self._live] = np.add.reduceat(self.logs, self._starts)
+                if slopes:
+                    sums[1, self._live] = np.add.reduceat(self.logs, self._starts)
             else:
                 sums[0, self._live] = np.add.reduceat(buf, self._starts)
-                buf *= self.logs
-                sums[1, self._live] = np.add.reduceat(buf, self._starts)
+                if slopes:
+                    buf *= self.logs
+                    sums[1, self._live] = np.add.reduceat(buf, self._starts)
         return sums
 
 
@@ -204,13 +218,16 @@ def _log_sum(bases, logs=None, buf=None) -> _LogSum:
 
 
 def _convex_root(
-    evaluate, lo: float, tol: float, hi: float = math.inf
+    evaluate, lo: float, tol: float, hi: float = math.inf, value=None
 ) -> Optional[Tuple[float, float]]:
     """Bracket [a, b] of the root of g = F - 1, convex and nonincreasing.
 
     evaluate(s) returns (F, F', err, slope_err) as _LogSum does; F - err
     >= 1 certifies g >= 0 at s, F + err < 1 certifies g < 0, and between
-    them s is undecided. The caller knows g(lo) >= 0 and, when hi is
+    them s is undecided. Only the Newton iterates read slopes; every
+    other sign test (the probe of b, the widening and the bisection)
+    calls value(s), which returns (F, err) and defaults to entries 0 and
+    2 of evaluate(s). The caller knows g(lo) >= 0 and, when hi is
     finite, g(hi) < 0. Newton steps on log F, which is convex too, start
     at lo and never pass the root; one step solves a single exponential
     exactly, and each decided iterate becomes lo or hi. They stop once a
@@ -227,10 +244,11 @@ def _convex_root(
     when no right end exists below _S_MAX.
     """
     cap = min(hi, _S_MAX)
+    value = value or (lambda s: evaluate(s)[0::2])
 
-    def probe(s, values=None) -> bool:
+    def probe(s, F_err=None) -> bool:
         nonlocal lo, hi
-        F, _, err, _ = values or evaluate(s)
+        F, err = F_err or value(s)
         if F - err >= 1.0:
             lo = s
         elif F + err < 1.0:
@@ -244,7 +262,7 @@ def _convex_root(
     for _ in range(_NEWTON_STEPS):
         x, values = r, evaluate(r)
         if lo < x < hi:
-            probe(x, values)
+            probe(x, values[0::2])
         F, dF, err, slope_err = values
         if not (F > 1.0 and dF < 0.0):
             break
@@ -449,6 +467,10 @@ class _SiteSums:
     + q n) + n + 2) u F bounds the rounding of F. Each term of F' is a
     value term times one of its at most n + 1 factor logs, rounded at
     most twice as often, so slope_err = 2 (n + 1) M err.
+
+    value(s) returns (F, err) alone: it takes only the group sums of the
+    terms and runs the program without slopes; err is the same on both
+    paths.
     """
 
     def __init__(self, terms: _LogSum, groups, e: int, q: int, exact: bool = False):
@@ -457,46 +479,70 @@ class _SiteSums:
         self._width = width = q + 1 + (e > 0)
         self._keys = np.array([(m * width + i) * width + k for m, i, k in groups], dtype=np.intp)
 
-    def _by_length(self, values, slopes) -> Tuple[List[float], List[float]]:
-        """Sums and slopes of the terms of each word length 0..max_len."""
-        n = self.max_len
-        size = (n + 1) * self._width ** 2
-        S, D = np.zeros(size), np.zeros(size)
-        S[self._keys], D[self._keys] = values, slopes
-        S = S.reshape(-1, self._width, self._width).tolist()
-        D = D.reshape(-1, self._width, self._width).tolist()
+    def _by_length(self, values, slopes=None) -> Tuple[List[float], Optional[List[float]]]:
+        """Sums of the terms of each word length 0..max_len, and their
+        slopes when slopes are given (else None)."""
+        n, w = self.max_len, self._width
         e, inner = self._e, range(1, self._q + 1)
+
+        def table(x):
+            T = np.zeros((n + 1) * w * w)
+            T[self._keys] = x
+            return T.reshape(-1, w, w).tolist()
+
+        S, D = table(values), None if slopes is None else table(slopes)
         # P[L - 1][b - 1]: words of length L from start that end in site letter b
         P, dP, E, dE = [], [], [], []
-
-        def extend(k, t):
-            # a segment of length k from start to t, or a prefix through a
-            # site letter at L <= k and then a segment of length k - L to t
-            x, dx = S[k][0][t], D[k][0][t]
-            for L, (p, dp) in enumerate(zip(P, dP), 1):
-                s, ds = S[k - L], D[k - L]
-                for b in inner:
-                    x += p[b - 1] * s[b][t]
-                    dx += dp[b - 1] * s[b][t] + p[b - 1] * ds[b][t]
-            return x, dx
-
         for k in range(n + 1):
-            x, dx = extend(k, e)
-            E.append(x)
-            dE.append(dx)
-            if k < n and inner:
-                ends = [extend(k, b) for b in inner]
-                P.append([x for x, _ in ends])
-                dP.append([dx for _, dx in ends])
-        return E, dE
+            # a word of length k to t is a segment from start, or a prefix
+            # through a site letter b at L <= k and then a segment of length
+            # k - L from b; the (L, b) parts serve every t in the same order
+            targets = (e, *inner) if k < n else (e,)
+            if D is None:
+                parts = [(p[b - 1], S[k - L][b]) for L, p in enumerate(P, 1) for b in inner]
+                ends = []
+                for t in targets:
+                    x = S[k][0][t]
+                    for p, s in parts:
+                        x += p * s[t]
+                    ends.append(x)
+            else:
+                parts = [
+                    (p[b - 1], dp[b - 1], S[k - L][b], D[k - L][b])
+                    for L, (p, dp) in enumerate(zip(P, dP), 1)
+                    for b in inner
+                ]
+                ends, d_ends = [], []
+                for t in targets:
+                    x, dx = S[k][0][t], D[k][0][t]
+                    for p, dp, s, ds in parts:
+                        x += p * s[t]
+                        dx += dp * s[t] + p * ds[t]
+                    ends.append(x)
+                    d_ends.append(dx)
+                dE.append(d_ends[0])
+                dP.append(d_ends[1:])
+            E.append(ends[0])
+            P.append(ends[1:])
+        return E, None if D is None else dE
+
+    def _total(self, by_length: List[float]) -> float:
+        return by_length[-1] if self._exact else math.fsum(by_length)
+
+    def _err(self, s: float, F: float) -> float:
+        n, M = self.max_len, self.terms._log_max
+        group = _ARG_ULPS * (abs(s) * M + 1.0) + _SUM_ULPS
+        return ((n + 1) * (group + self._q * n) + n + 2) * _U * F
 
     def __call__(self, s: float) -> Tuple[float, float, float, float]:
         E, dE = self._by_length(*self.terms.groups(s))
-        F, dF = (E[-1], dE[-1]) if self._exact else (math.fsum(E), math.fsum(dE))
-        n, M = self.max_len, self.terms._log_max
-        group = _ARG_ULPS * (abs(s) * M + 1.0) + _SUM_ULPS
-        err = ((n + 1) * (group + self._q * n) + n + 2) * _U * F
-        return F, dF, err, 2.0 * (n + 1) * M * err
+        F = self._total(E)
+        err = self._err(s, F)
+        return F, self._total(dE), err, 2.0 * (self.max_len + 1) * self.terms._log_max * err
+
+    def value(self, s: float) -> Tuple[float, float]:
+        F = self._total(self._by_length(*self.terms.groups(s, slopes=False))[0])
+        return F, self._err(s, F)
 
 
 def _anchored_table(fam: IfsFamily, alpha, spec: AnchoredSumSpec, opts: SolverOptions):
@@ -548,7 +594,7 @@ def _root_from_zero(sums, tol: float, hi: float = math.inf) -> Tuple[float, floa
                 "sum has no nonzero terms; its root degenerates to 0"
             )
         return 0.0, 0.0
-    root = _convex_root(lambda s: at_zero if s == 0.0 else sums(s), 0.0, tol, hi)
+    root = _convex_root(lambda s: at_zero if s == 0.0 else sums(s), 0.0, tol, hi, sums.value)
     if root is None:
         # terms are products of norms < 1, so this cannot trigger; guard anyway
         raise ConfigError("sum does not decay; family is not contracting")
@@ -577,39 +623,47 @@ def _anchor_upper(
     theta = _log_sum(letter_norms)
     log_rho = math.log(rho_anchor)
 
-    th, _, th_err, _ = theta(s_cap)
+    th, th_err = theta.value(s_cap)
     if th + th_err >= 1.0:
         return math.inf
 
     # first find where the tail bound becomes valid
-    s_theta = _convex_root(theta, 0.0, tol, s_cap)[1] if letter_norms else 0.0
+    s_theta = _convex_root(theta, 0.0, tol, s_cap, theta.value)[1] if letter_norms else 0.0
 
-    def tail(s):
-        th, d_th, th_err, _ = theta(s)
+    def tail(s, slopes=True):
+        if slopes:
+            th, d_th, th_err, _ = theta(s)
+        else:
+            th, th_err = theta.value(s)
         # head = rho^s theta^(n+1), differentiated without dividing by theta
         part = rho_anchor ** s * th ** max_len
         head = part * th
-        d_head = part * (th * log_rho + (max_len + 1) * d_th)
         q = 1.0 - th
         value = head / q
-        slope = d_head / q + head * d_th / (q * q)
         # theta's rounding enters n+1 times through the power and once through
         # 1/q; log rho and the letter logs are < 0, so it covers the slope too
         th_rel = th_err / th if th else 0.0
         rel = 2.0 * ((max_len + 8) * (th_rel + _U) + th_err / q)
+        if not slopes:
+            return value, rel * value
+        d_head = part * (th * log_rho + (max_len + 1) * d_th)
+        slope = d_head / q + head * d_th / (q * q)
         return value, slope, rel * value, -rel * slope
 
     def total(s):
         return tuple(x + y for x, y in zip(sums(s), tail(s)))
 
+    def total_value(s):
+        return tuple(x + y for x, y in zip(sums.value(s), tail(s, False)))
+
     # the sum is at least its tail and at least 1 at lower, so a point
     # where the tail alone still reaches 1 is a left point too; it is cheap
     # to find and lies past the steep rise of 1/(1 - theta) near s_theta
     start = max(s_theta, lower)
-    tail_root = _convex_root(tail, start, tol)
+    tail_root = _convex_root(tail, start, tol, value=lambda s: tail(s, False))
     if tail_root is not None:
         start = tail_root[0]
-    root = _convex_root(total, start, tol)
+    root = _convex_root(total, start, tol, value=total_value)
     return math.inf if root is None else max(root[1], lower)
 
 
@@ -800,14 +854,14 @@ def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float, sums=None) -> float:
         return 2.0
     if sums is None:
         sums = _log_sum(a1)
-    F, _, err, _ = sums(1.0)
+    F, err = sums.value(1.0)
     if F + err < 1.0:
         return _root_from_zero(sums, tol, 1.0)[1]
     # a1 a2^(s-1) = exp(log a1 - log a2 + s log a2); a zero a2 adds nothing past 1
     keep = (a1 > 0.0) & (a2 > 0.0)
     log_a2 = np.log(a2[keep])
     piece = _LogSum(log_a2, np.log(a1[keep]) - log_a2)
-    return _convex_root(piece, 1.0, tol, 2.0)[1]
+    return _convex_root(piece, 1.0, tol, 2.0, piece.value)[1]
 
 
 def partition_sum(

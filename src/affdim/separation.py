@@ -96,7 +96,10 @@ class ConvexBody:
 
     @classmethod
     def segment(cls, p0, p1) -> "ConvexBody":
-        return cls("segment", np.array([p0, p1], dtype=float))
+        ends = np.array([p0, p1], dtype=float)
+        if not np.isfinite(ends).all():
+            raise ConfigError("segment ends must be finite")
+        return cls("segment", ends)
 
     def max_vertex_norm(self) -> float:
         return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
@@ -171,7 +174,9 @@ def _containment_margin(inner: ConvexBody, outer: ConvexBody) -> float:
 
     Positive means strictly inside; convexity makes vertex checks cover
     the whole body. Each edge's row is reduced on its own and the edges
-    are folded in order, which fixes the sign of a zero margin.
+    are folded in order, which fixes the sign of a zero margin. A NaN
+    distance, from a body built directly with a NaN coordinate, gives
+    -inf, so such a body is never reported as contained.
     """
     if outer.kind != "polygon":
         raise ConfigError("containment needs a polygon on the outside")
@@ -179,7 +184,10 @@ def _containment_margin(inner: ConvexBody, outer: ConvexBody) -> float:
     p = inner.vertices - a[:, None, :]
     # signed distance to each edge line, positive on the interior side
     sd = (d[:, None, 0] * p[..., 1] - d[:, None, 1] * p[..., 0]) / _lengths(d)[:, None]
-    return min(math.inf, *np.min(sd, axis=1).tolist())
+    rows = np.min(sd, axis=1)
+    if np.isnan(rows).any():
+        return -math.inf
+    return min(math.inf, *rows.tolist())
 
 
 # --- direction sets mod pi ---------------------------------------------------

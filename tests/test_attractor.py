@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affdim
+import affdim.attractor as attractor
 from affdim import (
     AffineMap2,
     ConvexBody,
@@ -348,7 +349,7 @@ class TestHausdorff:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p1, p2 = self.colliding_pair(rng)
-            keys, distinct = _keyed_points([p1, p2])
+            keys, distinct = _keyed_points([p1, p2], 1)
             assert len(distinct) == 2 and keys[0] == keys[1]
             q = tuple(rng.uniform(-1.0, 1.0, 2))
             for a, b in [
@@ -359,6 +360,34 @@ class TestHausdorff:
             ]:
                 assert hausdorff_distance(a, b) == self.all_pairs(a, b)
                 assert hausdorff_distance(b, a) == self.all_pairs(a, b)
+
+    def test_low_bit_neighbours_keep_one_copy_each(self):
+        # points whose coordinates differ only in their last bits, each
+        # three times in a random order: the keys' second multiply carries
+        # those bits up past the row index, so every repeat is dropped
+        rng = np.random.default_rng(2)
+        i, j = np.meshgrid(np.arange(64), np.arange(64))
+        grid = np.column_stack((1.0 + i.ravel() * 2.0 ** -52, 1.0 + j.ravel() * 2.0 ** -52))
+        cloud = grid[rng.permutation(np.repeat(np.arange(len(grid)), 3))]
+        keys, distinct = _keyed_points(cloud, 1)
+        assert len(distinct) == len(grid)
+        assert np.all(keys[1:] >= keys[:-1])
+        assert hausdorff_distance(cloud, grid) == 0.0
+        # (1, 1) alone is missing from the other side, one ulp from its nearest
+        assert hausdorff_distance(cloud, grid[1:]) == 2.0 ** -52
+
+    def test_shared_points_found_by_key_across_cloud_sizes(self, monkeypatch):
+        # 100 and 4100 rows take index fields of different widths; both
+        # clouds are keyed with the wider one, so every point of the
+        # smaller cloud is found in the larger by its key
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(100, 2))
+        b = np.concatenate([rng.normal(size=(4000, 2)), a])
+        keyed, real = [], attractor._keyed_points
+        monkeypatch.setattr(attractor, "_keyed_points", lambda *args: keyed.append(real(*args)) or keyed[-1])
+        assert hausdorff_distance(a, b) == self.all_pairs(a, b)
+        (ka, za), (kb, zb) = keyed
+        assert (np.take(zb, np.searchsorted(kb, ka), mode="clip") == za).all()
 
     def test_shuffled_copy_is_at_distance_zero(self):
         rng = np.random.default_rng(11)

@@ -719,6 +719,90 @@ def test_level_sums_within_the_stated_bound(alphabet):
                 assert abs(mpmath.mpf(dF) - dF_exact) <= slope_err, (n, s)
 
 
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [scalar_family, rotation_family, two_anchor_family, drop_family, wide_family,
+     heavy_sites_family, lambda: seven_map_family(1)],
+)
+def test_value_paths_equal_the_full_evaluation(make):
+    # the sign tests read (F, err) from value: the bits of entries 0 and 2
+    # of a full evaluation, for every anchored truncation (a plain
+    # _LogSum without sites inside the words, else a _SiteSums over a
+    # grouped _LogSum, whose group sums must match too) and for the
+    # exact-length level sums through rank-one letters
+    fam = make()
+    sums = [f for j in range(fam.n_singular) for f in truncations(fam, 0.4, anchor_spec(fam, j, 5))]
+    sums.append(dimension._level_sums(fam.instantiate(0.4), 3, SolverOptions())[2])
+    rng = np.random.default_rng(3)
+    logs = -rng.exponential(2.0, 500)
+    sums.append(dimension._LogSum(logs, rng.normal(size=500)))
+    assert any(isinstance(f, dimension._SiteSums) for f in sums)
+    for f in sums:
+        for s in (0.0, 0.3, 0.81, 1.0, 1.7, 8.0):
+            F, _, err, _ = f(s)
+            assert hexes(f.value(s)) == hexes((F, err)), (f, s)
+            if isinstance(f, dimension._SiteSums):
+                want = f.terms.groups(s)[0]
+                assert hexes(f.terms.groups(s, slopes=False).ravel()) == hexes(want)
+
+
+def plain_by_length(groups, values, slopes, e, q):
+    """Plain-float reference of _SiteSums._by_length: one extension per
+    length k and target t, a segment of length k from start to t and
+    then, for each prefix length L = 1..k and each site letter b in
+    turn, the prefix's sum times the segment of length k - L from b to
+    t, slopes by the product rule; a missing group is 0."""
+    n = max(m for m, _, _ in groups)
+    S = {g: x for g, x in zip(groups, values)}
+    D = {g: x for g, x in zip(groups, slopes)}
+    P, dP, E, dE = [], [], [], []
+
+    def extend(k, t):
+        x, dx = S.get((k, 0, t), 0.0), D.get((k, 0, t), 0.0)
+        for L in range(1, len(P) + 1):
+            for b in range(1, q + 1):
+                p, dp = P[L - 1][b - 1], dP[L - 1][b - 1]
+                s, ds = S.get((k - L, b, t), 0.0), D.get((k - L, b, t), 0.0)
+                x += p * s
+                dx += dp * s + p * ds
+        return x, dx
+
+    for k in range(n + 1):
+        x, dx = extend(k, e)
+        E.append(x)
+        dE.append(dx)
+        if k < n:
+            ends = [extend(k, b) for b in range(1, q + 1)]
+            P.append([x for x, _ in ends])
+            dP.append([dx for _, dx in ends])
+    return E, dE
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_by_length_matches_the_plain_program(q):
+    # random group caps over the start, the q sites and an end that is
+    # the start or its own node; some group sums exactly 0, slopes < 0
+    rng = np.random.default_rng(q)
+    for n in range(11):
+        for e in (0, q + 1):
+            width = q + 1 + (e > 0)
+            caps = rng.integers(-1, n + 1, size=(width, width))
+            caps[0, e] = n
+            groups = [(m, i, k) for m in range(n + 1) for (i, k), cap in np.ndenumerate(caps) if m <= cap]
+            values = rng.uniform(0.0, 2.0, len(groups)) * (rng.random(len(groups)) > 0.2)
+            slopes = -rng.uniform(0.0, 3.0, len(groups)) * (values > 0.0)
+            sums = dimension._SiteSums(None, groups, e, q)
+            E, dE = sums._by_length(values, slopes)
+            want_E, want_dE = plain_by_length(groups, values.tolist(), slopes.tolist(), e, q)
+            assert hexes(E) == hexes(want_E) and hexes(dE) == hexes(want_dE), (n, e)
+            alone, none = sums._by_length(values)
+            assert hexes(alone) == hexes(want_E) and none is None
+
+
 class TestPressureRoot:
     def test_similarities_exact_at_every_depth(self):
         maps = cantor_similarities().instantiate()

@@ -61,6 +61,15 @@ def test_bracket_confirmed_by_reference_sums(levels, tol):
         assert not (F - err >= 1.0 or F + err < 1.0), (a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(levels=level_sets, tol=st.floats(min_value=1e-15, max_value=1e-3))
+def test_value_sign_tests_give_the_same_bracket(levels, tol):
+    # value gives the sign tests the bits they read from full evaluations
+    sums = full_sums(levels)
+    with_value = _convex_root(sums, 0.0, tol, value=sums.value)
+    assert list(map(float.hex, with_value)) == list(map(float.hex, _convex_root(sums, 0.0, tol)))
+
+
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_skewed_slopes_fall_back_to_a_certified_bracket(scale):
     # a slope off by the factor sends the Newton steps past the root (0.5)
@@ -225,25 +234,37 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
     # at 0 to count its terms, then by one root from 0 for the lower end,
     # which takes that count as its first iterate, and by one root of the
     # sum plus its tail bound for the upper end; two sites put the other
-    # site inside the words
+    # site inside the words. Only the Newton iterates read slopes: every
+    # other sign test calls value, which reduces no slope groups
     depth = 8
     real_sums, real_root = dimension._site_sums, dimension._convex_root
-    evaluations, roots = {}, []
+    evaluations, roots, entered, group_calls = {}, [], [], []
 
     def site_sums(*args):
         sums = real_sums(*args)
         evaluations[sums] = []
         return sums
 
-    def counted(call):
+    def counted(call, slopes):
         def wrapped(self, s, *args):
             if self in evaluations:
-                evaluations[self].append(s)
-            return call(self, s, *args)
+                evaluations[self].append((s, slopes))
+            entered.append(slopes)
+            try:
+                return call(self, s, *args)
+            finally:
+                entered.pop()
 
         return wrapped
 
-    def root(evaluate, *args):
+    def groups(call):
+        def wrapped(self, s, slopes=True):
+            group_calls.append((slopes, entered[-1]))
+            return call(self, s, slopes)
+
+        return wrapped
+
+    def root(evaluate, *args, **kwargs):
         calls = []
         roots.append(calls)
 
@@ -253,15 +274,18 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
             calls.append((s, values, sum(map(len, evaluations.values())) > before))
             return values
 
-        return real_root(recorded, *args)
+        return real_root(recorded, *args, **kwargs)
 
     monkeypatch.setattr(dimension, "_site_sums", site_sums)
     monkeypatch.setattr(dimension, "_convex_root", root)
     for cls in (dimension._LogSum, dimension._SiteSums):
-        monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
+        monkeypatch.setattr(cls, "__call__", counted(cls.__call__, True))
+        monkeypatch.setattr(cls, "value", counted(cls.value, False))
+    monkeypatch.setattr(dimension._LogSum, "groups", groups(dimension._LogSum.groups))
     for fam in (rotation_family(), two_anchor_family()):
         evaluations.clear()
         roots.clear()
+        group_calls.clear()
         bracket = affinity_dimension(fam, 0.0, SolverOptions(depth=depth))
         assert all(anchor.certified for anchor in bracket.per_anchor.values())
         assert len(evaluations) == fam.n_singular
@@ -272,15 +296,24 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
             # only the lower root's first iterate, at 0, is not evaluated anew
             assert all(hit or s == 0.0 for s, _, hit in calls[:1])
             assert all(hit for _, _, hit in calls[1:])
-            # every evaluation but the last is a Newton step from the one
-            # before it, so the last is the only one made to certify an end:
-            # the right one, the left end coming from the last tangent
-            for (s, (F, dF, _, _), _), (t, _, _) in zip(calls, calls[1:-1]):
+            # every evaluation with slopes is a Newton step from the one
+            # before it: the ends are certified by the last tangent and
+            # by value alone
+            for (s, (F, dF, _, _), _), (t, _, _) in zip(calls, calls[1:]):
                 assert t == s - math.log(F) * F / dF
-            assert len(calls) <= 7, calls
+            assert len(calls) <= 6, calls
+        # the slopes are read at 0, to count the terms, and at the Newton
+        # iterates, nowhere else
+        sloped = [s for points in evaluations.values() for s, slopes in points if slopes]
+        iterates = [s for calls in deep for s, _, hit in calls if hit]
+        assert sorted(sloped) == sorted([0.0] * fam.n_singular + iterates)
         # at most 1 + 6 + 4 on these families, s = 0 among them once
         assert all(len(points) <= 11 for points in evaluations.values()), evaluations
-        assert all(points.count(0.0) == 1 for points in evaluations.values()), evaluations
+        assert all([s for s, _ in points].count(0.0) == 1 for points in evaluations.values())
+        # the group sums reduce slopes exactly inside the evaluations with slopes
+        assert all(slopes == wanted for slopes, wanted in group_calls), group_calls
+        if fam.n_singular > 1:
+            assert {slopes for slopes, _ in group_calls} == {True, False}
 
 
 def test_pressure_root_costs_few_sums(monkeypatch):

@@ -71,6 +71,13 @@ class TestConvexBody:
         point = ConvexBody.segment((2, 3), (2, 3))
         assert np.array_equal(point.vertices, [[2.0, 3.0], [2.0, 3.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_segment_rejects_non_finite_ends(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            ConvexBody.segment((bad, 0.0), (1.0, 0.0))
+        with pytest.raises(ConfigError, match="finite"):
+            ConvexBody.segment((0.0, 0.0), (1.0, bad))
+
     def test_max_vertex_norm(self):
         assert ConvexBody.polygon(SQUARE).max_vertex_norm() == pytest.approx(
             math.sqrt(2.0)
@@ -192,6 +199,20 @@ class TestContainmentMargin:
     def test_outer_must_be_polygon(self):
         with pytest.raises(ConfigError):
             _containment_margin(square_at(0, 0), ConvexBody.segment((0, 0), (5, 5)))
+
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            ConvexBody("segment", [(math.nan, 0.0), (1.0, 0.0)]),
+            ConvexBody("segment", [(0.2, 0.0), (0.3, math.nan)]),
+            ConvexBody("polygon", [(0.1, 0.1), (0.2, 0.1), (math.nan, 0.2)]),
+        ],
+    )
+    def test_nan_body_is_never_contained(self, inner):
+        # built directly, a body skips the constructors' finite checks; a
+        # NaN distance must not fold away into a margin that reads contained
+        assert _containment_margin(inner, disk_polygon((0.0, 0.0), 1.0)) == -math.inf
+        assert _containment_margin(inner, square_at(0, 0)) == -math.inf
 
 
 # --- the scalar loops the edge arrays replaced, kept as a reference ----------
