@@ -79,9 +79,18 @@ class ConvexBody:
     vertices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vertices", np.asarray(self.vertices, dtype=float).reshape(-1, 2)
-        )
+        """ConfigError on an unknown kind, a segment without two ends, or a
+        polygon with fewer than three vertices or two equal consecutive
+        ones. Finiteness is left to the factory methods."""
+        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
+        object.__setattr__(self, "vertices", v)
+        repeat = (v == np.roll(v, -1, axis=0)).all(axis=1).any()
+        if self.kind not in ("polygon", "segment"):
+            raise ConfigError("a convex body is a 'polygon' or a 'segment'")
+        if self.kind == "segment" and len(v) != 2:
+            raise ConfigError("a segment needs exactly two ends")
+        if self.kind == "polygon" and (len(v) < 3 or repeat):
+            raise ConfigError("a polygon needs three or more vertices, no two consecutive equal")
 
     @classmethod
     def polygon(cls, vertices) -> "ConvexBody":
@@ -140,14 +149,20 @@ def _separating_axes(body: ConvexBody) -> np.ndarray:
     return np.concatenate([axes, d / n]) if body.kind == "segment" else axes
 
 
-def _bodies_intersect(A: ConvexBody, B: ConvexBody) -> bool:
-    axes = np.concatenate([_separating_axes(A), _separating_axes(B)])[:, None, :]
+def _separating_axis(A: ConvexBody, B: ConvexBody) -> np.ndarray | None:
+    """An axis on which every difference a - b projects strictly
+    positive, or None when the bodies meet. Two points have no edge
+    axes; their difference serves as the axis."""
+    axes = np.concatenate([_separating_axes(A), _separating_axes(B)])
     if not len(axes):
-        # two degenerate points
-        return bool(np.all(A.vertices[0] == B.vertices[0]))
-    pa, pb = _project(A.vertices, axes), _project(B.vertices, axes)
-    apart = (pa.max(axis=1) < pb.min(axis=1)) | (pb.max(axis=1) < pa.min(axis=1))
-    return not apart.any()
+        a, b = A.vertices[0], B.vertices[0]
+        return None if np.all(a == b) else a - b
+    # each edge axis both ways round; the widest gap of A above B wins, as
+    # rounding can open a gap on an axis where the bodies only touch
+    axes = np.concatenate([axes, -axes])[:, None, :]
+    gap = _project(A.vertices, axes).min(axis=1) - _project(B.vertices, axes).max(axis=1)
+    k = int(np.argmax(gap))
+    return axes[k, 0] if gap[k] > 0.0 else None
 
 
 def _edge_offsets(points: np.ndarray, body: ConvexBody) -> np.ndarray:
@@ -163,7 +178,7 @@ def _edge_offsets(points: np.ndarray, body: ConvexBody) -> np.ndarray:
 
 def _body_distance(A: ConvexBody, B: ConvexBody) -> float:
     """Euclidean distance between two convex bodies; 0 when they meet."""
-    if _bodies_intersect(A, B):
+    if _separating_axis(A, B) is None:
         return 0.0
     off = np.concatenate([_edge_offsets(A.vertices, B), _edge_offsets(B.vertices, A)], axis=None)
     return float(_lengths(off.reshape(-1, 2)).min())
@@ -250,28 +265,11 @@ class ArcSet:
         return out
 
 
-def _direction_cone(points: np.ndarray) -> Tuple[float, float]:
-    """Closed arc of directions of a point set avoiding the origin.
-
-    The closest hull point to the origin supports a half-plane containing
-    the set, so angles relative to that direction live in (-pi/2, pi/2)
-    and the cone is their (width < pi) span.
-    """
-    hull = _convex_hull(points)
-    if len(hull) == 1:
-        closest = hull[0]
-    else:
-        # closest point of each hull edge; a two-point hull has one edge
-        a = hull if len(hull) > 2 else hull[:1]
-        ab = np.roll(hull, -1, axis=0)[: len(a)] - a
-        t = np.clip(-_project(a, ab) / _project(ab, ab), 0.0, 1.0)
-        cps = a + t[:, None] * ab
-        closest = cps[np.argmin(np.hypot(cps[:, 0], cps[:, 1]))]
-    if math.hypot(closest[0], closest[1]) == 0.0:
-        raise ConfigError("direction cone undefined: the set meets the origin")
-    ua = math.atan2(closest[1], closest[0])
-    u = unit_vector(ua)
-    rel = np.arctan2(_project(hull, (-u[1], u[0])), _project(hull, u))
+def _direction_cone(points: np.ndarray, u: np.ndarray) -> Tuple[float, float]:
+    """Closed arc of directions of points that project strictly positive on
+    u: from u their angles lie in (-pi/2, pi/2), so the cone is their span."""
+    rel = np.arctan2(_project(points, (-u[1], u[0])), _project(points, u))
+    ua = math.atan2(u[1], u[0])
     return ua + float(np.min(rel)), ua + float(np.max(rel))
 
 
@@ -290,10 +288,11 @@ def admissible_projections(A: ConvexBody, B: ConvexBody) -> ArcSet:
     borderline directions that only touch. A padded cone of width pi or
     more leaves the empty arc.
     """
-    if _body_distance(A, B) <= 0.0:
+    u = _separating_axis(A, B)
+    if u is None:
         raise ConfigError("bodies intersect; no separating projections exist")
     diffs = (A.vertices[:, None, :] - B.vertices[None, :, :]).reshape(-1, 2)
-    lo, hi = _direction_cone(diffs)
+    lo, hi = _direction_cone(diffs, u)
     lo, hi = lo - _CONE_SHAVE, hi + _CONE_SHAVE
     if hi - lo >= _PI:
         return ArcSet(0.0, 0.0)

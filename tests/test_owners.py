@@ -18,6 +18,10 @@ tens of MB and a large share of a CLI start-up. Its one import is the
 KD-tree fallback of the Hausdorff distance, inside
 ``attractor._directed_distance``, reached only when the x-order bounds
 leave points unsettled.
+
+``_convex_hull`` is called only in ``ConvexBody.polygon``, to canonicalise
+a polygon: the direction cone reads its span off the separating axis, so a
+hull anywhere else has grown back.
 """
 
 import ast
@@ -187,3 +191,54 @@ def test_scipy_spatial_only_in_the_hausdorff_fallback():
     (line, _), = found["attractor.py"]
     text = (PACKAGE / "attractor.py").read_text().splitlines()[line - 1]
     assert text.strip() == "from scipy.spatial import cKDTree"
+
+
+def hull_calls(source):
+    """(line, owner) for each call of _convex_hull in the source, in
+    order; owner is the dotted name of the enclosing classes and defs,
+    None at module level."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name if owner is None else owner + "." + child.name
+            elif isinstance(child, ast.Call) and "_convex_hull" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                found.append((child.lineno, owner))
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_hull_guard_flags_the_calls_it_forbids():
+    source = (
+        "class ConvexBody:\n"
+        "    def polygon(cls, vertices):\n"
+        "        return _convex_hull(vertices)\n"
+        "def _direction_cone(points, u):\n"
+        "    hull = _convex_hull(points)\n"
+        "    def inner():\n"
+        "        return separation._convex_hull(points)\n"
+        "edges = _convex_hull_edges(points)\n"
+        "top = _convex_hull(points)\n"
+    )
+    assert hull_calls(source) == [
+        (3, "ConvexBody.polygon"),
+        (5, "_direction_cone"),
+        (7, "_direction_cone.inner"),
+        (9, None),
+    ]
+
+
+def test_convex_hull_only_canonicalises_polygons():
+    modules = list(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = {p.name: hits for p in modules if (hits := hull_calls(p.read_text()))}
+    assert {name: [owner for _, owner in hits] for name, hits in found.items()} == {
+        "separation.py": ["ConvexBody.polygon"]
+    }, "call _convex_hull only in ConvexBody.polygon: %s" % found

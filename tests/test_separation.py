@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath  # a declared test dependency: missing, it fails the module
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,16 +26,17 @@ from affdim import (
 from affdim.errors import AffdimError, ConfigError
 from affdim.linalg import unit_vector
 from affdim.separation import (
-    _bodies_intersect,
     _body_distance,
     _containment_margin,
     _convex_hull,
+    _direction_cone,
     _project,
     _separating_axes,
+    _separating_axis,
     _swept_segment,
 )
 
-from families import cantor_similarities, drop_family, wide_family
+from families import cantor_similarities, drop_family, seven_map_family, wide_family
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -102,6 +104,23 @@ class TestConvexBody:
             disk_polygon((0.0, bad), 1.0)
         with pytest.raises(ConfigError, match="positive finite radius"):
             disk_polygon((0.0, 0.0), bad)
+
+    @pytest.mark.parametrize(
+        "kind, vertices",
+        [
+            # a zero-length edge once made _containment_margin divide 0/0
+            ("polygon", [(0, 0), (1, 0), (1, 0), (0, 1)]),
+            ("polygon", [(0, 0), (1, 0), (0, 1), (0, 0)]),
+            ("polygon", [(0, 0), (1, 0)]),
+            ("segment", [(0, 0)]),
+            ("segment", [(0, 0), (1, 0), (2, 0)]),
+            # an unknown kind was accepted
+            ("blob", [(0, 0)]),
+        ],
+    )
+    def test_direct_construction_is_checked(self, kind, vertices):
+        with pytest.raises(ConfigError):
+            ConvexBody(kind, vertices)
 
 
 def _unique_hull(points):
@@ -340,7 +359,7 @@ class TestEdgeArraysMatchTheScalarLoops:
     @example(HYPOT_SPLIT)
     def test_distance_and_margin(self, pair):
         A, B = pair
-        assert _bodies_intersect(A, B) == scalar_intersect(A, B)
+        assert (_separating_axis(A, B) is None) == scalar_intersect(A, B)
         assert _body_distance(A, B).hex() == scalar_distance(A, B).hex()
         for inner, outer in ((A, B), (B, A)):
             if outer.kind == "polygon":
@@ -445,6 +464,14 @@ def brute_difference_cone(A, B):
     return start, width, angles
 
 
+def random_pairs():
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        A = ConvexBody.polygon(rng.uniform(-1, 1, size=(7, 2)))
+        B = ConvexBody.polygon(rng.uniform(-1, 1, size=(7, 2)) + (3.0, 0.4))
+        yield A, B
+
+
 class TestAdmissibleProjections:
     def test_side_by_side_squares(self):
         A, B = square_at(0, 0), square_at(2.2, 0)
@@ -474,15 +501,95 @@ class TestAdmissibleProjections:
             admissible_projections(square_at(0, 0), square_at(0.5, 0.5))
 
     def test_matches_brute_cone_on_random_pairs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            A = ConvexBody.polygon(rng.uniform(-1, 1, size=(7, 2)))
-            B = ConvexBody.polygon(rng.uniform(-1, 1, size=(7, 2)) + (3.0, 0.4))
+        for A, B in random_pairs():
             arcs = admissible_projections(A, B)
             _, width, angles = brute_difference_cone(A, B)
             assert arcs.measure() == pytest.approx(math.pi - width, abs=1e-9)
             # every difference direction was excluded
             assert not any(arcs.contains(t) for t in angles)
+
+
+def seven_map_pairs():
+    """The disjoint image bodies of the 7-map at seed 1 in the unit disk:
+    17 pairs of 64-gons and segments."""
+    found = family_bodies(seven_map_family(1), disk_polygon((0.0, 0.0), 1.0))
+    for k, A in enumerate(found):
+        for B in found[k + 1 :]:
+            if _separating_axis(A, B) is not None:
+                yield A, B
+
+
+def grid_body(draw):
+    """A polygon or a segment, possibly point-like, on the integer grid."""
+    point = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    if draw(st.booleans()):
+        return ConvexBody.segment(draw(point), draw(point))
+    try:
+        return ConvexBody.polygon(draw(st.lists(point, min_size=3, max_size=6)))
+    except ConfigError:
+        assume(False)
+
+
+@st.composite
+def grid_pairs(draw):
+    """Two grid bodies, the second moved so that one of its vertices lands
+    on a vertex of the first or one grid step beside it: touching,
+    overlapping and one-step-apart pairs."""
+    A, B = grid_body(draw), grid_body(draw)
+    i = draw(st.integers(0, len(A.vertices) - 1))
+    j = draw(st.integers(0, len(B.vertices) - 1))
+    step = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    return A, moved(B, A.vertices[i] - B.vertices[j] + step)
+
+
+# disjoint, but on the normal of A's edge (2,1)-(-1,-2) the vertices
+# (0,-2) and (-1,-3) project to the same value, which rounds to a gap of
+# 2.2e-16: that axis separates first and leaves their difference at 0
+ROUNDED_GAP = (
+    ConvexBody.polygon([(-1, -2), (0, -2), (2, 1)]),
+    ConvexBody.polygon([(-1, -3), (1, -3), (1, -2)]),
+)
+
+
+class TestDirectionCone:
+    @pytest.mark.parametrize("pairs, count", [(seven_map_pairs, 17), (random_pairs, 25)])
+    def test_ends_within_four_ulps_of_mpmath(self, pairs, count):
+        # the reference takes the exact angle of each float difference at
+        # 60 digits, on the branch around the axis, and its min and max.
+        # An end is atan2(u) plus an angle from u, each up to pi in size,
+        # so its ulps are counted at pi or at the end, whichever is larger:
+        # near 0 the sum cancels: an end of -0.06 misses by 8 ulps of itself
+        checked = 0
+        with mpmath.workdps(60):
+            two_pi = 2 * mpmath.pi
+            for A, B in pairs():
+                checked += 1
+                u = _separating_axis(A, B)
+                diffs = (A.vertices[:, None, :] - B.vertices[None, :, :]).reshape(-1, 2)
+                ua = mpmath.atan2(u[1], u[0])
+                rel = [
+                    (mpmath.atan2(y, x) - ua + mpmath.pi) % two_pi - mpmath.pi
+                    for x, y in diffs.tolist()
+                ]
+                got = _direction_cone(diffs, u)
+                for end, ref in zip(got, (ua + min(rel), ua + max(rel))):
+                    err = abs((end - ref + mpmath.pi) % two_pi - mpmath.pi)
+                    assert err <= 4 * math.ulp(max(abs(end), math.pi)), (end, float(ref))
+        assert checked == count
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid_pairs())
+    @example(ROUNDED_GAP)
+    def test_near_touching_grid_pairs(self, pair):
+        A, B = pair
+        if _body_distance(A, B) == 0.0:
+            with pytest.raises(ConfigError):
+                admissible_projections(A, B)
+            return
+        admissible_projections(A, B)
+        u = _separating_axis(A, B)
+        diffs = (A.vertices[:, None, :] - B.vertices[None, :, :]).reshape(-1, 2)
+        assert (_project(diffs, u) > 0.0).all()
 
 
 class TestProjectedInterval:
@@ -539,7 +646,7 @@ class TestWrittenOutProjections:
     def test_sat_projections(self):
         bodies = random_polygons(4, count=10) + [ConvexBody.segment((0.3, -1.7), (2.9, 0.4))]
         for A, B in zip(bodies, bodies[1:] + bodies[:1]):
-            # the axes of both bodies, broadcast as _bodies_intersect does
+            # the axes of both bodies, broadcast as _separating_axis does
             axes = np.concatenate([_separating_axes(A), _separating_axes(B)])
             for body in (A, B):
                 rows = _project(body.vertices, axes[:, None, :])
