@@ -42,6 +42,7 @@ from .errors import (
     BracketInconsistencyError,
     BudgetError,
     ConfigError,
+    _check_count,
 )
 from .ifs import AffineMap2, IfsFamily, _map_table
 from .linalg import Mat2, batch_singular_values
@@ -94,8 +95,7 @@ class AnchoredSumSpec:
         object.__setattr__(self, "allowed", frozenset(self.allowed))
         if self.start in self.allowed or self.end in self.allowed:
             raise ConfigError("start/end anchors cannot occur inside the words")
-        if self.max_len < 0:
-            raise ConfigError("max_len must be nonnegative")
+        _check_count(self.max_len, 0, "max_len must be a nonnegative integer")
 
 
 # --- certified convex roots -------------------------------------------------
@@ -113,24 +113,22 @@ class _LogSum:
     """F(s) = sum of exp(C + s*L), for logs L of positive bases and
     optional offsets C = log a - L taken once.
 
-    Evaluation sums every term in one pass through one reused buffer,
-    and returns (F, F', err, slope_err). Each term passes through fl(log
-    b), a product, an add and exp, each within a few ulp of its
-    argument, so it is off by at most _ARG_ULPS * (s max|L| + max|C| +
-    1) ulp, an offset counting as max|C| + 2 max|L| to cover the logs it
-    came from. numpy sums a contiguous float64 array pairwise: a leaf of
-    at most 128 terms puts each term through at most 25 roundings (15 in
-    its accumulator, 3 in the combine, 7 for the remainder), and each
-    halving above 128 terms adds one more, so even the default budget of
-    2^22 words stays at 40; with the comparisons with 1 that is inside
-    _SUM_ULPS (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3). So err bounds the rounding of F, and slope_err = max|L| err
-    that of F', whose terms are value terms times logs. Underflowed terms
-    lose less than the smallest normal float each, far inside err where
-    F is near 1.
-
-    value(s) returns (F, err) alone from the same exp pass, without the
-    slope's product and sum; err is the same on both paths.
+    Evaluation sums every term in one pass through one reused buffer, and
+    returns (F, F', err, slope_err), or (F, err) from the same exp pass
+    without the slope's product and sum when slopes is false. Each term
+    passes through fl(log b), a product, an add and exp, each within a few
+    ulp of its argument, so it is off by at most _ARG_ULPS * (s max|L| +
+    max|C| + 1) ulp, an offset counting as max|C| + 2 max|L| to cover the
+    logs it came from. numpy sums a contiguous float64 array pairwise: a
+    leaf of at most 128 terms puts each term through at most 25 roundings
+    (15 in its accumulator, 3 in the combine, 7 for the remainder), and
+    each halving above 128 terms adds one more, so even the default budget
+    of 2^22 words stays at 40; with the comparisons with 1 that is inside
+    _SUM_ULPS (Higham, Accuracy and Stability of Numerical Algorithms, ch.
+    3). So err bounds the rounding of F, and slope_err = max|L| err that
+    of F', whose terms are value terms times logs. Underflowed terms lose
+    less than the smallest normal float each, far inside err where F is
+    near 1.
 
     Given group bounds, groups(s) returns instead the sums of terms and
     of slopes of every group, one np.add.reduceat over the same terms, so
@@ -169,24 +167,18 @@ class _LogSum:
             buf += self.offsets
         return np.exp(buf, out=buf)
 
-    def _rel(self, s: float) -> float:
-        return (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
-
-    def __call__(self, s: float) -> Tuple[float, float, float, float]:
-        buf = self._terms(s)
-        if buf is None:
-            F, dF = float(self.logs.size), float(np.sum(self.logs))
-        else:
-            F = float(np.sum(buf))
-            buf *= self.logs
-            dF = float(np.sum(buf))
-        rel = self._rel(s)
-        return F, dF, rel * F, rel * self._log_max * F
-
-    def value(self, s: float) -> Tuple[float, float]:
+    def __call__(self, s: float, slopes: bool = True) -> Tuple[float, ...]:
         buf = self._terms(s)
         F = float(self.logs.size) if buf is None else float(np.sum(buf))
-        return F, self._rel(s) * F
+        rel = (_ARG_ULPS * (abs(s) * self._log_max + self._offset_max + 1.0) + _SUM_ULPS) * _U
+        if not slopes:
+            return F, rel * F
+        if buf is None:
+            dF = float(np.sum(self.logs))
+        else:
+            buf *= self.logs
+            dF = float(np.sum(buf))
+        return F, dF, rel * F, rel * self._log_max * F
 
     def groups(self, s: float, slopes: bool = True) -> np.ndarray:
         """Sums of the terms and of their slopes in each group, the logs
@@ -218,16 +210,16 @@ def _log_sum(bases, logs=None, buf=None) -> _LogSum:
 
 
 def _convex_root(
-    evaluate, lo: float, tol: float, hi: float = math.inf, value=None
+    evaluate, lo: float, tol: float, hi: float = math.inf
 ) -> Optional[Tuple[float, float]]:
     """Bracket [a, b] of the root of g = F - 1, convex and nonincreasing.
 
-    evaluate(s) returns (F, F', err, slope_err) as _LogSum does; F - err
-    >= 1 certifies g >= 0 at s, F + err < 1 certifies g < 0, and between
-    them s is undecided. Only the Newton iterates read slopes; every
-    other sign test (the probe of b, the widening and the bisection)
-    calls value(s), which returns (F, err) and defaults to entries 0 and
-    2 of evaluate(s). The caller knows g(lo) >= 0 and, when hi is
+    evaluate(s) returns (F, F', err, slope_err) and evaluate(s, False)
+    (F, err) with the same F and err, as _LogSum does; F - err >= 1
+    certifies g >= 0 at s, F + err < 1 certifies g < 0, and between them
+    s is undecided. Only the Newton iterates read slopes; every other
+    sign test (the probe of b, the widening and the bisection) calls
+    evaluate(s, False). The caller knows g(lo) >= 0 and, when hi is
     finite, g(hi) < 0. Newton steps on log F, which is convex too, start
     at lo and never pass the root; one step solves a single exponential
     exactly, and each decided iterate becomes lo or hi. They stop once a
@@ -244,11 +236,10 @@ def _convex_root(
     when no right end exists below _S_MAX.
     """
     cap = min(hi, _S_MAX)
-    value = value or (lambda s: evaluate(s)[0::2])
 
     def probe(s, F_err=None) -> bool:
         nonlocal lo, hi
-        F, err = F_err or value(s)
+        F, err = F_err or evaluate(s, False)
         if F - err >= 1.0:
             lo = s
         elif F + err < 1.0:
@@ -456,7 +447,8 @@ class _SiteSums:
     takes every group sum and its slope from terms.groups, and a dynamic
     program over word length and next site multiplies them out, carrying
     slopes by the product rule, and sums the lengths, or takes the last
-    alone when exact.
+    alone when exact. Without slopes only the group sums of the terms
+    are taken and the program runs without slopes; err is the same.
 
     A term with r site letters is a product of r + 1 <= n + 1 group
     sums, each within the _LogSum bound with max|L| = M taken over the
@@ -467,10 +459,6 @@ class _SiteSums:
     + q n) + n + 2) u F bounds the rounding of F. Each term of F' is a
     value term times one of its at most n + 1 factor logs, rounded at
     most twice as often, so slope_err = 2 (n + 1) M err.
-
-    value(s) returns (F, err) alone: it takes only the group sums of the
-    terms and runs the program without slopes; err is the same on both
-    paths.
     """
 
     def __init__(self, terms: _LogSum, groups, e: int, q: int, exact: bool = False):
@@ -526,23 +514,14 @@ class _SiteSums:
             P.append(ends[1:])
         return E, None if D is None else dE
 
-    def _total(self, by_length: List[float]) -> float:
-        return by_length[-1] if self._exact else math.fsum(by_length)
-
-    def _err(self, s: float, F: float) -> float:
+    def __call__(self, s: float, slopes: bool = True) -> Tuple[float, ...]:
+        E, dE = self._by_length(*self.terms.groups(s, slopes))
         n, M = self.max_len, self.terms._log_max
+        total = (lambda x: x[-1]) if self._exact else math.fsum
+        F = total(E)
         group = _ARG_ULPS * (abs(s) * M + 1.0) + _SUM_ULPS
-        return ((n + 1) * (group + self._q * n) + n + 2) * _U * F
-
-    def __call__(self, s: float) -> Tuple[float, float, float, float]:
-        E, dE = self._by_length(*self.terms.groups(s))
-        F = self._total(E)
-        err = self._err(s, F)
-        return F, self._total(dE), err, 2.0 * (self.max_len + 1) * self.terms._log_max * err
-
-    def value(self, s: float) -> Tuple[float, float]:
-        F = self._total(self._by_length(*self.terms.groups(s, slopes=False))[0])
-        return F, self._err(s, F)
+        err = ((n + 1) * (group + self._q * n) + n + 2) * _U * F
+        return (F, total(dE), err, 2.0 * (n + 1) * M * err) if slopes else (F, err)
 
 
 def _anchored_table(fam: IfsFamily, alpha, spec: AnchoredSumSpec, opts: SolverOptions):
@@ -571,9 +550,9 @@ def anchored_norm_sum(
     factor contribute zero at every s.
     """
     if not s >= 0.0:
-        raise ValueError("exponent must be nonnegative")
+        raise ConfigError("exponent must be nonnegative")
     table = _anchored_table(fam, alpha, sum_spec, opts or DEFAULT_OPTIONS)
-    return _site_sums(*table, sum_spec)(s)[0]
+    return _site_sums(*table, sum_spec)(s, False)[0]
 
 
 # --- anchored exponent solvers ----------------------------------------------
@@ -594,7 +573,9 @@ def _root_from_zero(sums, tol: float, hi: float = math.inf) -> Tuple[float, floa
                 "sum has no nonzero terms; its root degenerates to 0"
             )
         return 0.0, 0.0
-    root = _convex_root(lambda s: at_zero if s == 0.0 else sums(s), 0.0, tol, hi, sums.value)
+    root = _convex_root(
+        lambda s, slopes=True: at_zero if s == 0.0 and slopes else sums(s, slopes), 0.0, tol, hi
+    )
     if root is None:
         # terms are products of norms < 1, so this cannot trigger; guard anyway
         raise ConfigError("sum does not decay; family is not contracting")
@@ -623,18 +604,18 @@ def _anchor_upper(
     theta = _log_sum(letter_norms)
     log_rho = math.log(rho_anchor)
 
-    th, th_err = theta.value(s_cap)
+    th, th_err = theta(s_cap, False)
     if th + th_err >= 1.0:
         return math.inf
 
     # first find where the tail bound becomes valid
-    s_theta = _convex_root(theta, 0.0, tol, s_cap, theta.value)[1] if letter_norms else 0.0
+    s_theta = _convex_root(theta, 0.0, tol, s_cap)[1] if letter_norms else 0.0
 
     def tail(s, slopes=True):
         if slopes:
             th, d_th, th_err, _ = theta(s)
         else:
-            th, th_err = theta.value(s)
+            th, th_err = theta(s, False)
         # head = rho^s theta^(n+1), differentiated without dividing by theta
         part = rho_anchor ** s * th ** max_len
         head = part * th
@@ -650,20 +631,17 @@ def _anchor_upper(
         slope = d_head / q + head * d_th / (q * q)
         return value, slope, rel * value, -rel * slope
 
-    def total(s):
-        return tuple(x + y for x, y in zip(sums(s), tail(s)))
-
-    def total_value(s):
-        return tuple(x + y for x, y in zip(sums.value(s), tail(s, False)))
+    def total(s, slopes=True):
+        return tuple(x + y for x, y in zip(sums(s, slopes), tail(s, slopes)))
 
     # the sum is at least its tail and at least 1 at lower, so a point
     # where the tail alone still reaches 1 is a left point too; it is cheap
     # to find and lies past the steep rise of 1/(1 - theta) near s_theta
     start = max(s_theta, lower)
-    tail_root = _convex_root(tail, start, tol, value=lambda s: tail(s, False))
+    tail_root = _convex_root(tail, start, tol)
     if tail_root is not None:
         start = tail_root[0]
-    root = _convex_root(total, start, tol, value=total_value)
+    root = _convex_root(total, start, tol)
     return math.inf if root is None else max(root[1], lower)
 
 
@@ -854,14 +832,14 @@ def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float, sums=None) -> float:
         return 2.0
     if sums is None:
         sums = _log_sum(a1)
-    F, err = sums.value(1.0)
+    F, err = sums(1.0, False)
     if F + err < 1.0:
         return _root_from_zero(sums, tol, 1.0)[1]
     # a1 a2^(s-1) = exp(log a1 - log a2 + s log a2); a zero a2 adds nothing past 1
     keep = (a1 > 0.0) & (a2 > 0.0)
     log_a2 = np.log(a2[keep])
     piece = _LogSum(log_a2, np.log(a1[keep]) - log_a2)
-    return _convex_root(piece, 1.0, tol, 2.0, piece.value)[1]
+    return _convex_root(piece, 1.0, tol, 2.0)[1]
 
 
 def partition_sum(
@@ -871,15 +849,14 @@ def partition_sum(
     opts: Optional[SolverOptions] = None,
 ) -> float:
     """Sum of the singular value function over all length-n words."""
-    if n < 1:
-        raise ValueError("partition sums need word length n >= 1")
+    _check_count(n, 1, "partition sums need an integer word length n >= 1")
     if not s >= 0.0:
-        raise ValueError("exponent must be nonnegative")
+        raise ConfigError("exponent must be nonnegative")
     a1, a2, sums = _level_sums(maps, n, opts or DEFAULT_OPTIONS)
     if s == 0.0:
         return float(len(maps) ** n)
     if s <= 1.0:
-        return float(np.sum(a1 ** s)) if sums is None else sums(s)[0]
+        return float(np.sum(a1 ** s)) if sums is None else sums(s, False)[0]
     if s <= 2.0:
         return float(np.sum(a1 * a2 ** (s - 1.0)))
     return float(np.sum((a1 * a2) ** (s / 2.0)))
@@ -897,8 +874,7 @@ def pressure_upper_root(
     partition sum <= 1 an upper bound for the critical exponent, so the
     right end of the certified bracket is returned.
     """
-    if n < 1:
-        raise ValueError("partition sums need word length n >= 1")
+    _check_count(n, 1, "partition sums need an integer word length n >= 1")
     opts = replace(opts or DEFAULT_OPTIONS, tol=tol)
     a1, a2, sums = _level_sums(maps, n, opts)
     return _svf_root(a1, a2, opts.tol, sums)

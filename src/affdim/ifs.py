@@ -132,6 +132,8 @@ def _map_table(maps: Sequence[AffineMap2]) -> np.ndarray:
 
 def attractor_bound(maps: Sequence[AffineMap2]) -> float:
     """Radius of an origin-centered ball mapped into itself by every map."""
+    if not maps:
+        raise ConfigError("attractor bound needs at least one map")
     norm = max(m.linear.operator_norm() for m in maps)
     if norm >= 1.0:
         raise ContractionError("family is not uniformly contracting")

@@ -80,17 +80,22 @@ class ConvexBody:
 
     def __post_init__(self):
         """ConfigError on an unknown kind, a segment without two ends, or a
-        polygon with fewer than three vertices or two equal consecutive
-        ones. Finiteness is left to the factory methods."""
+        polygon with fewer than three vertices or a turn that is not
+        strictly left: two equal consecutive vertices, a collinear or
+        reflex one, or clockwise order. Finiteness is left to the factory
+        methods, so a NaN turn passes."""
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "vertices", v)
-        repeat = (v == np.roll(v, -1, axis=0)).all(axis=1).any()
         if self.kind not in ("polygon", "segment"):
             raise ConfigError("a convex body is a 'polygon' or a 'segment'")
         if self.kind == "segment" and len(v) != 2:
             raise ConfigError("a segment needs exactly two ends")
-        if self.kind == "polygon" and (len(v) < 3 or repeat):
-            raise ConfigError("a polygon needs three or more vertices, no two consecutive equal")
+        if self.kind == "polygon":
+            # the cross product of each edge with the next
+            d = np.roll(v, -1, axis=0) - v
+            turns = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
+            if len(v) < 3 or (turns <= 0.0).any():
+                raise ConfigError("a polygon needs three or more vertices, each a strict left turn")
 
     @classmethod
     def polygon(cls, vertices) -> "ConvexBody":
@@ -305,6 +310,8 @@ def projected_interval(body: ConvexBody, direction: Union[float, LineDir]) -> Tu
     """Range of the body's projection onto the line orthogonal to the
     given direction."""
     ang = direction.angle if isinstance(direction, LineDir) else float(direction)
+    if not math.isfinite(ang):
+        raise ConfigError("projection direction must be a finite angle")
     coords = _project(body.vertices, (-math.sin(ang), math.cos(ang)))
     return float(np.min(coords)), float(np.max(coords))
 

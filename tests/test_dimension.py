@@ -663,16 +663,30 @@ class TestPartitionSum:
 
     def test_validation(self):
         maps = scalar_family().instantiate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             partition_sum(maps, 0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             partition_sum(maps, 2, -0.5)
         # a NaN exponent returned nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             partition_sum(maps, 4, math.nan)
         fam = scalar_family()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             anchored_norm_sum(fam, 0.0, anchor_spec(fam, 0, 2), math.nan)
+
+    @pytest.mark.parametrize("n", [0, 2.5, 2.0, True])
+    def test_word_lengths_are_integer_counts(self, n):
+        # n < 1 raised a bare ValueError, 2.5 a bare TypeError from a list
+        # index, and True was taken as 1
+        maps = scalar_family().instantiate()
+        with pytest.raises(ConfigError, match="integer word length"):
+            partition_sum(maps, n, 1.0)
+        with pytest.raises(ConfigError, match="integer word length"):
+            pressure_upper_root(maps, n)
+        if n:
+            # max_len=2.5 failed later with a TypeError, and True counted as 1
+            with pytest.raises(ConfigError, match="max_len"):
+                AnchoredSumSpec(start=0, end=0, max_len=n)
 
 
 def exact_a1(maps, n):
@@ -729,8 +743,8 @@ def hexes(values):
      heavy_sites_family, lambda: seven_map_family(1)],
 )
 def test_value_paths_equal_the_full_evaluation(make):
-    # the sign tests read (F, err) from value: the bits of entries 0 and 2
-    # of a full evaluation, for every anchored truncation (a plain
+    # the sign tests read (F, err) from f(s, False): the bits of entries 0
+    # and 2 of a full evaluation f(s), for every anchored truncation (a plain
     # _LogSum without sites inside the words, else a _SiteSums over a
     # grouped _LogSum, whose group sums must match too) and for the
     # exact-length level sums through rank-one letters
@@ -744,7 +758,7 @@ def test_value_paths_equal_the_full_evaluation(make):
     for f in sums:
         for s in (0.0, 0.3, 0.81, 1.0, 1.7, 8.0):
             F, _, err, _ = f(s)
-            assert hexes(f.value(s)) == hexes((F, err)), (f, s)
+            assert hexes(f(s, False)) == hexes((F, err)), (f, s)
             if isinstance(f, dimension._SiteSums):
                 want = f.terms.groups(s)[0]
                 assert hexes(f.terms.groups(s, slopes=False).ravel()) == hexes(want)

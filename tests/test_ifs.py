@@ -150,6 +150,12 @@ def test_attractor_bound_cantor():
     assert attractor_bound(maps) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_attractor_bound_needs_a_map():
+    # raised a bare ValueError from max()
+    with pytest.raises(ConfigError, match="at least one map"):
+        attractor_bound([])
+
+
 def test_attractor_bound_requires_contraction():
     expanding = [AffineMap2(Mat2.diagonal(1.0, 0.5), (0.0, 0.0))]
     with pytest.raises(ContractionError):

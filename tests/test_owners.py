@@ -22,6 +22,12 @@ leave points unsettled.
 ``_convex_hull`` is called only in ``ConvexBody.polygon``, to canonicalise
 a polygon: the direction cone reads its span off the separating axis, so a
 hull anywhere else has grown back.
+
+Every sum the root solver reads is one callable, ``f(s, slopes=True)``,
+which returns ``(F, F', err, slope_err)``, or ``(F, err)`` from the same
+pass when ``slopes`` is false. A method named ``value``, a ``.value(``
+call, or a ``_convex_root`` call with a ``value=`` keyword or more than
+four arguments is a second evaluation path for the same sum growing back.
 """
 
 import ast
@@ -242,3 +248,57 @@ def test_convex_hull_only_canonicalises_polygons():
     assert {name: [owner for _, owner in hits] for name, hits in found.items()} == {
         "separation.py": ["ConvexBody.polygon"]
     }, "call _convex_hull only in ConvexBody.polygon: %s" % found
+
+
+def value_paths(source):
+    """(line, what) for each method named value, each .value( call and
+    each _convex_root call with a value= keyword or more than four
+    arguments in the source, in order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.lineno, "value method")
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name == "value"
+            ]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if isinstance(node.func, ast.Attribute) and name == "value":
+                found.append((node.lineno, ".value call"))
+            elif name == "_convex_root" and (
+                any(k.arg == "value" for k in node.keywords)
+                or len(node.args) + len(node.keywords) > 4
+            ):
+                found.append((node.lineno, "_convex_root value path"))
+    return sorted(found)
+
+
+def test_value_guard_flags_the_paths_it_forbids():
+    source = (
+        "class _LogSum:\n"
+        "    def __call__(self, s, slopes=True):\n"
+        "        return self.value(s)\n"
+        "    def value(self, s):\n"
+        "        return s\n"
+        "root = _convex_root(sums, 0.0, tol, hi, sums.value)\n"
+        "root = dimension._convex_root(sums, 0.0, tol, value=lambda s: sums(s, False))\n"
+        "fine = _convex_root(sums, 0.0, tol, hi)\n"
+        "also_fine = sums(s, False)[0] + value(s) + spec.value\n"
+        "def value(s):\n"
+        "    return s\n"
+    )
+    assert value_paths(source) == [
+        (3, ".value call"),
+        (4, "value method"),
+        (6, "_convex_root value path"),
+        (7, "_convex_root value path"),
+    ]
+
+
+def test_sums_have_one_evaluation_protocol():
+    modules = list(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = {p.name: hits for p in modules if (hits := value_paths(p.read_text()))}
+    assert not found, "evaluate with f(s, slopes) alone: %s" % found

@@ -16,10 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affdim.dimension as dimension
-from affdim import SolverOptions, affinity_dimension, pressure_upper_root
+from affdim import (
+    SolverOptions,
+    affinity_dimension,
+    pressure_upper_root,
+    regular_dimension_bracket,
+)
 from affdim.dimension import _ARG_ULPS, _U, _convex_root, _log_sum
 
-from families import rotation_family, two_anchor_family
+from families import rotation_family, seven_map_family, two_anchor_family
 
 bases = st.floats(min_value=1e-6, max_value=0.99)
 level_sets = st.lists(
@@ -64,10 +69,16 @@ def test_bracket_confirmed_by_reference_sums(levels, tol):
 @settings(max_examples=200, deadline=None)
 @given(levels=level_sets, tol=st.floats(min_value=1e-15, max_value=1e-3))
 def test_value_sign_tests_give_the_same_bracket(levels, tol):
-    # value gives the sign tests the bits they read from full evaluations
+    # evaluate(s, False) gives the sign tests the bits they would read from
+    # entries 0 and 2 of full evaluations, so the bracket is the same
     sums = full_sums(levels)
-    with_value = _convex_root(sums, 0.0, tol, value=sums.value)
-    assert list(map(float.hex, with_value)) == list(map(float.hex, _convex_root(sums, 0.0, tol)))
+
+    def full_only(s, slopes=True):
+        values = sums(s)
+        return values if slopes else values[0::2]
+
+    got = _convex_root(sums, 0.0, tol)
+    assert list(map(float.hex, got)) == list(map(float.hex, _convex_root(full_only, 0.0, tol)))
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
@@ -80,11 +91,13 @@ def test_skewed_slopes_fall_back_to_a_certified_bracket(scale):
     tol = 1e-12
     calls = []
 
-    def counted(s):
+    def counted(s, slopes=True):
         calls.append(s)
-        return evaluate(s)
+        return evaluate(s, slopes)
 
-    def skewed(s):
+    def skewed(s, slopes=True):
+        if not slopes:
+            return counted(s, False)
         F, dF, err, slope_err = counted(s)
         return F, scale * dF, err, abs(1.0 - scale) * -dF + slope_err
 
@@ -182,9 +195,9 @@ def test_undecided_ends_widen_from_the_band():
     evaluate = full_sums([[1e-5, 1e-5]])
     calls = []
 
-    def counted(s):
+    def counted(s, slopes=True):
         calls.append(s)
-        return evaluate(s)
+        return evaluate(s, slopes)
 
     a, b = _convex_root(counted, 0.0, 1e-15)
     assert len(calls) <= 20, len(calls)
@@ -235,7 +248,7 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
     # which takes that count as its first iterate, and by one root of the
     # sum plus its tail bound for the upper end; two sites put the other
     # site inside the words. Only the Newton iterates read slopes: every
-    # other sign test calls value, which reduces no slope groups
+    # other sign test calls evaluate(s, False), which reduces no slope groups
     depth = 8
     real_sums, real_root = dimension._site_sums, dimension._convex_root
     evaluations, roots, entered, group_calls = {}, [], [], []
@@ -245,13 +258,13 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
         evaluations[sums] = []
         return sums
 
-    def counted(call, slopes):
-        def wrapped(self, s, *args):
+    def counted(call):
+        def wrapped(self, s, slopes=True):
             if self in evaluations:
                 evaluations[self].append((s, slopes))
             entered.append(slopes)
             try:
-                return call(self, s, *args)
+                return call(self, s, slopes)
             finally:
                 entered.pop()
 
@@ -268,10 +281,12 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
         calls = []
         roots.append(calls)
 
-        def recorded(s):
+        def recorded(s, slopes=True):
+            # calls holds the full evaluations, the Newton iterates
             before = sum(map(len, evaluations.values()))
-            values = evaluate(s)
-            calls.append((s, values, sum(map(len, evaluations.values())) > before))
+            values = evaluate(s, slopes)
+            if slopes:
+                calls.append((s, values, sum(map(len, evaluations.values())) > before))
             return values
 
         return real_root(recorded, *args, **kwargs)
@@ -279,8 +294,7 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
     monkeypatch.setattr(dimension, "_site_sums", site_sums)
     monkeypatch.setattr(dimension, "_convex_root", root)
     for cls in (dimension._LogSum, dimension._SiteSums):
-        monkeypatch.setattr(cls, "__call__", counted(cls.__call__, True))
-        monkeypatch.setattr(cls, "value", counted(cls.value, False))
+        monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
     monkeypatch.setattr(dimension._LogSum, "groups", groups(dimension._LogSum.groups))
     for fam in (rotation_family(), two_anchor_family()):
         evaluations.clear()
@@ -298,7 +312,7 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
             assert all(hit for _, _, hit in calls[1:])
             # every evaluation with slopes is a Newton step from the one
             # before it: the ends are certified by the last tangent and
-            # by value alone
+            # by evaluations without slopes
             for (s, (F, dF, _, _), _), (t, _, _) in zip(calls, calls[1:]):
                 assert t == s - math.log(F) * F / dF
             assert len(calls) <= 6, calls
@@ -314,6 +328,46 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
         assert all(slopes == wanted for slopes, wanted in group_calls), group_calls
         if fam.n_singular > 1:
             assert {slopes for slopes, _ in group_calls} == {True, False}
+
+
+def test_every_evaluator_gives_its_full_values_without_slopes(monkeypatch):
+    # each evaluate handed to the solver, the closures of _root_from_zero
+    # and _anchor_upper included, returns from evaluate(s, False) the bits
+    # of entries 0 and 2 of evaluate(s) at every point the solver visited;
+    # checked as each root returns, before the next level reuses the buffers
+    real_root = dimension._convex_root
+    kinds = set()
+
+    def root(evaluate, *args):
+        points = []
+
+        def recorded(s, slopes=True):
+            points.append(s)
+            return evaluate(s, slopes)
+
+        bracket = real_root(recorded, *args)
+        for s in points:
+            F, _, err, _ = evaluate(s)
+            want = [F.hex(), err.hex()]
+            assert [x.hex() for x in evaluate(s, False)] == want, (evaluate, s)
+        kinds.add(getattr(evaluate, "__qualname__", type(evaluate).__qualname__))
+        return bracket
+
+    monkeypatch.setattr(dimension, "_convex_root", root)
+    opts = SolverOptions(depth=6)
+    for fam in (two_anchor_family(), seven_map_family(1)):
+        affinity_dimension(fam, 0.4, opts)
+    regular_dimension_bracket(seven_map_family(1), opts)
+    # the level sums through rank-one letters root below 1 on the first
+    # family and reach the piece past 1 on the second
+    for fam in (two_anchor_family(), rotation_family()):
+        pressure_upper_root(fam.instantiate(0.4), 3)
+    assert kinds == {
+        "_LogSum",
+        "_root_from_zero.<locals>.<lambda>",
+        "_anchor_upper.<locals>.tail",
+        "_anchor_upper.<locals>.total",
+    }
 
 
 def test_pressure_root_costs_few_sums(monkeypatch):

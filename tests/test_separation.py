@@ -112,6 +112,10 @@ class TestConvexBody:
             ("polygon", [(0, 0), (1, 0), (1, 0), (0, 1)]),
             ("polygon", [(0, 0), (1, 0), (0, 1), (0, 0)]),
             ("polygon", [(0, 0), (1, 0)]),
+            # clockwise and reflex vertex lists were accepted, and gave an
+            # interior point a negative containment margin
+            ("polygon", [(0, 0), (0, 1), (1, 0)]),
+            ("polygon", [(0, 0), (2, 0), (1, 0.2), (1, 2)]),
             ("segment", [(0, 0)]),
             ("segment", [(0, 0), (1, 0), (2, 0)]),
             # an unknown kind was accepted
@@ -602,6 +606,11 @@ class TestProjectedInterval:
     def test_accepts_line_dir(self):
         body = square_at(0, 0)
         assert projected_interval(body, LineDir(0.0)) == projected_interval(body, 0.0)
+
+    def test_direction_must_be_finite(self):
+        # a NaN angle returned (nan, nan)
+        with pytest.raises(ConfigError, match="finite angle"):
+            projected_interval(square_at(0, 0), math.nan)
 
 
 def plain_products(points, d):
