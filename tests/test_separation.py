@@ -112,14 +112,14 @@ class TestConvexBody:
             ("polygon", [(0, 0), (1, 0), (1, 0), (0, 1)]),
             ("polygon", [(0, 0), (1, 0), (0, 1), (0, 0)]),
             ("polygon", [(0, 0), (1, 0)]),
-            # clockwise and reflex vertex lists were accepted, and gave an
-            # interior point a negative containment margin
-            ("polygon", [(0, 0), (0, 1), (1, 0)]),
-            ("polygon", [(0, 0), (2, 0), (1, 0.2), (1, 2)]),
             ("segment", [(0, 0)]),
             ("segment", [(0, 0), (1, 0), (2, 0)]),
             # an unknown kind was accepted
             ("blob", [(0, 0)]),
+            # clockwise and reflex vertex lists were accepted, and gave an
+            # interior point a negative containment margin
+            ("polygon", [(0, 0), (0, 1), (1, 0)]),
+            ("polygon", [(0, 0), (2, 0), (1, 0.2), (1, 2)]),
         ],
     )
     def test_direct_construction_is_checked(self, kind, vertices):
