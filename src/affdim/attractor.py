@@ -170,8 +170,8 @@ def _checked_points(cloud) -> np.ndarray:
 _KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _keyed_points(cloud, index_bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The points of a _checked_points cloud, each viewed as one complex
+def _keyed_points(pts: np.ndarray, index_bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The points of a _checked_points array, each viewed as one complex
     number, sorted by a key mixed from their bits with repeats dropped;
     and those keys.
 
@@ -187,7 +187,6 @@ def _keyed_points(cloud, index_bits: int) -> Tuple[np.ndarray, np.ndarray]:
     that differ only in the sign of a zero have different keys; either
     leaves a repeat behind, which costs only work.
     """
-    pts = _checked_points(cloud)
     bits = pts.view(np.uint64)
     keys = bits[:, 0] * _KEY_MIX
     keys ^= bits[:, 1]

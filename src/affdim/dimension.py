@@ -218,23 +218,48 @@ def _convex_root(
     (F, err) with the same F and err, as _LogSum does; F - err >= 1
     certifies g >= 0 at s, F + err < 1 certifies g < 0, and between them
     s is undecided. Only the Newton iterates read slopes; every other
-    sign test (the probe of b, the widening and the bisection) calls
-    evaluate(s, False). The caller knows g(lo) >= 0 and, when hi is
-    finite, g(hi) < 0. Newton steps on log F, which is convex too, start
-    at lo and never pass the root; one step solves a single exponential
-    exactly, and each decided iterate becomes lo or hi. They stop once a
-    step, or the next step the quadratic model predicts, is at most
-    tol/8, and the final iterate r gives a = r - tol/4 and b = a + tol/2.
-    By convexity F(a) >= F(x) + F'(x)(a - x) at the last evaluated iterate
-    x, so that tangent, lowered by err and slope_err, certifies a when it
-    reaches 1; b takes one more evaluation. If an end fails, the bracket
-    is widened away from it by doubling steps that start at the width of
-    the undecided band, estimated as err / |F'| at the last iterate, and
-    then bisected, so g(a) >= 0 > g(b)
-    (lo and a finite hi taken as given), and b - a <= tol unless a and b
-    are adjacent floats or g's sign is undecided at their midpoint. None
-    when no right end exists below _S_MAX.
+    sign test (the probes of a and b, the widening and the bisection)
+    calls evaluate(s, False). The caller knows g(lo) >= 0 and, when hi
+    is finite, g(hi) < 0. Newton steps on log F, which is convex too,
+    start at lo and never pass the root; one step solves a single
+    exponential exactly, and each decided iterate becomes lo or hi. They
+    stop once a step, or the next step the quadratic model predicts, is
+    at most tol/8, and the final iterate r gives a = r - tol/4 and b = a
+    + tol/2. By convexity F(a) >= F(x) + F'(x)(a - x) at the last
+    evaluated iterate x, so that tangent, lowered by err and slope_err,
+    certifies a when it reaches 1, and otherwise a probe of a does; b
+    takes one more evaluation. If an end fails, the bracket is widened
+    away from it by doubling steps that start at the width of the
+    undecided band, estimated as err / |F'| at the last iterate, and
+    then bisected, so g(a) >= 0 > g(b) (lo and a finite hi taken as
+    given), and b - a <= tol unless a and b are adjacent floats or g's
+    sign is undecided at their midpoint. None when no right end exists
+    below _S_MAX.
     """
+    steps = _root_steps(evaluate, lo, tol, hi)
+    next(steps)
+    return next(steps, None)
+
+
+def _lower_root(evaluate, lo: float, tol: float) -> Optional[float]:
+    """The left end a of _convex_root's bracket, returned once the last
+    tangent or the probe of a certifies it, with no probe of b, widening
+    or bisection; otherwise it runs on as _convex_root does. So g(a) >= 0
+    is certified (or a is the given lo), but not root - a <= tol; a
+    differs from _convex_root's only where the probe of b fails and
+    bisection then raises a. None where _convex_root gives None."""
+    steps = _root_steps(evaluate, lo, tol, math.inf)
+    a = next(steps)
+    if a is None:
+        root = next(steps, None)
+        a = root and root[0]
+    return a
+
+
+def _root_steps(evaluate, lo: float, tol: float, hi: float):
+    """_convex_root's steps: yields a once the Newton steps, the tangent
+    and the probe of a have run, or None if a is not certified, then the
+    bracket; ends early when no right end exists below _S_MAX."""
     cap = min(hi, _S_MAX)
 
     def probe(s, F_err=None) -> bool:
@@ -270,9 +295,11 @@ def _convex_root(
     # the tangent at x, lowered on either side of x by the slope's bound
     if lo < a < hi and F - err + (a - x) * (dF - math.copysign(slope_err, a - x)) >= 1.0:
         lo = a
-    for s in (a, a + 0.5 * tol):
-        if lo < s < hi:
-            probe(s)
+    if lo < a < hi:
+        probe(a)
+    yield a if lo == a else None
+    if lo < a + 0.5 * tol < hi:
+        probe(a + 0.5 * tol)
     # an undecided end steps away from the root by doublings that start at
     # the width of the undecided band, err / |F'| at the last iterate
     band = max(tol, err / -dF) if dF < 0.0 else tol
@@ -280,7 +307,7 @@ def _convex_root(
     while hi == math.inf:
         s = max(lo, a + 0.5 * tol) + width
         if s > _S_MAX:
-            return None
+            return
         probe(s)
         width *= 2.0
     width = band
@@ -293,7 +320,7 @@ def _convex_root(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi or not probe(mid):
             break
-    return lo, hi
+    yield lo, hi
 
 
 # --- site-factored sums -----------------------------------------------------
@@ -558,10 +585,12 @@ def anchored_norm_sum(
 # --- anchored exponent solvers ----------------------------------------------
 
 
-def _root_from_zero(sums, tol: float, hi: float = math.inf) -> Tuple[float, float]:
-    """_convex_root of sums = 1 from 0, or (0, 0) when F(0), which counts
-    the nonzero terms, each below 1, is at most 1. The evaluation at 0
-    that decides this is handed to the solver as its first iterate."""
+def _root_from_zero(sums, tol: float, solve=None) -> float:
+    """solve(evaluate, 0.0, tol) on sums = 1, by default _lower_root's
+    left end, certified below the root but not within tol of it; or 0
+    when F(0), which counts the nonzero terms, each below 1, is at most
+    1. The evaluation at 0 that decides this is handed to the solver as
+    its first iterate."""
     at_zero = sums(0.0)
     if at_zero[0] <= 1.0:
         if at_zero[0] == 0.0:
@@ -572,9 +601,9 @@ def _root_from_zero(sums, tol: float, hi: float = math.inf) -> Tuple[float, floa
             logging.getLogger("affdim.dimension").warning(
                 "sum has no nonzero terms; its root degenerates to 0"
             )
-        return 0.0, 0.0
-    root = _convex_root(
-        lambda s, slopes=True: at_zero if s == 0.0 and slopes else sums(s, slopes), 0.0, tol, hi
+        return 0.0
+    root = (solve or _lower_root)(
+        lambda s, slopes=True: at_zero if s == 0.0 and slopes else sums(s, slopes), 0.0, tol
     )
     if root is None:
         # terms are products of norms < 1, so this cannot trigger; guard anyway
@@ -638,9 +667,9 @@ def _anchor_upper(
     # where the tail alone still reaches 1 is a left point too; it is cheap
     # to find and lies past the steep rise of 1/(1 - theta) near s_theta
     start = max(s_theta, lower)
-    tail_root = _convex_root(tail, start, tol)
+    tail_root = _lower_root(tail, start, tol)
     if tail_root is not None:
-        start = tail_root[0]
+        start = tail_root
     root = _convex_root(total, start, tol)
     return math.inf if root is None else max(root[1], lower)
 
@@ -661,17 +690,19 @@ def anchor_exponent_profile(
 
     Entry n is the running maximum of the certified left ends of the
     roots of the length-<=n conditional-norm sums anchored at site j,
-    each solved from 0 and all cut from one factor table. A lower bound
-    at n - 1 stays one at n, since the deeper sum dominates pointwise,
-    so the sequence is nondecreasing without any numerical slack and
-    converges to the critical exponent of the anchored series from below.
+    each solved from 0 and all cut from one factor table. Each left end
+    is certified below its root, but no right end is solved, so it is not
+    certified to lie within opts.tol of it. A lower bound at n - 1 stays
+    one at n, since the deeper sum dominates pointwise, so the sequence
+    is nondecreasing without any numerical slack and converges to the
+    critical exponent of the anchored series from below.
     """
     opts = opts or DEFAULT_OPTIONS
     spec = _anchor_spec(fam, j, max_len)
     rows, off = _anchored_table(fam, alpha, spec, opts)
     out, lo = [], 0.0
     for k in range(max_len + 1):
-        lo = max(lo, _root_from_zero(_site_sums(rows, off, replace(spec, max_len=k)), opts.tol)[0])
+        lo = max(lo, _root_from_zero(_site_sums(rows, off, replace(spec, max_len=k)), opts.tol))
         out.append(lo)
     return out
 
@@ -679,7 +710,7 @@ def anchor_exponent_profile(
 def _anchor_bracket(fam: IfsFamily, sums, j: int, max_len: int, tol: float) -> AnchorBracket:
     letter_norms = [m.linear.operator_norm() for m in fam.regular]
     letter_norms += [fam.singular[k].rho for k in range(fam.n_singular) if k != j]
-    lower = _root_from_zero(sums, tol)[0]
+    lower = _root_from_zero(sums, tol)
     upper = _anchor_upper(sums, max_len, letter_norms, fam.singular[j].rho, tol, lower)
     return AnchorBracket(lower, upper, upper < math.inf)
 
@@ -798,6 +829,8 @@ def _level_sums(maps: Sequence[AffineMap2], n: int, opts: SolverOptions):
     an exact-length _site_sums between two open ends, with the dense
     words' a1 joining them directly.
     """
+    if not maps:
+        raise ConfigError("partition sums need at least one map")
     if _affordable_depth(len(maps), n, opts.budget) < n:
         raise BudgetError("word budget %d exceeded before word length %d" % (opts.budget, n))
     dense = [m for m in maps if isinstance(m.linear, Mat2)]
@@ -834,7 +867,7 @@ def _svf_root(a1: np.ndarray, a2: np.ndarray, tol: float, sums=None) -> float:
         sums = _log_sum(a1)
     F, err = sums(1.0, False)
     if F + err < 1.0:
-        return _root_from_zero(sums, tol, 1.0)[1]
+        return _root_from_zero(sums, tol, lambda f, lo, tol: _convex_root(f, lo, tol, 1.0)[1])
     # a1 a2^(s-1) = exp(log a1 - log a2 + s log a2); a zero a2 adds nothing past 1
     keep = (a1 > 0.0) & (a2 > 0.0)
     log_a2 = np.log(a2[keep])
@@ -896,7 +929,10 @@ def regular_dimension_bracket(
     for each level, the root of the smallest-singular-value sum = 1;
     those sums are supermultiplicative across levels, so each root (and
     hence their maximum) certifiably sits below the exponent, and for
-    similarities both ends collapse onto the exact value.
+    similarities both ends collapse onto the exact value. Each level's
+    root is read at the certified left end of its bracket alone: a point
+    below the root, with no right end solved, so it is not certified to
+    lie within opts.tol of the root.
     """
     return _regular_bracket(fam, opts or DEFAULT_OPTIONS)
 
@@ -924,7 +960,7 @@ def _regular_bracket(
         level, size = slice(off[k], off[k + 1]), off[k + 1] - off[k]
         # logs is the scratch array until the logs are taken
         batch_singular_values(*P[:, level], dets[level], out=(a1[:size], a2[:size], logs[:size]))
-        lower = max(lower, _root_from_zero(_log_sum(a2[:size], logs, buf), opts.tol)[0])
+        lower = max(lower, _root_from_zero(_log_sum(a2[:size], logs, buf), opts.tol))
 
     upper = _svf_root(a1, a2, opts.tol, _log_sum(a1, logs, buf))
     lower = min(lower, 2.0)

@@ -349,7 +349,7 @@ class TestHausdorff:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p1, p2 = self.colliding_pair(rng)
-            keys, distinct = _keyed_points([p1, p2], 1)
+            keys, distinct = _keyed_points(np.array([p1, p2]), 1)
             assert len(distinct) == 2 and keys[0] == keys[1]
             q = tuple(rng.uniform(-1.0, 1.0, 2))
             for a, b in [

@@ -688,6 +688,16 @@ class TestPartitionSum:
             with pytest.raises(ConfigError, match="max_len"):
                 AnchoredSumSpec(start=0, end=0, max_len=n)
 
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.5, 2.5])
+    def test_sums_need_a_map(self, s, caplog):
+        # an empty list gave 0.0 at every s, and its pressure root logged
+        # "sum has no nonzero terms" and returned 0.0
+        with pytest.raises(ConfigError, match="at least one map"):
+            partition_sum([], 2, s)
+        with pytest.raises(ConfigError, match="at least one map"):
+            pressure_upper_root([], 2)
+        assert not caplog.records
+
 
 def exact_a1(maps, n):
     """a1 of every word of length n over maps with a nonzero product, in

@@ -28,6 +28,11 @@ which returns ``(F, F', err, slope_err)``, or ``(F, err)`` from the same
 pass when ``slopes`` is false. A method named ``value``, a ``.value(``
 call, or a ``_convex_root`` call with a ``value=`` keyword or more than
 four arguments is a second evaluation path for the same sum growing back.
+
+A lower bound reads only the left end of a root, so it calls
+``_lower_root``, which stops once that end is certified. A
+``_convex_root(...)`` or ``_root_from_zero(...)`` result subscripted
+``[0]`` is a right end paid for and dropped.
 """
 
 import ast
@@ -302,3 +307,36 @@ def test_sums_have_one_evaluation_protocol():
     assert len(modules) >= 9
     found = {p.name: hits for p in modules if (hits := value_paths(p.read_text()))}
     assert not found, "evaluate with f(s, slopes) alone: %s" % found
+
+
+def dropped_right_ends(source):
+    """Lines of each _convex_root(...) or _root_from_zero(...) result
+    subscripted [0] in the source, in order."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Call)
+        and (getattr(node.value.func, "id", None) or getattr(node.value.func, "attr", None))
+        in ("_convex_root", "_root_from_zero")
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 0
+    )
+
+
+def test_left_end_guard_flags_the_reads_it_forbids():
+    source = (
+        "lower = max(lower, _root_from_zero(sums, tol)[0])\n"
+        "a = dimension._convex_root(tail, start, tol)[0]\n"
+        "upper = _convex_root(piece, 1.0, tol, 2.0)[1]\n"
+        "lower = _lower_root(tail, start, tol)\n"
+        "a = root[0]\n"
+    )
+    assert dropped_right_ends(source) == [1, 2]
+
+
+def test_lower_bounds_read_the_left_end_alone():
+    modules = list(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = {p.name: hits for p in modules if (hits := dropped_right_ends(p.read_text()))}
+    assert not found, "solve a lower bound with _lower_root: %s" % found

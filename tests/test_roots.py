@@ -4,7 +4,8 @@ The solver steps on sums rebuilt from logs and certifies both ends of
 its bracket on the same sums under a stated rounding bound; these tests
 check that bound against mpmath, the certified ends against
 high-precision sums on random level sets, force the fallback with
-skewed slopes, and bound how many full-level sums one root costs.
+skewed slopes, bound how many full-level sums one root costs, and
+check that the lower roots stop at their certified left end.
 """
 
 import math
@@ -19,10 +20,11 @@ import affdim.dimension as dimension
 from affdim import (
     SolverOptions,
     affinity_dimension,
+    anchor_exponent_profile,
     pressure_upper_root,
     regular_dimension_bracket,
 )
-from affdim.dimension import _ARG_ULPS, _U, _convex_root, _log_sum
+from affdim.dimension import _ARG_ULPS, _U, _convex_root, _log_sum, _lower_root
 
 from families import rotation_family, seven_map_family, two_anchor_family
 
@@ -79,6 +81,23 @@ def test_value_sign_tests_give_the_same_bracket(levels, tol):
 
     got = _convex_root(sums, 0.0, tol)
     assert list(map(float.hex, got)) == list(map(float.hex, _convex_root(full_only, 0.0, tol)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=level_sets, tol=st.floats(min_value=1e-15, max_value=1e-3))
+def test_left_end_alone_is_the_brackets_left_end(levels, tol):
+    # the lower root stops once a is certified; wherever _convex_root's
+    # probe of b = a + tol/2 then certifies b, its bracket starts at the
+    # same a, and elsewhere its bisection can only raise a
+    sums = full_sums(levels)
+    a = _lower_root(sums, 0.0, tol)
+    F, _, err, _ = sums(a)
+    assert F - err >= 1.0
+    assert exact_sum(levels, a) >= 1
+    lo, hi = _convex_root(sums, 0.0, tol)
+    assert a <= lo
+    if hi <= a + 0.5 * tol:
+        assert lo.hex() == a.hex()
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
@@ -250,7 +269,7 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
     # site inside the words. Only the Newton iterates read slopes: every
     # other sign test calls evaluate(s, False), which reduces no slope groups
     depth = 8
-    real_sums, real_root = dimension._site_sums, dimension._convex_root
+    real_sums = dimension._site_sums
     evaluations, roots, entered, group_calls = {}, [], [], []
 
     def site_sums(*args):
@@ -277,22 +296,27 @@ def test_anchored_roots_cost_few_full_level_sums(monkeypatch):
 
         return wrapped
 
-    def root(evaluate, *args, **kwargs):
-        calls = []
-        roots.append(calls)
+    def recording(real_root):
+        def root(evaluate, *args, **kwargs):
+            calls = []
+            roots.append(calls)
 
-        def recorded(s, slopes=True):
-            # calls holds the full evaluations, the Newton iterates
-            before = sum(map(len, evaluations.values()))
-            values = evaluate(s, slopes)
-            if slopes:
-                calls.append((s, values, sum(map(len, evaluations.values())) > before))
-            return values
+            def recorded(s, slopes=True):
+                # calls holds the full evaluations, the Newton iterates
+                before = sum(map(len, evaluations.values()))
+                values = evaluate(s, slopes)
+                if slopes:
+                    calls.append((s, values, sum(map(len, evaluations.values())) > before))
+                return values
 
-        return real_root(recorded, *args, **kwargs)
+            return real_root(recorded, *args, **kwargs)
+
+        return root
 
     monkeypatch.setattr(dimension, "_site_sums", site_sums)
-    monkeypatch.setattr(dimension, "_convex_root", root)
+    # the lower ends are solved by _lower_root, the upper ends by _convex_root
+    for name in ("_convex_root", "_lower_root"):
+        monkeypatch.setattr(dimension, name, recording(getattr(dimension, name)))
     for cls in (dimension._LogSum, dimension._SiteSums):
         monkeypatch.setattr(cls, "__call__", counted(cls.__call__))
     monkeypatch.setattr(dimension._LogSum, "groups", groups(dimension._LogSum.groups))
@@ -335,25 +359,28 @@ def test_every_evaluator_gives_its_full_values_without_slopes(monkeypatch):
     # and _anchor_upper included, returns from evaluate(s, False) the bits
     # of entries 0 and 2 of evaluate(s) at every point the solver visited;
     # checked as each root returns, before the next level reuses the buffers
-    real_root = dimension._convex_root
     kinds = set()
 
-    def root(evaluate, *args):
-        points = []
+    def checking(real_root):
+        def root(evaluate, *args):
+            points = []
 
-        def recorded(s, slopes=True):
-            points.append(s)
-            return evaluate(s, slopes)
+            def recorded(s, slopes=True):
+                points.append(s)
+                return evaluate(s, slopes)
 
-        bracket = real_root(recorded, *args)
-        for s in points:
-            F, _, err, _ = evaluate(s)
-            want = [F.hex(), err.hex()]
-            assert [x.hex() for x in evaluate(s, False)] == want, (evaluate, s)
-        kinds.add(getattr(evaluate, "__qualname__", type(evaluate).__qualname__))
-        return bracket
+            bracket = real_root(recorded, *args)
+            for s in points:
+                F, _, err, _ = evaluate(s)
+                want = [F.hex(), err.hex()]
+                assert [x.hex() for x in evaluate(s, False)] == want, (evaluate, s)
+            kinds.add(getattr(evaluate, "__qualname__", type(evaluate).__qualname__))
+            return bracket
 
-    monkeypatch.setattr(dimension, "_convex_root", root)
+        return root
+
+    for name in ("_convex_root", "_lower_root"):
+        monkeypatch.setattr(dimension, name, checking(getattr(dimension, name)))
     opts = SolverOptions(depth=6)
     for fam in (two_anchor_family(), seven_map_family(1)):
         affinity_dimension(fam, 0.4, opts)
@@ -368,6 +395,41 @@ def test_every_evaluator_gives_its_full_values_without_slopes(monkeypatch):
         "_anchor_upper.<locals>.tail",
         "_anchor_upper.<locals>.total",
     }
+
+
+def test_lower_roots_stop_at_the_certified_left_end(monkeypatch):
+    # each anchor's lower root, each regular level root and each profile
+    # root reads its left end alone: after the last Newton iterate it
+    # evaluates at most once, without slopes, and only where that
+    # evaluation certifies the left end; no right end is probed
+    real = dimension._root_from_zero
+    after = []
+
+    def root_from_zero(sums, tol, *solve):
+        points = []
+
+        def recorded(s, slopes=True):
+            values = sums(s, slopes)
+            points.append((slopes, values))
+            return values
+
+        result = real(recorded, tol, *solve)
+        if not solve:
+            # the lower roots; _svf_root hands a solver for its right end
+            last = max(i for i, (slopes, _) in enumerate(points) if slopes)
+            after.append(points[last + 1 :])
+        return result
+
+    monkeypatch.setattr(dimension, "_root_from_zero", root_from_zero)
+    opts = SolverOptions(depth=6)
+    for fam in (seven_map_family(1), two_anchor_family()):
+        affinity_dimension(fam, 0.4, opts)
+    anchor_exponent_profile(two_anchor_family(), 0.4, 0, 6, opts)
+    # 3 anchors and 6 levels, 2 anchors and 6 levels, 7 truncations
+    assert len(after) == 3 + 6 + 2 + 6 + 7
+    for points in after:
+        assert len(points) <= 1, points
+        assert all(not slopes and F - err >= 1.0 for slopes, (F, err) in points), points
 
 
 def test_pressure_root_costs_few_sums(monkeypatch):
