@@ -2,10 +2,11 @@
 Sampling an attractor and reading off its box dimension
 =======================================================
 
-Two ways to touch the attractor: the chaos game (one long random orbit)
-and cylinder points (one point per word of a fixed length). The box
-counting slope of a large orbit sample estimates the dimension; for the
-middle-thirds set the answer is known, log 2 / log 3 = 0.6309...
+Two ways to touch the attractor: the chaos game (many short random
+orbits from the origin) and cylinder points (one point per word of a
+fixed length). The box counting slope of a large orbit sample estimates
+the dimension; for the middle-thirds set the answer is known,
+log 2 / log 3 = 0.6309...
 """
 
 import math

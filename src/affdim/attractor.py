@@ -19,7 +19,9 @@ from .ifs import AffineMap2, IfsFamily, _map_table
 from .separation import ConvexBody, family_bodies, image_body
 
 _CHAOS_CHUNK = 1 << 15
-_SCAN_BLOCK = 64
+# chaos game: orbits per chunk, and the bytes of map picks stepped at once
+_ORBITS = 128
+_PICK_BYTES = 1 << 22
 # Hausdorff distance: x-order neighbours per bound, exact strips before the KD-tree
 _WINDOW = 8
 _REFINE = 8
@@ -39,72 +41,62 @@ class PointCloud:
     depth_or_count: int
 
 
-def _orbit(table: np.ndarray, picks: np.ndarray, burn_in: int) -> np.ndarray:
-    """Orbit of the origin under the picked rows of a _map_table, burn-in
-    discarded.
-
-    A blocked scan: the picks are cut into blocks of _SCAN_BLOCK, step j
-    composes the j-th map of every block onto that block's prefix map
-    (M, y) at once, a short sequential pass carries the block start
-    points s, and every orbit point is M s + y.
-    """
-    n = len(picks)
-    n_blocks = -(-n // _SCAN_BLOCK)
-    padded = np.zeros(n_blocks * _SCAN_BLOCK, dtype=np.intp)
-    padded[:n] = picks
-    # coef[c, j, b]: column c of the map picked at step j of block b
-    coef = np.take(np.ascontiguousarray(table.T), padded.reshape(n_blocks, _SCAN_BLOCK).T, axis=1)
-    lin = coef[:4].reshape(2, 2, _SCAN_BLOCK, n_blocks)
-    # prefix[r, :, j, b]: row r of the 2x3 affine matrix [M | y] of steps 0..j
-    prefix = np.empty((2, 3, _SCAN_BLOCK, n_blocks))
-    prefix[:, :2, 0] = lin[:, :, 0]
-    prefix[:, 2, 0] = coef[4:, 0]
-    # each step composes every block's 2x2 linear part onto its 2x3
-    # prefix in place: row r = a_r0 * top + a_r1 * bottom, then + t_r
-    terms = np.empty((2, 2, 3, n_blocks))
-    for j in range(1, _SCAN_BLOCK):
-        np.multiply(lin[:, :, j, None], prefix[None, :, :, j - 1], out=terms)
-        np.add(terms[:, 0], terms[:, 1], out=prefix[:, :, j])
-        prefix[:, 2, j] += coef[4:, j]
-
-    x = y = 0.0
-    xs, ys = [x], [y]
-    ends = prefix[:, :, -1, :-1].reshape(6, n_blocks - 1)
-    for m11, m12, y1, m21, m22, y2 in zip(*ends.tolist()):
-        x, y = m11 * x + m12 * y + y1, m21 * x + m22 * y + y2
-        xs.append(x)
-        ys.append(y)
-    starts = np.array([xs, ys])
-
-    out = np.empty((n_blocks, _SCAN_BLOCK, 2))
-    for r in range(2):
-        m1, m2, t = prefix[r]
-        out[:, :, r] = (m1 * starts[0] + m2 * starts[1] + t).T
-    return out.reshape(-1, 2)[burn_in:n]
-
-
 def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
-    """One n_points orbit per _map_table, all driven by the same picks.
+    """One n_points cloud per _map_table, all driven by the same picks.
 
-    Each chunk of at most _CHAOS_CHUNK points draws its map choices,
-    burn-in included, from its own sub-seed of the master seed and
-    starts a fresh orbit at the origin, so the clouds do not depend on
-    how chunks are scheduled.
+    A chunk of _CHAOS_CHUNK points is _ORBITS = 128 orbits of L = 256
+    points from the origin, each dropping its first burn_in iterates, so
+    a point costs (burn_in + L) / L map steps, 1.25 at the default 64.
+    The chunk draws its picks as one (burn_in + L, _ORBITS) array from
+    its own child of SeedSequence(seed), row k for step k and column r
+    for orbit r; its point k * _ORBITS + r is step burn_in + k of orbit r.
+
+    The orbits of up to _PICK_BYTES of picks step in lockstep, a partial
+    last chunk alone and only as far as its points go. Each step takes
+    the picked columns of [M | t] and writes x' = (a11 x + a12 y) + t1,
+    y' = (a21 x + a22 y) + t2 elementwise: every point is the plain loop
+    of its orbit, bit for bit. Raises BudgetError for clouds or picks
+    that cannot be allocated.
     """
     _check_count(n_points, 1, "point count must be an integer >= 1")
     _check_count(seed, 0, "seed must be a nonnegative integer")
     _check_count(burn_in, 0, "burn-in must be a nonnegative integer")
+    n_chunks, full = -(-n_points // _CHAOS_CHUNK), n_points // _CHAOS_CHUNK
+    shape = (burn_in + _CHAOS_CHUNK // _ORBITS, _ORBITS)
+    group = max(1, min(n_chunks, _PICK_BYTES // (8 * shape[0] * _ORBITS)))
+    clouds = []
     try:
-        clouds = [np.empty((n_points, 2)) for _ in tables]
+        clouds += [np.empty((n_points, 2)) for _ in tables]
+        picks = np.empty((shape[0], group * _ORBITS), dtype=np.int64)
     except (MemoryError, ValueError):
         # MemoryError past the host's memory, ValueError past numpy's sizes
-        raise BudgetError("cannot allocate a cloud of %d points" % n_points) from None
-    starts = range(0, n_points, _CHAOS_CHUNK)
-    for start, child in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
-        size = min(_CHAOS_CHUNK, n_points - start)
-        picks = np.random.default_rng(child).integers(0, len(tables[0]), size=burn_in + size)
-        for cloud, table in zip(clouds, tables):
-            cloud[start : start + size] = _orbit(table, picks, burn_in)
+        what = "the map picks of a burn-in of %d" % burn_in if clouds else "a cloud of %d points" % n_points
+        raise BudgetError("cannot allocate " + what) from None
+    # rows a11 a21 | a12 a22 | t1 t2: the columns of [M | t]
+    columns = [np.ascontiguousarray(table[:, [0, 2, 1, 3, 4, 5]].T) for table in tables]
+    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    # groups of full chunks, then a partial last chunk on its own
+    bounds = [(c, min(c + group, full)) for c in range(0, full, group)]
+    bounds += [(full, n_chunks)] * (n_chunks > full)
+    for first, last in bounds:
+        chunks, size = last - first, (last - first) * _ORBITS
+        regions = [c[first * _CHAOS_CHUNK : last * _CHAOS_CHUNK].reshape(chunks, -1, 2) for c in clouds]
+        steps = burn_in + -(-regions[0].shape[1] // _ORBITS)
+        for k, child in enumerate(children[first:last]):
+            draw = np.random.default_rng(child).integers(0, len(tables[0]), size=shape)
+            picks[:steps, k * _ORBITS : (k + 1) * _ORBITS] = draw[:steps]
+        coef, xy, prod, term = (np.empty((rows, size)) for rows in (6, 2, 2, 2))
+        for cols, region in zip(columns, regions):
+            xy[...] = 0.0
+            for step in range(steps):
+                cols.take(picks[step, :size], axis=1, out=coef, mode="clip")
+                np.multiply(coef[0:2], xy[0], out=prod)
+                np.multiply(coef[2:4], xy[1], out=term)
+                prod += term
+                np.add(prod, coef[4:6], out=xy)
+                if step >= burn_in:
+                    row = region[:, (step - burn_in) * _ORBITS :][:, :_ORBITS]
+                    row[..., 0], row[..., 1] = xy.reshape(2, chunks, _ORBITS)[:, :, : row.shape[1]]
     return clouds
 
 
@@ -117,11 +109,13 @@ def chaos_game(
 ) -> PointCloud:
     """Random-orbit sample of the attractor, deterministic given the seed.
 
-    Map choices are uniform; the orbit starts at the origin and the
-    first burn_in iterates are discarded. Points are generated in
-    independent chunks whose sub-seeds derive from the master seed, so
-    the cloud does not depend on how the chunks are scheduled. Raises
-    BudgetError for a point count whose cloud cannot be allocated.
+    Each chunk of 32768 points is 128 orbits of 256 points from the
+    origin under uniform map choices, each dropping its first burn_in
+    iterates, so a point costs (burn_in + 256) / 256 map steps: 1.25 at
+    the default, more for long burn-ins. Chunks draw from sub-seeds of
+    the master seed, so a longer cloud extends a shorter one (_orbits).
+    Raises BudgetError for a point count or a burn-in whose cloud or
+    map picks cannot be allocated.
     """
     (points,) = _orbits([_map_table(fam.instantiate(alpha))], n_points, seed, burn_in)
     return PointCloud(points, seed, "chaos", n_points)
@@ -136,6 +130,7 @@ def cylinder_points(
     of a true attractor point.
     """
     _check_count(depth, 1, "cylinder depth must be an integer >= 1")
+    _check_count(budget, 1, "cylinder budget must be an integer >= 1")
     maps = fam.instantiate(alpha)
     if len(maps) ** depth > budget:
         raise BudgetError(
@@ -147,17 +142,15 @@ def cylinder_points(
     return PointCloud(pts, None, "cylinder", depth)
 
 
-def _as_points(cloud) -> np.ndarray:
-    return cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud)
-
-
 def _checked_points(cloud) -> np.ndarray:
     """A nonempty, finite (n, 2) cloud as C-contiguous float64; ConfigError
     for any other."""
+    pts = cloud.points if isinstance(cloud, PointCloud) else cloud
     try:
-        pts = np.ascontiguousarray(_as_points(cloud), dtype=np.float64)
+        # same_kind refuses complex, text and object entries
+        pts = np.asarray(pts).astype(np.float64, order="C", casting="same_kind", copy=False)
     except (TypeError, ValueError):
-        raise ConfigError("a point cloud must be an (n, 2) array of numbers") from None
+        raise ConfigError("a point cloud must be an (n, 2) array of real numbers") from None
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ConfigError(
             "a point cloud must be a nonempty (n, 2) array, got shape %s" % (pts.shape,)

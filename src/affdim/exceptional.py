@@ -99,7 +99,7 @@ def line_map(fam: IfsFamily, j: int, word: Word, alpha: float) -> LineMap:
     anchor = fam.singular_letter(j)
     if any(fam.letter(letter) == anchor for letter in word):
         raise ConfigError("word may not contain the anchor site itself")
-    fam.angles(float(alpha))  # ConfigError for a non-finite angle
+    fam.angles(alpha)  # ConfigError for a non-real or non-finite angle
     lam, offset = _line_coefficients(fam, j, tuple(word), float(alpha))
     return LineMap(float(lam), float(offset))
 

@@ -241,11 +241,16 @@ class IfsFamily:
         return self.n_regular + j
 
     def angles(self, alpha: Union[float, Sequence[float]]) -> Tuple[float, ...]:
-        """Per-site angle parameters; a scalar broadcasts to every site."""
-        if np.isscalar(alpha):
-            alphas = (float(alpha),) * self.n_singular
-        else:
-            alphas = tuple(float(a) for a in alpha)
+        """Per-site angle parameters; a scalar broadcasts to every site.
+        ConfigError unless each is a real number (bools and text are not)."""
+        scalar = np.isscalar(alpha) or alpha is None
+        try:
+            alphas = (alpha,) if scalar else tuple(alpha)
+        except TypeError:
+            raise ConfigError("angle parameters must be a real number or a sequence of them") from None
+        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool) for a in alphas):
+            raise ConfigError("angle parameters must be real numbers, got %r" % (alpha,))
+        alphas = tuple(map(float, alphas)) * (self.n_singular if scalar else 1)
         if len(alphas) != self.n_singular:
             raise ConfigError(
                 "expected %d angle parameters, got %d" % (self.n_singular, len(alphas))

@@ -31,7 +31,7 @@ from affdim import (
 from affdim.attractor import (
     _CHAOS_CHUNK,
     _KEY_MIX,
-    _SCAN_BLOCK,
+    _ORBITS,
     _cell_counts,
     _keyed_points,
     _level_bodies,
@@ -51,9 +51,21 @@ from families import (
 )
 
 
-def loop_cloud(maps, n_points, seed, burn_in=64, chunk=1 << 15):
-    """Reference chaos game: the plain per-point loop, one orbit from the
-    origin per chunk of map choices drawn from the chunk's sub-seed."""
+def lane_picks(n_maps, n_points, seed, burn_in):
+    """(start, size, picks) per chunk: each chunk of at most _CHAOS_CHUNK
+    points draws one (burn_in + L, _ORBITS) pick array from its sub-seed,
+    row k for step k of every orbit, column r for orbit r."""
+    steps = burn_in + _CHAOS_CHUNK // _ORBITS
+    starts = range(0, n_points, _CHAOS_CHUNK)
+    for start, child in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
+        picks = np.random.default_rng(child).integers(0, n_maps, size=(steps, _ORBITS))
+        yield start, min(_CHAOS_CHUNK, n_points - start), picks.T.tolist()
+
+
+def loop_cloud(maps, n_points, seed, burn_in=64):
+    """Reference chaos game: the plain per-point loop of every orbit from
+    the origin, a rank-one map in its factored form rho v (w . p) + t;
+    point k * _ORBITS + r of a chunk is step burn_in + k of orbit r."""
     coeffs = []
     for m in maps:
         t = m.translation
@@ -63,57 +75,40 @@ def loop_cloud(maps, n_points, seed, burn_in=64, chunk=1 << 15):
         else:
             a = m.linear
             coeffs.append(("d", a.a11, a.a12, a.a21, a.a22, t[0], t[1]))
-    sizes = [min(chunk, n_points - i) for i in range(0, n_points, chunk)]
-    out = []
-    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        picks = np.random.default_rng(child).integers(0, len(maps), size=burn_in + size)
-        x = y = 0.0
-        for step, pick in enumerate(picks.tolist()):
-            c = coeffs[pick]
-            if c[0] == "d":
-                x, y = c[1] * x + c[2] * y + c[5], c[3] * x + c[4] * y + c[6]
-            else:
-                s = c[1] * (c[4] * x + c[5] * y)
-                x, y = c[2] * s + c[6], c[3] * s + c[7]
-            if step >= burn_in:
-                out.append((x, y))
-    return np.array(out)
+    out = np.empty((n_points, 2))
+    for start, size, orbits in lane_picks(len(maps), n_points, seed, burn_in):
+        for lane, picks in enumerate(orbits):
+            x = y = 0.0
+            for step, pick in enumerate(picks):
+                c = coeffs[pick]
+                if c[0] == "d":
+                    x, y = c[1] * x + c[2] * y + c[5], c[3] * x + c[4] * y + c[6]
+                else:
+                    s = c[1] * (c[4] * x + c[5] * y)
+                    x, y = c[2] * s + c[6], c[3] * s + c[7]
+                at = (step - burn_in) * _ORBITS + lane
+                if 0 <= at < size:
+                    out[start + at] = (x, y)
+    return out
 
 
-def blocked_scan_clouds(tables, n_points, seed, burn_in):
-    """Plain-float reference of the blocked scan behind _orbits: per block
-    of _SCAN_BLOCK picks, each map is composed onto the block's prefix map
-    row by row (a * top + b * bottom, then + t), every point is the prefix
-    applied to the block's start ((m1 * sx + m2 * sy) + t), and the next
-    block starts at the last point; each chunk restarts at the origin."""
+def lane_loop_clouds(tables, n_points, seed, burn_in):
+    """Plain-float reference of _orbits: each orbit of each chunk steps
+    from the origin through the picked _map_table rows,
+    x, y = a11 * x + a12 * y + t1, a21 * x + a22 * y + t2."""
     rows = [table.tolist() for table in tables]
-    clouds = [[] for _ in tables]
-    sizes = [min(_CHAOS_CHUNK, n_points - i) for i in range(0, n_points, _CHAOS_CHUNK)]
-    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        picks = np.random.default_rng(child).integers(0, len(rows[0]), size=burn_in + size)
+    clouds = [np.empty((n_points, 2)) for _ in tables]
+    for start, size, orbits in lane_picks(len(rows[0]), n_points, seed, burn_in):
         for table, cloud in zip(rows, clouds):
-            orbit = []
-            sx = sy = 0.0
-            for b in range(0, len(picks), _SCAN_BLOCK):
-                top = None
-                for pick in picks[b : b + _SCAN_BLOCK].tolist():
+            for lane, picks in enumerate(orbits):
+                x = y = 0.0
+                for step, pick in enumerate(picks):
                     a11, a12, a21, a22, t1, t2 = table[pick]
-                    if top is None:
-                        top, bottom = [a11, a12, t1], [a21, a22, t2]
-                    else:
-                        top, bottom = (
-                            [a11 * u + a12 * w for u, w in zip(top, bottom)],
-                            [a21 * u + a22 * w for u, w in zip(top, bottom)],
-                        )
-                        top[2] += t1
-                        bottom[2] += t2
-                    orbit.append((
-                        (top[0] * sx + top[1] * sy) + top[2],
-                        (bottom[0] * sx + bottom[1] * sy) + bottom[2],
-                    ))
-                sx, sy = orbit[-1]
-            cloud.extend(orbit[burn_in:])
-    return [np.array(cloud) for cloud in clouds]
+                    x, y = a11 * x + a12 * y + t1, a21 * x + a22 * y + t2
+                    at = (step - burn_in) * _ORBITS + lane
+                    if 0 <= at < size:
+                        cloud[start + at] = (x, y)
+    return clouds
 
 
 class TestChaosGame:
@@ -185,11 +180,27 @@ class TestChaosGame:
         with pytest.raises(BudgetError, match="%d points" % n_points):
             invariance_clouds(drop_family(), 0, 0, 1.0, n_points, 1)
 
+    @pytest.mark.parametrize("burn_in", [2 ** 62, 10 ** 20])
+    def test_unallocatable_burn_in_is_a_budget_error(self, burn_in, monkeypatch):
+        # a chunk's (burn_in + 256) x 128 picks exceed numpy's sizes; the
+        # error comes before any seed is spawned
+        monkeypatch.setattr(np.random, "SeedSequence", None)
+        with pytest.raises(BudgetError, match="burn-in of %d" % burn_in):
+            chaos_game(drop_family(), 0.0, 10, 1, burn_in=burn_in)
+        with pytest.raises(BudgetError, match="burn-in of %d" % burn_in):
+            invariance_clouds(drop_family(), 0, 0, 1.0, 10, 1, burn_in)
+
+    def test_alpha_must_be_a_real_number(self):
+        # "x" ended in a bare ValueError from float()
+        with pytest.raises(ConfigError, match="real number"):
+            chaos_game(drop_family(), "x", 10, 1)
+
 
 class TestOrbitKernel:
-    # the blocked scan reassociates the orbit's sums, so it matches the
-    # plain loop to rounding, scaled by the attractor's size; 40000 points
-    # span two chunks and a partial last block
+    # a rank-one map's factored form rounds differently from its dense
+    # table row, so the plain loop matches to rounding, scaled by the
+    # attractor's size; 40000 points span two chunks, the second ending
+    # mid-step (its last step fills 64 of the 128 orbits)
 
     @pytest.mark.parametrize(
         "fam, alpha",
@@ -203,14 +214,14 @@ class TestOrbitKernel:
         assert np.max(np.abs(cloud.points - want)) <= 1e-12 * attractor_bound(maps)
 
     @pytest.mark.parametrize("burn_in", [0, 64])
-    def test_orbits_are_the_blocked_scan_bit_for_bit(self, burn_in):
-        # two chunks, the second ending in a partial block
+    def test_orbits_are_the_lane_loop_bit_for_bit(self, burn_in):
+        # two chunks, the second ending mid-step
         fam = wide_family()
         tables = [_map_table(fam.instantiate(alpha)) for alpha in (0.4, 1.1)]
         n_points = _CHAOS_CHUNK + 100
         for group in (tables[:1], tables):
             got = _orbits(group, n_points, 9, burn_in)
-            want = blocked_scan_clouds(group, n_points, 9, burn_in)
+            want = lane_loop_clouds(group, n_points, 9, burn_in)
             assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
     @pytest.mark.parametrize("fam", [drop_family(), wide_family()])
@@ -273,6 +284,9 @@ BAD_CLOUDS = [
     [(0.0, 0.0), (math.nan, 0.0), (math.nan, 1.0)],
     [(0.0, math.inf)],
     [(-math.inf, 0.0), (0.0, 0.0)],
+    # complex and text entries were cast to their real parts and numbers
+    [(1.0 + 5.0j, 0.0)],
+    [("1", "2")],
 ]
 
 
@@ -284,6 +298,11 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == pytest.approx(10.0)
         assert hausdorff_distance(b, a) == pytest.approx(10.0)
         assert hausdorff_distance(a, a) == 0.0
+
+    def test_complex_cloud_rejected(self):
+        # the real parts were compared after only a ComplexWarning: 0.0
+        with pytest.raises(ConfigError, match="real numbers"):
+            hausdorff_distance([[1 + 5j, 0]], [[1, 0]])
 
     def test_accepts_clouds_and_arrays(self):
         cloud = PointCloud(np.array([[0.0, 0.0]]), None, "chaos", 1)
@@ -671,10 +690,14 @@ SQUARE = ConvexBody.polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         lambda fam: render_levels(fam, 0.0, SQUARE, 2.0),
         lambda fam: render_levels(fam, 0.0, SQUARE, True),
         lambda fam: disk_polygon((0.0, 0.0), 1.0, n=3.5),
+        # 4.5 was used as a bound and True as 1
+        lambda fam: cylinder_points(fam, 0.0, 2, budget=4.5),
+        lambda fam: cylinder_points(fam, 0.0, 1, budget=True),
     ],
     ids=[
         "chaos-float", "chaos-nan", "clouds-float", "clouds-nan", "cylinder-depth",
         "boxdim-kmin", "boxdim-kmax", "render-float", "render-bool", "disk-n",
+        "cylinder-budget-float", "cylinder-budget-bool",
     ],
 )
 def test_non_integer_counts_rejected(call):

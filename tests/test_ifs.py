@@ -10,6 +10,7 @@ from affdim import (
     Mat2,
     RankOneFactor,
     RankOneSite,
+    affinity_dimension,
     attractor_bound,
     check_irreducibility,
     LineMap,
@@ -260,6 +261,34 @@ class TestIfsFamily:
     def test_angles_must_be_finite(self, alpha):
         with pytest.raises(ConfigError, match="finite"):
             scalar_family().angles(alpha)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        ["1.5", b"1", True, np.bool_(True), None, 1 + 0j, ["0.5"], [None], (True,), [1 + 0j]],
+    )
+    def test_angles_must_be_real_numbers(self, alpha):
+        # text and bools were read as numbers; None and complex ended in
+        # a bare TypeError
+        with pytest.raises(ConfigError, match="real number"):
+            scalar_family().angles(alpha)
+
+    def test_angles_reject_text_before_broadcasting(self):
+        # a family without sites broadcasts a scalar to no angles at all
+        fam = IfsFamily(regular=(AffineMap2(Mat2(0.5, 0.0, 0.0, 0.5), (0.0, 0.0)),), singular=())
+        assert fam.angles(0.7) == ()
+        with pytest.raises(ConfigError, match="real number"):
+            fam.angles("x")
+
+    def test_bracket_refuses_a_text_angle(self):
+        # affinity_dimension(drop_family(), "0.7") returned a bracket
+        with pytest.raises(ConfigError, match="real number"):
+            affinity_dimension(drop_family(), "0.7")
+
+    @pytest.mark.parametrize(
+        "alpha", [np.float64(0.7), np.int64(1), np.float32(0.5), [np.float64(0.7)], np.array([0.7])]
+    )
+    def test_numpy_angles_accepted(self, alpha):
+        assert scalar_family().angles(alpha) == (float(np.ravel(alpha)[0]),)
 
     def test_instantiate_order_and_parameter(self):
         fam = scalar_family()

@@ -33,6 +33,9 @@ A lower bound reads only the left end of a root, so it calls
 ``_lower_root``, which stops once that end is certified. A
 ``_convex_root(...)`` or ``_root_from_zero(...)`` result subscripted
 ``[0]`` is a right end paid for and dropped.
+
+Only ``attractor._orbits`` draws random numbers: ``np.random.``,
+``default_rng`` or ``SeedSequence`` anywhere else is a second sampler.
 """
 
 import ast
@@ -340,3 +343,74 @@ def test_lower_bounds_read_the_left_end_alone():
     assert len(modules) >= 9
     found = {p.name: hits for p in modules if (hits := dropped_right_ends(p.read_text()))}
     assert not found, "solve a lower bound with _lower_root: %s" % found
+
+
+RANDOM_NAMES = {"default_rng", "SeedSequence"}
+
+
+def _from_numpy_random(name):
+    return name.split(".")[:2] == ["numpy", "random"]
+
+
+def _is_draw(node):
+    if isinstance(node, ast.Import):
+        return any(_from_numpy_random(alias.name) for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return any(_from_numpy_random("%s.%s" % (node.module, a.name)) for a in node.names)
+    if isinstance(node, ast.Attribute) and node.attr == "random" and isinstance(node.value, ast.Name):
+        return node.value.id in ("np", "numpy")
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) in RANDOM_NAMES
+
+
+def random_draws(source):
+    """(line, owner) for each line with an np.random or numpy.random
+    attribute, a default_rng or SeedSequence name or attribute, or an
+    import from numpy.random, in order; owner is the dotted name of the
+    enclosing classes and defs, None at module level."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name if owner is None else owner + "." + child.name
+            elif _is_draw(child):
+                found.add((child.lineno, owner))
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_random_guard_flags_the_draws_it_forbids():
+    source = (
+        "def _orbits(seed):\n"
+        "    return np.random.default_rng(seed)\n"
+        "def sample(seed):\n"
+        "    children = numpy.random.SeedSequence(seed).spawn(2)\n"
+        "    from numpy.random import default_rng\n"
+        "    return default_rng(children[0]).integers(0, 2)\n"
+        "class Sampler:\n"
+        "    ss = SeedSequence\n"
+        "import numpy.random\n"
+        "from numpy import random as npr, pi\n"
+        "picks = rng.integers(0, 3, size=4) + random_state + self.random\n"
+    )
+    assert random_draws(source) == [
+        (2, "_orbits"),
+        (4, "sample"),
+        (5, "sample"),
+        (6, "sample"),
+        (8, "Sampler"),
+        (9, None),
+        (10, None),
+    ]
+
+
+def test_only_the_orbit_kernel_draws_random_numbers():
+    modules = list(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = {p.name: hits for p in modules if (hits := random_draws(p.read_text()))}
+    assert {name: {owner for _, owner in hits} for name, hits in found.items()} == {
+        "attractor.py": {"_orbits"}
+    }, "draw random numbers only in attractor._orbits: %s" % found
