@@ -181,12 +181,18 @@ def _edge_offsets(points: np.ndarray, body: ConvexBody) -> np.ndarray:
     return ap - np.clip(t, 0.0, 1.0)[..., None] * ab
 
 
+def _offset_distance(A: ConvexBody, B: ConvexBody) -> float:
+    """Shortest offset from a vertex of either body to the other's edges:
+    the distance between the bodies when they are apart."""
+    off = np.concatenate([_edge_offsets(A.vertices, B), _edge_offsets(B.vertices, A)], axis=None)
+    return float(_lengths(off.reshape(-1, 2)).min())
+
+
 def _body_distance(A: ConvexBody, B: ConvexBody) -> float:
     """Euclidean distance between two convex bodies; 0 when they meet."""
     if _separating_axis(A, B) is None:
         return 0.0
-    off = np.concatenate([_edge_offsets(A.vertices, B), _edge_offsets(B.vertices, A)], axis=None)
-    return float(_lengths(off.reshape(-1, 2)).min())
+    return _offset_distance(A, B)
 
 
 def _containment_margin(inner: ConvexBody, outer: ConvexBody) -> float:
@@ -291,10 +297,12 @@ def admissible_projections(A: ConvexBody, B: ConvexBody) -> ArcSet:
     its start. The cone is padded by 1e-12 rad on each side first: the
     arc is closed, so without the pad its endpoints would claim the
     borderline directions that only touch. A padded cone of width pi or
-    more leaves the empty arc.
+    more leaves the empty arc. Bodies that touch raise ConfigError even
+    when rounding opens a gap on some axis: their zero offset still
+    shows the contact.
     """
     u = _separating_axis(A, B)
-    if u is None:
+    if u is None or _offset_distance(A, B) == 0.0:
         raise ConfigError("bodies intersect; no separating projections exist")
     diffs = (A.vertices[:, None, :] - B.vertices[None, :, :]).reshape(-1, 2)
     lo, hi = _direction_cone(diffs, u)

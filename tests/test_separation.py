@@ -555,6 +555,14 @@ ROUNDED_GAP = (
 )
 
 
+# touching: the end (-1,3) of the first lies on the second, yet on the
+# second's normal the rounded projections leave a gap of 2.2e-16
+ROUNDED_TOUCH = (
+    ConvexBody.segment((-1, 3), (0, 3)),
+    ConvexBody.segment((1, 1), (-2, 4)),
+)
+
+
 class TestDirectionCone:
     @pytest.mark.parametrize("pairs, count", [(seven_map_pairs, 17), (random_pairs, 25)])
     def test_ends_within_four_ulps_of_mpmath(self, pairs, count):
@@ -584,6 +592,7 @@ class TestDirectionCone:
     @settings(max_examples=400, deadline=None)
     @given(grid_pairs())
     @example(ROUNDED_GAP)
+    @example(ROUNDED_TOUCH)
     def test_near_touching_grid_pairs(self, pair):
         A, B = pair
         if _body_distance(A, B) == 0.0:
