@@ -47,56 +47,80 @@ def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
     A chunk of _CHAOS_CHUNK points is _ORBITS = 128 orbits of L = 256
     points from the origin, each dropping its first burn_in iterates, so
     a point costs (burn_in + L) / L map steps, 1.25 at the default 64.
-    The chunk draws its picks as one (burn_in + L, _ORBITS) array from
-    its own child of SeedSequence(seed), row k for step k and column r
-    for orbit r; its point k * _ORBITS + r is step burn_in + k of orbit r.
+    The chunk draws its picks from its own child of SeedSequence(seed),
+    row k for step k and column r for orbit r, in int64 blocks of at
+    most _PICK_BYTES that give the values of one draw, and only the rows
+    it steps; its point k * _ORBITS + r is step burn_in + k of orbit r.
 
-    The orbits of up to _PICK_BYTES of picks step in lockstep, a partial
-    last chunk alone and only as far as its points go. Each step takes
-    the picked columns of [M | t] and writes x' = (a11 x + a12 y) + t1,
-    y' = (a21 x + a22 y) + t2 elementwise: every point is the plain loop
-    of its orbit, bit for bit. Raises BudgetError for clouds or picks
-    that cannot be allocated.
+    The picks are held in the narrowest unsigned type that indexes every
+    table's maps, one byte up to 256 maps in all, table t's offset by
+    t * n_maps into the tables' stacked columns of [M | t]. The orbits
+    of up to _PICK_BYTES of held picks (or of one chunk) step in
+    lockstep, a partial last chunk's running on past its points on map
+    0. Each step is one take of the picked columns for every table and
+    x' = (a11 x + a12 y) + t1, y' = (a21 x + a22 y) + t2 elementwise:
+    every point is the plain loop of its orbit, bit for bit. Raises
+    ConfigError for tables of unequal length and BudgetError for clouds
+    or picks that cannot be allocated.
     """
     _check_count(n_points, 1, "point count must be an integer >= 1")
     _check_count(seed, 0, "seed must be a nonnegative integer")
     _check_count(burn_in, 0, "burn-in must be a nonnegative integer")
+    n_tables, n_maps = len(tables), len(tables[0])
+    if any(len(table) != n_maps for table in tables):
+        raise ConfigError("coupled orbits need map tables of equal length")
     n_chunks, full = -(-n_points // _CHAOS_CHUNK), n_points // _CHAOS_CHUNK
-    shape = (burn_in + _CHAOS_CHUNK // _ORBITS, _ORBITS)
-    group = max(1, min(n_chunks, _PICK_BYTES // (8 * shape[0] * _ORBITS)))
+
+    def steps(c):
+        return burn_in + -(-min(_CHAOS_CHUNK, n_points - c * _CHAOS_CHUNK) // _ORBITS)
+
+    held = np.min_scalar_type(n_tables * n_maps - 1)
+    group = max(1, min(n_chunks, _PICK_BYTES // (held.itemsize * n_tables * steps(0) * _ORBITS)))
     clouds = []
     try:
         clouds += [np.empty((n_points, 2)) for _ in tables]
-        picks = np.empty((shape[0], group * _ORBITS), dtype=np.int64)
+        buffer = np.empty((steps(0), n_tables, group, _ORBITS), dtype=held)
     except (MemoryError, ValueError):
         # MemoryError past the host's memory, ValueError past numpy's sizes
         what = "the map picks of a burn-in of %d" % burn_in if clouds else "a cloud of %d points" % n_points
         raise BudgetError("cannot allocate " + what) from None
-    # rows a11 a21 | a12 a22 | t1 t2: the columns of [M | t]
-    columns = [np.ascontiguousarray(table[:, [0, 2, 1, 3, 4, 5]].T) for table in tables]
+    # rows a11 a21 | a12 a22 | t1 t2: the columns of [M | t], table after table
+    columns = np.ascontiguousarray(np.concatenate(tables)[:, [0, 2, 1, 3, 4, 5]].T)
+    block = _PICK_BYTES // (8 * _ORBITS)
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    # groups of full chunks, then a partial last chunk on its own
-    bounds = [(c, min(c + group, full)) for c in range(0, full, group)]
-    bounds += [(full, n_chunks)] * (n_chunks > full)
-    for first, last in bounds:
-        chunks, size = last - first, (last - first) * _ORBITS
-        regions = [c[first * _CHAOS_CHUNK : last * _CHAOS_CHUNK].reshape(chunks, -1, 2) for c in clouds]
-        steps = burn_in + -(-regions[0].shape[1] // _ORBITS)
+    for first in range(0, n_chunks, group):
+        last = min(first + group, n_chunks)
+        picks = buffer[: steps(first), :, : last - first]
         for k, child in enumerate(children[first:last]):
-            draw = np.random.default_rng(child).integers(0, len(tables[0]), size=shape)
-            picks[:steps, k * _ORBITS : (k + 1) * _ORBITS] = draw[:steps]
-        coef, xy, prod, term = (np.empty((rows, size)) for rows in (6, 2, 2, 2))
-        for cols, region in zip(columns, regions):
-            xy[...] = 0.0
-            for step in range(steps):
-                cols.take(picks[step, :size], axis=1, out=coef, mode="clip")
-                np.multiply(coef[0:2], xy[0], out=prod)
-                np.multiply(coef[2:4], xy[1], out=term)
-                prod += term
-                np.add(prod, coef[4:6], out=xy)
-                if step >= burn_in:
-                    row = region[:, (step - burn_in) * _ORBITS :][:, :_ORBITS]
-                    row[..., 0], row[..., 1] = xy.reshape(2, chunks, _ORBITS)[:, :, : row.shape[1]]
+            rng, rows = np.random.default_rng(child), steps(first + k)
+            for row in range(0, rows, block):
+                draw = rng.integers(0, n_maps, size=(min(block, rows - row), _ORBITS))
+                for t in range(n_tables):
+                    np.add(draw, t * n_maps, out=picks[row : row + len(draw), t, k], casting="unsafe")
+                del draw
+            picks[rows:, :, k] = 0
+        # (2, chunks, points) views of each cloud's full chunks, then of its
+        # partial last chunk, with their table and their chunks in the group
+        mid = min(last, full)
+        regions = [
+            (t, c[a * _CHAOS_CHUNK : b * _CHAOS_CHUNK].reshape(b - a, -1, 2).transpose(2, 0, 1), slice(a - first, b - first))
+            for t, c in enumerate(clouds)
+            for a, b in ((first, mid), (mid, last))
+            if a < b
+        ]
+        coef, xy, prod, term = (np.empty((n, n_tables, last - first, _ORBITS)) for n in (6, 2, 2, 2))
+        xy[...] = 0.0
+        for step in range(len(picks)):
+            columns.take(picks[step], axis=1, out=coef, mode="clip")
+            np.multiply(coef[0:2], xy[0], out=prod)
+            np.multiply(coef[2:4], xy[1], out=term)
+            prod += term
+            np.add(prod, coef[4:6], out=xy)
+            if step >= burn_in:
+                at = (step - burn_in) * _ORBITS
+                for t, region, chunks in regions:
+                    out = region[:, :, at : at + _ORBITS]
+                    out[...] = xy[:, t, chunks, : out.shape[2]]
     return clouds
 
 
@@ -114,8 +138,10 @@ def chaos_game(
     iterates, so a point costs (burn_in + 256) / 256 map steps: 1.25 at
     the default, more for long burn-ins. Chunks draw from sub-seeds of
     the master seed, so a longer cloud extends a shorter one (_orbits).
-    Raises BudgetError for a point count or a burn-in whose cloud or
-    map picks cannot be allocated.
+    The map picks are held one byte each up to 256 maps, so a 1e6-point
+    cloud steps all its 3968 orbits at once. Raises BudgetError for a
+    point count or a burn-in whose cloud or map picks cannot be
+    allocated.
     """
     (points,) = _orbits([_map_table(fam.instantiate(alpha))], n_points, seed, burn_in)
     return PointCloud(points, seed, "chaos", n_points)

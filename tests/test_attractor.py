@@ -182,7 +182,7 @@ class TestChaosGame:
 
     @pytest.mark.parametrize("burn_in", [2 ** 62, 10 ** 20])
     def test_unallocatable_burn_in_is_a_budget_error(self, burn_in, monkeypatch):
-        # a chunk's (burn_in + 256) x 128 picks exceed numpy's sizes; the
+        # a chunk's (burn_in + 1) x 128 picks exceed numpy's sizes; the
         # error comes before any seed is spawned
         monkeypatch.setattr(np.random, "SeedSequence", None)
         with pytest.raises(BudgetError, match="burn-in of %d" % burn_in):
@@ -241,6 +241,73 @@ class TestOrbitKernel:
             want = loop_cloud(word_maps, 40000, seed=8)
             assert cloud.points.shape == want.shape
             assert np.max(np.abs(cloud.points - want)) <= scale
+
+
+class TestOrbitPicks:
+    # _orbits holds the picks of every table in one narrow unsigned array,
+    # table t's offset by t * n_maps, groups chunks by those bytes and
+    # draws each chunk in int64 blocks of at most _PICK_BYTES
+
+    @pytest.mark.parametrize("n_maps, block", [(2, 7), (3, 100), (27, 13), (300, 200)])
+    def test_blocks_of_a_generator_give_one_draw(self, n_maps, block):
+        child = np.random.SeedSequence(4).spawn(3)[2]
+        whole = np.random.default_rng(child).integers(0, n_maps, size=(1000, _ORBITS))
+        rng = np.random.default_rng(child)
+        parts = [rng.integers(0, n_maps, size=(min(block, 1000 - row), _ORBITS)) for row in range(0, 1000, block)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("n_tables", [1, 2])
+    @pytest.mark.parametrize("chunks_per_group", [1, 2])
+    def test_grouping_is_invisible(self, n_tables, chunks_per_group, monkeypatch):
+        # three full chunks and a partial one: one group by default, else
+        # groups of one chunk or of two, the partial chunk in the last;
+        # the smaller budget also draws the picks in blocks of 40-160 rows
+        fam = wide_family()
+        tables = [_map_table(fam.instantiate(alpha)) for alpha in (0.4, 1.1)][:n_tables]
+        n_points = 3 * _CHAOS_CHUNK + 1000
+        want = _orbits(tables, n_points, 2, 64)
+        monkeypatch.setattr(attractor, "_PICK_BYTES", chunks_per_group * n_tables * (64 + 256) * _ORBITS)
+        got = _orbits(tables, n_points, 2, 64)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    @pytest.mark.parametrize("n_maps, n_tables", [(300, 1), (200, 2)])
+    def test_two_byte_picks_are_the_lane_loop_bit_for_bit(self, n_maps, n_tables):
+        # 300 maps, or two tables of 200, index past one byte
+        rng = np.random.default_rng(n_maps)
+        tables = [rng.uniform(-0.3, 0.3, size=(n_maps, 6)) for _ in range(n_tables)]
+        got = _orbits(tables, _ORBITS * 40 + 5, 3, 8)
+        want = lane_loop_clouds(tables, _ORBITS * 40 + 5, 3, 8)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    def test_tables_of_unequal_length_rejected(self):
+        table = _map_table(drop_family().instantiate(0.7))
+        with pytest.raises(ConfigError, match="equal length"):
+            _orbits([table, table[:-1]], 10, 1, 0)
+
+    def test_memory_peak(self):
+        # 2^20 points: the 16 MiB cloud, at most _PICK_BYTES of held
+        # picks (1.25 MiB of one-byte picks here), and 1 MiB for one
+        # chunk's int64 draw (320 KiB) and the step buffers of 4096
+        # orbits (384 KiB)
+        tracemalloc.start()
+        try:
+            chaos_game(drop_family(), 0.0, 1 << 20, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20 + attractor._PICK_BYTES + 2 ** 20
+
+    def test_long_burn_in_draws_in_blocks(self):
+        # a burn-in of 8192 steps each chunk 8193 rows of 128 picks: one
+        # int64 block of at most _PICK_BYTES at a time, then 1 MiB of
+        # one-byte picks held
+        tracemalloc.start()
+        try:
+            chaos_game(drop_family(), 0.7, 10, 1, burn_in=8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * attractor._PICK_BYTES
 
 
 class TestCylinderPoints:
