@@ -19,6 +19,7 @@ from .ifs import AffineMap2, IfsFamily, _map_table
 from .separation import ConvexBody, family_bodies, image_body
 
 _CHAOS_CHUNK = 1 << 15
+_CYLINDER_BUDGET = 1 << 20
 # chaos game: orbits per chunk, and the bytes of map picks stepped at once
 _ORBITS = 128
 _PICK_BYTES = 1 << 22
@@ -45,23 +46,24 @@ def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
     """One n_points cloud per _map_table, all driven by the same picks.
 
     A chunk of _CHAOS_CHUNK points is _ORBITS = 128 orbits of L = 256
-    points from the origin, each dropping its first burn_in iterates, so
-    a point costs (burn_in + L) / L map steps, 1.25 at the default 64.
-    The chunk draws its picks from its own child of SeedSequence(seed),
-    row k for step k and column r for orbit r, in int64 blocks of at
-    most _PICK_BYTES that give the values of one draw, and only the rows
-    it steps; its point k * _ORBITS + r is step burn_in + k of orbit r.
+    points from the origin (L = ceil(n_points / 128) under one chunk),
+    each dropping its first burn_in iterates, so a point costs
+    (burn_in + L) / L map steps, 1.25 at the default 64. Every chunk
+    draws the same burn_in + L rows of picks from its own child of
+    SeedSequence(seed), row k for step k and column r for orbit r, in
+    int64 blocks of at most _PICK_BYTES that give the values of one
+    draw; its point k * _ORBITS + r is step burn_in + k of orbit r.
 
     The picks are held in the narrowest unsigned type that indexes every
     table's maps, one byte up to 256 maps in all, table t's offset by
     t * n_maps into the tables' stacked columns of [M | t]. The orbits
     of up to _PICK_BYTES of held picks (or of one chunk) step in
-    lockstep, a partial last chunk's running on past its points on map
-    0. Each step is one take of the picked columns for every table and
-    x' = (a11 x + a12 y) + t1, y' = (a21 x + a22 y) + t2 elementwise:
-    every point is the plain loop of its orbit, bit for bit. Raises
-    ConfigError for tables of unequal length and BudgetError for clouds
-    or picks that cannot be allocated.
+    lockstep, each step one take of the picked columns for every table
+    and x' = (a11 x + a12 y) + t1, y' = (a21 x + a22 y) + t2 elementwise,
+    written straight into a (tables, chunks * L * 128, 2) buffer whose
+    first n_points rows are the clouds: every point is the plain loop of
+    its orbit, bit for bit. Raises ConfigError for tables of unequal
+    length and BudgetError for clouds or picks that cannot be allocated.
     """
     _check_count(n_points, 1, "point count must be an integer >= 1")
     _check_count(seed, 0, "seed must be a nonnegative integer")
@@ -69,59 +71,44 @@ def _orbits(tables, n_points: int, seed, burn_in: int) -> List[np.ndarray]:
     n_tables, n_maps = len(tables), len(tables[0])
     if any(len(table) != n_maps for table in tables):
         raise ConfigError("coupled orbits need map tables of equal length")
-    n_chunks, full = -(-n_points // _CHAOS_CHUNK), n_points // _CHAOS_CHUNK
-
-    def steps(c):
-        return burn_in + -(-min(_CHAOS_CHUNK, n_points - c * _CHAOS_CHUNK) // _ORBITS)
-
+    n_chunks, length = -(-n_points // _CHAOS_CHUNK), -(-min(_CHAOS_CHUNK, n_points) // _ORBITS)
     held = np.min_scalar_type(n_tables * n_maps - 1)
-    group = max(1, min(n_chunks, _PICK_BYTES // (held.itemsize * n_tables * steps(0) * _ORBITS)))
-    clouds = []
+    group = max(1, min(n_chunks, _PICK_BYTES // (held.itemsize * n_tables * (burn_in + length) * _ORBITS)))
+    clouds = None
     try:
-        clouds += [np.empty((n_points, 2)) for _ in tables]
-        buffer = np.empty((steps(0), n_tables, group, _ORBITS), dtype=held)
+        clouds = np.empty((n_tables, n_chunks * length * _ORBITS, 2))
+        buffer = np.empty((burn_in + length, n_tables, group, _ORBITS), dtype=held)
     except (MemoryError, ValueError):
         # MemoryError past the host's memory, ValueError past numpy's sizes
-        what = "the map picks of a burn-in of %d" % burn_in if clouds else "a cloud of %d points" % n_points
+        what = "a cloud of %d points" % n_points if clouds is None else "the map picks of a burn-in of %d" % burn_in
         raise BudgetError("cannot allocate " + what) from None
+    # (2, tables, chunks, steps, orbits): a step's points of every orbit
+    view = clouds.reshape(n_tables, n_chunks, length, _ORBITS, 2).transpose(4, 0, 1, 2, 3)
     # rows a11 a21 | a12 a22 | t1 t2: the columns of [M | t], table after table
     columns = np.ascontiguousarray(np.concatenate(tables)[:, [0, 2, 1, 3, 4, 5]].T)
     block = _PICK_BYTES // (8 * _ORBITS)
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     for first in range(0, n_chunks, group):
         last = min(first + group, n_chunks)
-        picks = buffer[: steps(first), :, : last - first]
+        picks = buffer[:, :, : last - first]
         for k, child in enumerate(children[first:last]):
-            rng, rows = np.random.default_rng(child), steps(first + k)
-            for row in range(0, rows, block):
-                draw = rng.integers(0, n_maps, size=(min(block, rows - row), _ORBITS))
+            rng = np.random.default_rng(child)
+            for row in range(0, len(picks), block):
+                draw = rng.integers(0, n_maps, size=(min(block, len(picks) - row), _ORBITS))
                 for t in range(n_tables):
                     np.add(draw, t * n_maps, out=picks[row : row + len(draw), t, k], casting="unsafe")
                 del draw
-            picks[rows:, :, k] = 0
-        # (2, chunks, points) views of each cloud's full chunks, then of its
-        # partial last chunk, with their table and their chunks in the group
-        mid = min(last, full)
-        regions = [
-            (t, c[a * _CHAOS_CHUNK : b * _CHAOS_CHUNK].reshape(b - a, -1, 2).transpose(2, 0, 1), slice(a - first, b - first))
-            for t, c in enumerate(clouds)
-            for a, b in ((first, mid), (mid, last))
-            if a < b
-        ]
-        coef, xy, prod, term = (np.empty((n, n_tables, last - first, _ORBITS)) for n in (6, 2, 2, 2))
-        xy[...] = 0.0
+        coef, prod, term = (np.empty((n, n_tables, last - first, _ORBITS)) for n in (6, 2, 2))
+        xy = np.zeros((2, n_tables, last - first, _ORBITS))
         for step in range(len(picks)):
             columns.take(picks[step], axis=1, out=coef, mode="clip")
             np.multiply(coef[0:2], xy[0], out=prod)
             np.multiply(coef[2:4], xy[1], out=term)
             prod += term
-            np.add(prod, coef[4:6], out=xy)
             if step >= burn_in:
-                at = (step - burn_in) * _ORBITS
-                for t, region, chunks in regions:
-                    out = region[:, :, at : at + _ORBITS]
-                    out[...] = xy[:, t, chunks, : out.shape[2]]
-    return clouds
+                xy = view[:, :, first:last, step - burn_in]
+            np.add(prod, coef[4:6], out=xy)
+    return list(clouds[:, :n_points])
 
 
 def chaos_game(
@@ -135,32 +122,32 @@ def chaos_game(
 
     Each chunk of 32768 points is 128 orbits of 256 points from the
     origin under uniform map choices, each dropping its first burn_in
-    iterates, so a point costs (burn_in + 256) / 256 map steps: 1.25 at
-    the default, more for long burn-ins. Chunks draw from sub-seeds of
-    the master seed, so a longer cloud extends a shorter one (_orbits).
-    The map picks are held one byte each up to 256 maps, so a 1e6-point
-    cloud steps all its 3968 orbits at once. Raises BudgetError for a
-    point count or a burn-in whose cloud or map picks cannot be
+    iterates, so a point costs (burn_in + 256) / 256 map steps, 1.25 at
+    the default. Chunks draw from sub-seeds of the master seed, so a
+    longer cloud extends a shorter one (_orbits). The map picks are held
+    one byte each up to 256 maps, so a 1e6-point cloud steps all its
+    3968 orbits at once, straight into a buffer padded to whole chunks.
+    Raises BudgetError when the cloud or its map picks cannot be
     allocated.
     """
     (points,) = _orbits([_map_table(fam.instantiate(alpha))], n_points, seed, burn_in)
     return PointCloud(points, seed, "chaos", n_points)
 
 
-def cylinder_points(
-    fam: IfsFamily, alpha, depth: int, budget: int = 1 << 20
-) -> PointCloud:
+def cylinder_points(fam: IfsFamily, alpha, depth: int) -> PointCloud:
     """One point per length-depth word: the word's image of the origin.
 
     Each point sits within (product of letter norms) * attractor radius
-    of a true attractor point.
+    of a true attractor point. Raises BudgetError for more than
+    _CYLINDER_BUDGET words, decided without forming their count.
     """
     _check_count(depth, 1, "cylinder depth must be an integer >= 1")
-    _check_count(budget, 1, "cylinder budget must be an integer >= 1")
     maps = fam.instantiate(alpha)
-    if len(maps) ** depth > budget:
+    # two or more maps give at least 2^depth words
+    if len(maps) > 1 and (depth >= _CYLINDER_BUDGET.bit_length() or len(maps) ** depth > _CYLINDER_BUDGET):
         raise BudgetError(
-            "cylinder enumeration would produce %d points" % len(maps) ** depth
+            "cylinder enumeration of %d maps at depth %d exceeds the budget of %d points"
+            % (len(maps), depth, _CYLINDER_BUDGET)
         )
     pts = np.zeros((1, 2))
     for _ in range(depth):

@@ -367,8 +367,9 @@ def invariance_clouds(
     Both orbits consume the same word stream; the reduced side routes
     the removed word to its duplicate, so at an exact coincidence the
     clouds agree to the residual of the word identity. The two map
-    tables are stacked, so one take per step picks both sides' maps
-    (_orbits).
+    tables are stacked, so one take per step picks both sides' maps,
+    and each step writes both clouds at once into one padded buffer
+    whose views they are (_orbits).
     """
     # imported here: the drop report and the line maps never sample
     from .attractor import PointCloud, _orbits

@@ -16,6 +16,7 @@ import affdim.attractor as attractor
 from affdim import (
     AffineMap2,
     ConvexBody,
+    IfsFamily,
     Mat2,
     PointCloud,
     box_dim_estimate,
@@ -126,12 +127,15 @@ class TestChaosGame:
         assert not np.array_equal(a.points, c.points)
 
     def test_chunking_is_invisible(self):
-        # clouds longer than one chunk extend shorter ones exactly
+        # clouds longer than one chunk extend shorter ones exactly, also
+        # those that end mid-chunk and mid-row of 128 orbits
         fam = cantor_similarities()
         long = chaos_game(fam, 0.0, 40000, seed=5)
-        short = chaos_game(fam, 0.0, 32768, seed=5)
         assert long.points.shape == (40000, 2)
-        assert np.array_equal(long.points[:32768], short.points)
+        for n_short in (1, 127, 129, 1000, 32767, 32768):
+            short = chaos_game(fam, 0.0, n_short, seed=5)
+            assert short.points.shape == (n_short, 2)
+            assert np.array_equal(long.points[:n_short], short.points), n_short
 
     def test_cantor_orbit_stays_on_axis(self):
         cloud = chaos_game(cantor_similarities(), 0.0, 2000, seed=1)
@@ -285,17 +289,28 @@ class TestOrbitPicks:
             _orbits([table, table[:-1]], 10, 1, 0)
 
     def test_memory_peak(self):
-        # 2^20 points: the 16 MiB cloud, at most _PICK_BYTES of held
-        # picks (1.25 MiB of one-byte picks here), and 1 MiB for one
-        # chunk's int64 draw (320 KiB) and the step buffers of 4096
-        # orbits (384 KiB)
-        tracemalloc.start()
-        try:
-            chaos_game(drop_family(), 0.0, 1 << 20, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20 + attractor._PICK_BYTES + 2 ** 20
+        # the 16-byte points of the cloud, one chunk of padding (512 KiB)
+        # when the last chunk is partial (1e6 points), at most _PICK_BYTES
+        # of held picks (1.25 MiB of one-byte picks at 2^20), and 1 MiB
+        # for one chunk's int64 draw (320 KiB) and the step buffers of
+        # 4096 orbits (384 KiB)
+        for n_points, padding in ((1 << 20, 0), (10 ** 6, 2 ** 19)):
+            tracemalloc.start()
+            try:
+                cloud = chaos_game(drop_family(), 0.0, n_points, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * n_points + padding + attractor._PICK_BYTES + 2 ** 20, n_points
+            # the cloud is a view of the padded buffer, used without a copy
+            assert np.shares_memory(attractor._checked_points(cloud), cloud.points)
+            del cloud
+
+    def test_small_clouds_pad_under_one_row(self):
+        # under one chunk the buffer holds only whole rows of 128 orbits
+        for n_points in (1, 10, 127, 128, 129, 1000):
+            points = chaos_game(drop_family(), 0.7, n_points, 1).points
+            assert points.base.shape == (1, -(-n_points // _ORBITS) * _ORBITS, 2)
 
     def test_long_burn_in_draws_in_blocks(self):
         # a burn-in of 8192 steps each chunk 8193 rows of 128 picks: one
@@ -322,9 +337,26 @@ class TestCylinderPoints:
         cloud = cylinder_points(drop_family(), 0.7, 5)
         assert cloud.points.shape == (2 ** 5, 2)
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            cylinder_points(drop_family(), 0.0, 5, budget=31)
+    def test_budget_guard(self, monkeypatch):
+        # 2^5 words pass a budget of 32 and not one of 31
+        monkeypatch.setattr(attractor, "_CYLINDER_BUDGET", 31)
+        with pytest.raises(BudgetError, match="2 maps at depth 5 exceeds the budget of 31 points$"):
+            cylinder_points(drop_family(), 0.0, 5)
+        monkeypatch.setattr(attractor, "_CYLINDER_BUDGET", 32)
+        assert len(cylinder_points(drop_family(), 0.0, 5).points) == 32
+        with pytest.raises(BudgetError, match="depth 6 "):
+            cylinder_points(drop_family(), 0.0, 6)
+        # one map has one word at every depth
+        one = IfsFamily(regular=(AffineMap2(Mat2.diagonal(0.5, 0.5), (1.0, 0.0)),))
+        assert cylinder_points(one, 0.0, 40).points.shape == (1, 2)
+
+    @pytest.mark.parametrize("depth", [20000, 10 ** 6])
+    def test_deep_budget_error_names_depth_and_budget(self, depth):
+        # 2^20000 raised a bare ValueError from the integer-to-text limit,
+        # and depth 9000 printed a 2710-digit count
+        message = "2 maps at depth %d exceeds the budget of %d points$" % (depth, 1 << 20)
+        with pytest.raises(BudgetError, match=message):
+            cylinder_points(drop_family(), 0.0, depth)
 
     def test_depth_validated(self):
         with pytest.raises(ConfigError):
@@ -757,14 +789,10 @@ SQUARE = ConvexBody.polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         lambda fam: render_levels(fam, 0.0, SQUARE, 2.0),
         lambda fam: render_levels(fam, 0.0, SQUARE, True),
         lambda fam: disk_polygon((0.0, 0.0), 1.0, n=3.5),
-        # 4.5 was used as a bound and True as 1
-        lambda fam: cylinder_points(fam, 0.0, 2, budget=4.5),
-        lambda fam: cylinder_points(fam, 0.0, 1, budget=True),
     ],
     ids=[
         "chaos-float", "chaos-nan", "clouds-float", "clouds-nan", "cylinder-depth",
         "boxdim-kmin", "boxdim-kmax", "render-float", "render-bool", "disk-n",
-        "cylinder-budget-float", "cylinder-budget-bool",
     ],
 )
 def test_non_integer_counts_rejected(call):

@@ -509,14 +509,17 @@ class TestInvarianceClouds:
         assert hausdorff_distance(full, red) <= 1e-9
 
     def test_chunking_is_invisible(self):
-        # clouds longer than one chunk extend shorter ones exactly
+        # clouds longer than one chunk extend shorter ones exactly, also
+        # those that end mid-chunk and mid-row of 128 orbits
         fam = drop_family()
         alpha = find_common_fixed_point_angle(fam, 0, 0)
         long = invariance_clouds(fam, 0, 0, alpha, 40000, seed=5)
-        short = invariance_clouds(fam, 0, 0, alpha, 32768, seed=5)
-        for a, b in zip(long, short):
-            assert a.points.shape == (40000, 2)
-            assert np.array_equal(a.points[:32768], b.points)
+        for n_short in (1, 127, 129, 1000, 32767, 32768):
+            short = invariance_clouds(fam, 0, 0, alpha, n_short, seed=5)
+            for a, b in zip(long, short):
+                assert a.points.shape == (40000, 2)
+                assert b.points.shape == (n_short, 2)
+                assert np.array_equal(a.points[:n_short], b.points), n_short
 
     def test_deterministic(self):
         fam = drop_family()
